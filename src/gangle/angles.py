@@ -121,7 +121,7 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
     if u_v.is_zero or (
         isinstance(nsu, float) and norm_sq(u_v, V.space) <= 1e-24 * nsu
     ):
-        zero = 0.0 if isinstance(nsu, float) else Fraction(0)
+        zero = nsu * 0
         return AngleResult(
             zero, math.pi / 2, PATH_LINE_PROJECTION, cos_sq_ratio=zero, ratio_gap=0.0
         )
@@ -170,9 +170,9 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
             return v  # p == 2: |v| * sgn(v)
         return abs(v) ** (float(p) - 1.0) * sgn(v)
 
-    total = Fraction(0) if exact else 0.0
+    total = 0
     for j_last in outer_cols:
-        inner = Fraction(0) if exact else 0.0
+        inner = 0
         for combo in product(*supports):
             w = 1
             for i, j_i in enumerate(combo):
@@ -181,7 +181,7 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
             rows = [[v.get(c) for c in cols] for v in starred]
             rows.append([u.get(c) for c in combo] + [0])
             inner += w * det(rows)
-        total += abs(inner / nu) ** (p if exact else float(p))
+        total += abs(inner / nu) ** p
     if exact:
         return total * total if p == 1 else total
     return total ** (2.0 / float(p))

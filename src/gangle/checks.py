@@ -10,7 +10,7 @@ reproduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import (
@@ -47,15 +47,6 @@ class CheckResult:
     computed: str
     status: str
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "note": self.note,
-        }
 
 
 def _vec(*coords) -> SparseVector:

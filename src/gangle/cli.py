@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict
 
@@ -33,10 +33,8 @@ from . import checks
 from .angles import angle_line_subspace, angle_plane_subspace, cos_sq_explicit_sum
 from .errors import (
     BackendError,
-    ConsistencyError,
     DegenerateSubspaceError,
     DependenceError,
-    EstimationFailureError,
     GAngleError,
     ProblemFileError,
     ZeroVectorError,
@@ -49,6 +47,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+
+# Exit code of each error main reports; the nearest class in the raised
+# error's method resolution order decides.
+_EXIT_CODES = {
+    DegenerateSubspaceError: EXIT_DEGENERATE,
+    DependenceError: EXIT_DEGENERATE,
+    GAngleError: EXIT_INPUT,
+    ValueError: EXIT_INPUT,
+}
 
 # Built-in demo norms selectable as "oracle:<name>" in a problem file.
 DEMO_ORACLES = {
@@ -67,20 +74,16 @@ class Problem:
 
 def _parse_coeff(value, mode: str):
     try:
-        if isinstance(value, bool):
-            raise ValueError("booleans are not coordinates")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError("a coordinate is a number or an 'a/b' string")
         if mode == "exact":
-            if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, (float, str)):
-                return Fraction(str(value))
-            raise ValueError(f"unsupported coordinate {value!r}")
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
-            return float(Fraction(value))
-        raise ValueError(f"unsupported coordinate {value!r}")
-    except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(value if isinstance(value, int) else str(value))
+        # float() raises OverflowError for an int or "a/b" beyond the float range.
+        number = float(Fraction(value)) if isinstance(value, str) else float(value)
+        if not math.isfinite(number):
+            raise ValueError("coordinates must be finite")
+        return number
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ProblemFileError(f"bad coordinate {value!r}: {exc}") from None
 
 
@@ -128,8 +131,8 @@ def load_problem(path: str) -> Problem:
             raise ProblemFileError("norm oracles require float mode")
         space: Space = DEMO_ORACLES[name]
     elif isinstance(p_field, (int, float)) and not isinstance(p_field, bool):
-        if p_field < 1:
-            raise ProblemFileError(f"p must be >= 1, got {p_field}")
+        if not 1 <= p_field <= sys.float_info.max:
+            raise ProblemFileError(f"p must be a finite number >= 1, got {p_field}")
         if mode == "exact" and p_field not in (1, 2):
             raise ProblemFileError("exact mode requires p in {1, 2}")
         space = LpSpace(int(p_field) if float(p_field).is_integer() else float(p_field))
@@ -163,8 +166,6 @@ def load_problem(path: str) -> Problem:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -182,10 +183,6 @@ def _vector_out(vec: SparseVector) -> dict:
         "dense": [_fmt(v) for v in vec.to_dense()],
         "entries": [[i, _fmt(v)] for i, v in vec],
     }
-
-
-def _fmt_vec(vec: SparseVector) -> str:
-    return "(" + ", ".join(_fmt(v) for v in vec.to_dense()) + ", 0, ...)"
 
 
 def _get(mapping, kind, name):
@@ -330,7 +327,7 @@ def cmd_paper_check(strict: bool) -> dict:
     rows = []
     for r in results:
         status = checks.FAIL if strict and r.status == checks.WARN else r.status
-        row = r.as_dict()
+        row = asdict(r)
         row["status"] = status
         rows.append(row)
     return {
@@ -375,72 +372,49 @@ def _print_report(report: dict) -> None:
 # -- entry point ------------------------------------------------------------
 
 
+# Subcommand -> (handler, positional names, help).  Handlers are named, not
+# bound, so that main calls whatever cli.cmd_* is bound to when it runs.
+# Every command but paper-check (positionals None) reads a problem file.
+_COMMANDS = {
+    "g": ("cmd_g", ("x", "y"), "semi-inner product of two named vectors"),
+    "angle": ("cmd_angle", ("U", "V"), "g-angle between two named subspaces"),
+    "project": ("cmd_project", ("y", "S"), "g-orthogonal projection of a vector onto a subspace"),
+    "orthonormalize": ("cmd_orthonormalize", ("S",), "left g-orthonormalize a subspace basis"),
+    "gram": ("cmd_gram", ("S",), "Gram matrix and determinant of a subspace basis"),
+    "paper-check": ("cmd_paper_check", None, "replay the published worked examples"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gangle",
         description="semi-inner products and g-angles between subspaces of normed sequence spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_input(p):
-        p.add_argument("--input", "-i", required=True, help="problem file (JSON)")
+    for name, (_, positionals, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if positionals is None:
+            p.add_argument("--strict", action="store_true", help="treat WARN entries as failures")
+        else:
+            p.add_argument("--input", "-i", required=True, help="problem file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_g = sub.add_parser("g", help="semi-inner product of two named vectors")
-    with_input(p_g)
-    p_g.add_argument("x")
-    p_g.add_argument("y")
-
-    p_angle = sub.add_parser("angle", help="g-angle between two named subspaces")
-    with_input(p_angle)
-    p_angle.add_argument("U")
-    p_angle.add_argument("V")
-
-    p_project = sub.add_parser("project", help="g-orthogonal projection of a vector onto a subspace")
-    with_input(p_project)
-    p_project.add_argument("y")
-    p_project.add_argument("S")
-
-    p_ortho = sub.add_parser("orthonormalize", help="left g-orthonormalize a subspace basis")
-    with_input(p_ortho)
-    p_ortho.add_argument("S")
-
-    p_gram = sub.add_parser("gram", help="Gram matrix and determinant of a subspace basis")
-    with_input(p_gram)
-    p_gram.add_argument("S")
-
-    p_check = sub.add_parser("paper-check", help="replay the published worked examples")
-    p_check.add_argument("--strict", action="store_true", help="treat WARN entries as failures")
-    p_check.add_argument("--json", action="store_true", help="machine-readable output")
+        for positional in positionals or ():
+            p.add_argument(positional)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler_name, positionals, _ = _COMMANDS[args.command]
+    handler = globals()[handler_name]
     try:
-        if args.command == "paper-check":
-            report = cmd_paper_check(strict=args.strict)
+        if positionals is None:
+            report = handler(strict=args.strict)
         else:
-            problem = load_problem(args.input)
-            if args.command == "g":
-                report = cmd_g(problem, args.x, args.y)
-            elif args.command == "angle":
-                report = cmd_angle(problem, args.U, args.V)
-            elif args.command == "project":
-                report = cmd_project(problem, args.y, args.S)
-            elif args.command == "orthonormalize":
-                report = cmd_orthonormalize(problem, args.S)
-            else:
-                report = cmd_gram(problem, args.S)
-    except (ProblemFileError, BackendError, ZeroVectorError, ValueError) as exc:
+            report = handler(load_problem(args.input), *(getattr(args, a) for a in positionals))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DegenerateSubspaceError, DependenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (EstimationFailureError, ConsistencyError, GAngleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
     if args.json:
         print(json.dumps(report, indent=2))

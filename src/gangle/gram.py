@@ -19,6 +19,7 @@ of the input vectors.  Neither is "fixed" here; callers choose the basis.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +27,32 @@ from typing import Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
 from .semi_inner import g
-from .vectors import EXACT, Coeff, SparseVector, Space, norm
+from .vectors import Coeff, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
 REL_SINGULAR = 1e-10
+
+
+def _eliminate(a: list) -> int:
+    """Reduce the n rows of ``a`` (n or more columns) in place to upper
+    triangular form in their first n columns, by Gaussian elimination with
+    partial pivoting.  Returns the sign of the row permutation, or 0 when a
+    pivot column is zero (the leading n-by-n block is singular)."""
+    n = len(a)
+    sign = 1
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, len(a[col])):
+                a[r][c] -= f * a[col][c]
+    return sign
 
 
 def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
@@ -41,50 +63,18 @@ def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
-    sign = 1
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            return a[0][0] * 0  # zero in the right backend
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    result = a[0][0]
-    for i in range(1, n):
-        result = result * a[i][i]
-    return sign * result
-
-
-def det_cofactor(rows: Sequence[Sequence[Coeff]]) -> Coeff:
-    """Determinant by first-row cofactor expansion (reference path)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = rows[0][0] * 0
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    sign = _eliminate(a)
+    if sign == 0:
+        return a[0][0] * 0  # zero in the right backend
+    return sign * math.prod(a[i][i] for i in range(n))
 
 
 def solve(rows: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list:
     """Solve a square linear system by elimination with partial pivoting."""
     n = len(rows)
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise DegenerateSubspaceError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
+    if not _eliminate(a):
+        raise DegenerateSubspaceError("singular linear system")
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = a[i][n]
@@ -103,10 +93,7 @@ class GramData:
 
     @property
     def diagonal_product(self) -> Coeff:
-        prod = self.matrix[0][0]
-        for i in range(1, len(self.matrix)):
-            prod = prod * self.matrix[i][i]
-        return prod
+        return math.prod(row[i] for i, row in enumerate(self.matrix))
 
     @property
     def is_degenerate(self) -> bool:
@@ -210,7 +197,7 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
         cofactor = det(minor) if n > 1 else minor[0][0]
         term = sub.basis[j - 1].scale(cofactor)
         result = result.add(term.scale(-1) if j % 2 == 1 else term)
-    return result.scale(-1 / data.det if isinstance(data.det, float) else Fraction(-1) / data.det)
+    return result.scale(Fraction(-1) / data.det)
 
 
 def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
@@ -227,5 +214,5 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         r = norm(residual, space)
         if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
-        out.append(residual.scale(1 / r if isinstance(r, float) else Fraction(1) / r))
+        out.append(residual.scale(Fraction(1) / r))
     return out

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import BackendError, EstimationFailureError, ZeroVectorError
 from .vectors import (
     EXACT,
+    FLOAT,
     Coeff,
     LpSpace,
     OracleSpace,
@@ -34,6 +35,7 @@ from .vectors import (
     lp_norm,
     norm,
     sgn,
+    _zero,
 )
 
 # Stopping rule for the norm-oracle quotient schedule: steps 2^-k for
@@ -62,7 +64,7 @@ def _tau_l1(x: SparseVector, y: SparseVector) -> TauPair:
     if shared:
         tstar = min(abs(x.get(i)) / abs(y.get(i)) for i in shared) / 2
     else:
-        tstar = Fraction(1) if join_backends(x.backend, y.backend) != "float" else 1.0
+        tstar = 1
     n0 = lp_norm(x, 1)
     plus = (lp_norm(x.add(y.scale(tstar)), 1) - n0) / tstar
     minus = (lp_norm(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
@@ -106,7 +108,7 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
-    exact = join_backends(x.backend, y.backend) != "float"
+    exact = join_backends(x.backend, y.backend) != FLOAT
 
     def one_sided(sign: int):
         prev = None
@@ -133,7 +135,7 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
     if x.is_zero:
         raise ZeroVectorError("tau is undefined for the zero base vector")
     if y.is_zero:
-        zero = Fraction(0) if x.backend == EXACT else 0.0
+        zero = _zero(x.backend)
         return TauPair(zero, zero, 0)
     join_backends(x.backend, y.backend)
     if isinstance(space, OracleSpace):
@@ -153,11 +155,9 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
 def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
     """g by its definition: half the norm of x times (tau+ + tau-)."""
     if x.is_zero:
-        return Fraction(0) if y.backend != "float" else 0.0
+        return _zero(y.backend)
     pair = tau(x, y, space)
-    nx = norm(x, space)
-    half = Fraction(1, 2) if x.backend == EXACT and not isinstance(pair.tau_plus, float) else 0.5
-    return half * nx * (pair.tau_plus + pair.tau_minus)
+    return (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:
@@ -166,7 +166,7 @@ def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:
         raise ValueError(f"p must be >= 1, got {p!r}")
     backend = join_backends(x.backend, y.backend)
     if x.is_zero:
-        return Fraction(0) if backend != "float" else 0.0
+        return _zero(backend)
     if backend == EXACT:
         if p == 1:
             return lp_norm(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))

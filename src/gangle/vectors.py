@@ -27,6 +27,11 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def _zero(backend):
+    """The zero scalar of a backend; the zero vector's backend (None) is exact."""
+    return 0.0 if backend == FLOAT else Fraction(0)
+
+
 def _backend_of(value) -> str:
     if isinstance(value, float):
         return FLOAT
@@ -253,8 +258,6 @@ def _lp_norm_exact(x: SparseVector, p) -> Fraction:
 
 
 def _lp_norm_float(x: SparseVector, p: float) -> float:
-    if x.is_zero:
-        return 0.0
     if p == 1:
         return sum(abs(v) for _, v in x)
     if p == 2:
@@ -266,7 +269,7 @@ def lp_norm(x: SparseVector, p) -> Coeff:
     if x.backend == FLOAT:
         return _lp_norm_float(x, float(p))
     if x.is_zero:
-        return Fraction(0)
+        return _zero(x.backend)
     return _lp_norm_exact(x, p)
 
 
@@ -282,18 +285,12 @@ def norm(x: SparseVector, space: Space) -> Coeff:
 
 def norm_sq(x: SparseVector, space: Space) -> Coeff:
     """Squared norm.  Exact for p in {1, 2} even when the norm is irrational."""
-    if isinstance(space, LpSpace):
-        if x.backend == FLOAT:
-            return _lp_norm_float(x, float(space.p)) ** 2
-        if x.is_zero:
-            return Fraction(0)
-        if space.p == 2:
-            return sum((v * v for _, v in x), Fraction(0))
-        if space.p == 1:
-            return _lp_norm_exact(x, 1) ** 2
-        raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={space.p}; use float mode")
-    value = norm(x, space)
-    return value * value
+    if not isinstance(space, LpSpace):
+        value = norm(x, space)
+        return value * value
+    if space.p == 2 and x.backend == EXACT:
+        return sum((v * v for _, v in x), Fraction(0))
+    return lp_norm(x, space.p) ** 2
 
 
 def check_norm_axioms(space: Space, rng, trials: int = 200, max_index: int = 6,

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: random instance generators and the
-classical p=2 oracles (numpy/scipy) the g-machinery is checked against."""
+"""Shared helpers for the test suite: random instance generators, the
+classical p=2 oracles (numpy/scipy) the g-machinery is checked against, and
+a cofactor-expansion determinant to check the elimination against."""
 
 from fractions import Fraction
 
@@ -57,6 +58,19 @@ def rand_subspace(rng, backend, dim, space, max_index=MAX_INDEX):
             scale = abs(float(data.diagonal_product))
             if scale == 0 or abs(float(data.det)) > 1e-6 * scale:
                 return sub
+
+
+def det_cofactor(rows):
+    """Determinant by first-row cofactor expansion (reference path)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0] * 0
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def to_array(vec, length=MAX_INDEX):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,16 +8,35 @@ from pathlib import Path
 
 import pytest
 
+from gangle import (
+    BackendError,
+    ConsistencyError,
+    DegenerateSubspaceError,
+    DependenceError,
+    EstimationFailureError,
+    GAngleError,
+    ProblemFileError,
+    ZeroVectorError,
+    cli,
+)
+
 PKG_ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = PKG_ROOT / "problems"
 
 
 def run_cli(*args, expect=0):
+    # The subprocess imports gangle from this checkout's src/ whether or not
+    # the caller set PYTHONPATH.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "gangle", *args],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,
+        env=env,
     )
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc
@@ -53,6 +73,56 @@ def test_g_unknown_vector_is_input_error():
 
 def test_g_missing_file_is_input_error():
     run_cli("g", "-i", "no-such-file.json", "x", "y", expect=2)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ProblemFileError, 2),
+        (BackendError, 2),
+        (ZeroVectorError, 2),
+        (ValueError, 2),
+        (EstimationFailureError, 2),
+        (ConsistencyError, 2),
+        (GAngleError, 2),
+        (DegenerateSubspaceError, 3),
+        (DependenceError, 3),
+    ],
+)
+def test_error_exit_codes(monkeypatch, capsys, error, code):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_g", fail)
+    assert cli.main(["g", "-i", problem("nonsymmetry_l1.json"), "x", "y"]) == code
+    assert "error: boom" in capsys.readouterr().err
+
+
+# The JSON tokens NaN and Infinity are not standard JSON, but Python's json
+# module reads them; 1e999 is standard JSON and reads as inf.
+@pytest.mark.parametrize(
+    "coordinate",
+    ["NaN", "Infinity", "-Infinity", "1e999", '"1e999"', str(10 ** 400)],
+    ids=["nan", "inf", "-inf", "1e999", "string-1e999", "int-1e400"],
+)
+def test_non_finite_float_coordinate_is_input_error(tmp_path, coordinate):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"p": 1.5, "mode": "float", "vectors": {"x": [1.0, %s], "y": [1.0]}}' % coordinate
+    )
+    proc = run_cli("g", "-i", str(path), "x", "y", expect=2)
+    assert "bad coordinate" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "p", ["Infinity", "1e999", "NaN", str(10 ** 400)], ids=["inf", "1e999", "nan", "int-1e400"]
+)
+def test_non_finite_p_is_input_error(tmp_path, p):
+    path = tmp_path / "bad.json"
+    path.write_text('{"p": %s, "mode": "float", "vectors": {"x": [1.0]}}' % p)
+    proc = run_cli("g", "-i", str(path), "x", "x", expect=2)
+    assert "p must be" in proc.stderr
 
 
 # -- angle ------------------------------------------------------------------

@@ -21,10 +21,11 @@ from gangle import (
     project,
     project_bordered,
 )
-from gangle.gram import det, det_cofactor
+from gangle.gram import det, solve
 
 from support import (
     classical_projection,
+    det_cofactor,
     rand_float_vector,
     rand_subspace,
     rand_vector,
@@ -48,6 +49,12 @@ def test_det_matches_cofactor_expansion_up_to_4x4():
                 for _ in range(n)
             ]
             assert det(rows) == det_cofactor(rows)
+
+
+@pytest.mark.parametrize("one", [Fraction(1), 1.0], ids=["exact", "float"])
+def test_solve_singular_system_raises(one):
+    with pytest.raises(DegenerateSubspaceError):
+        solve([[one, 2 * one], [2 * one, 4 * one]], [one, one])
 
 
 # -- gram -------------------------------------------------------------------
