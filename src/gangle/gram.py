@@ -48,6 +48,8 @@ def _eliminate(a: list) -> int:
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
+        if isinstance(a[col][col], int):
+            a[col][col] = Fraction(a[col][col])  # ints are exact; int / int is a float
         for r in range(col + 1, n):
             f = a[r][col] / a[col][col]
             for c in range(col, len(a[col])):
@@ -58,7 +60,8 @@ def _eliminate(a: list) -> int:
 def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
     """Determinant by Gaussian elimination with partial pivoting.
 
-    Works for Fraction and float entries alike (exact for Fractions)."""
+    Works for Fraction and float entries alike (exact for Fractions and
+    ints)."""
     n = len(rows)
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):

@@ -19,6 +19,7 @@ the first argument is scaled to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +61,10 @@ class TauPair:
 def _tau_l1(x: SparseVector, y: SparseVector) -> TauPair:
     # Below t* = min |xi|/|yi| / 2 over shared support no coordinate of
     # x + t*y changes sign, so the quotient equals the one-sided derivative.
-    shared = [i for i, xi in x if y.get(i) != 0]
+    ys = dict(y.items())
+    shared = [(xi, ys[i]) for i, xi in x if i in ys]
     if shared:
-        tstar = min(abs(x.get(i)) / abs(y.get(i)) for i in shared) / 2
+        tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2
     else:
         tstar = 1
     n0 = lp_norm(x, 1)
@@ -148,7 +150,18 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
             "(the norm is not piecewise linear)"
         )
     p = float(space.p)
-    value, step = _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(norm(y, space)))
+    # |x + t*y| over index-ordered pairs (x_i, y_i), summed in the order and
+    # with the rounding of lp_norm(x.add(y.scale(t)), p), without the vectors.
+    xs = dict(x.items())
+    ys = dict(y.items())
+    pairs = [(xs.get(i, 0.0), ys.get(i, 0.0)) for i in sorted(xs.keys() | ys.keys())]
+    if p == 2:
+        def f(t):
+            return math.sqrt(sum((v := a + t * b) * v for a, b in pairs))
+    else:
+        def f(t):
+            return sum(abs(a + t * b) ** p for a, b in pairs) ** (1.0 / p)
+    value, step = _tau_central(f, float(norm(y, space)))
     return TauPair(value, value, step)
 
 
@@ -167,15 +180,16 @@ def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:
     backend = join_backends(x.backend, y.backend)
     if x.is_zero:
         return _zero(backend)
+    ys = dict(y.items())
     if backend == EXACT:
         if p == 1:
-            return lp_norm(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))
+            return lp_norm(x, 1) * sum((sgn(v) * ys.get(i, 0) for i, v in x), Fraction(0))
         if p == 2:
-            return sum((v * y.get(i) for i, v in x), Fraction(0))
+            return sum((v * ys.get(i, 0) for i, v in x), Fraction(0))
         raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
     p = float(p)
     nx = lp_norm(x, p)
-    s = sum(abs(v) ** (p - 1.0) * sgn(v) * y.get(i) for i, v in x)
+    s = sum(abs(v) ** (p - 1.0) * sgn(v) * ys.get(i, 0) for i, v in x)
     return nx ** (2.0 - p) * s
 
 

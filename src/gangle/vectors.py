@@ -15,6 +15,7 @@ float vector (or a float scalar with an exact vector) raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
@@ -65,7 +66,8 @@ class SparseVector:
     """Immutable finitely supported sequence, stored as (index, value) pairs.
 
     Zero coefficients are dropped on construction, indices are kept sorted,
-    and all stored values share one backend.
+    and all stored values share one backend.  Float coefficients must be
+    finite.
     """
 
     __slots__ = ("_entries", "_backend")
@@ -81,6 +83,8 @@ class SparseVector:
             if idx in raw:
                 raise ValueError(f"duplicate coordinate index {idx}")
             if isinstance(val, float):
+                if not math.isfinite(val):
+                    raise ValueError(f"coefficient at index {idx} must be finite, got {val!r}")
                 saw_float = True
             elif isinstance(val, Fraction):
                 saw_exact = True
@@ -99,6 +103,17 @@ class SparseVector:
             raw = {i: Fraction(v) for i, v in raw.items()}
         self._entries = tuple(sorted((i, v) for i, v in raw.items() if v != 0))
         self._backend = backend if self._entries else None
+
+    @classmethod
+    def _trusted(cls, entries, backend) -> "SparseVector":
+        """Build from index-sorted (index, value) pairs whose values are
+        already of ``backend``, skipping the validation and sorting of
+        ``__init__``; zeros (also floats that underflowed to 0.0) are still
+        dropped.  The arithmetic methods build their results here."""
+        vec = cls.__new__(cls)
+        vec._entries = tuple([e for e in entries if e[1] != 0])
+        vec._backend = backend if vec._entries else None
+        return vec
 
     @classmethod
     def from_dense(cls, values: Sequence[Coeff]) -> "SparseVector":
@@ -128,6 +143,8 @@ class SparseVector:
         return self._entries
 
     def get(self, idx: int) -> Coeff:
+        """Coefficient at ``idx`` (0 when absent), by a linear scan: an
+        inspection helper, not for loops over the entries."""
         for i, v in self._entries:
             if i == idx:
                 return v
@@ -144,25 +161,25 @@ class SparseVector:
 
     def to_float(self) -> "SparseVector":
         """Copy of this vector in the float backend."""
-        return SparseVector((i, float(v)) for i, v in self._entries)
+        return SparseVector._trusted([(i, float(v)) for i, v in self._entries], FLOAT)
 
     # -- arithmetic ---------------------------------------------------------
 
     def scale(self, a: Coeff) -> "SparseVector":
         if self.is_zero or a == 0:
-            return SparseVector()
-        join_backends(self._backend, None if isinstance(a, int) else _backend_of(a))
-        return SparseVector((i, a * v) for i, v in self._entries)
+            return ZERO
+        backend = join_backends(self._backend, None if isinstance(a, int) else _backend_of(a))
+        if backend == FLOAT:
+            a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
+        return SparseVector._trusted([(i, a * v) for i, v in self._entries], backend)
 
     def add(self, other: "SparseVector") -> "SparseVector":
-        join_backends(self._backend, other._backend)
-        merged = dict(self._entries)
-        for i, v in other._entries:
-            merged[i] = merged.get(i, 0) + v
-        return SparseVector(merged)
+        backend = join_backends(self._backend, other._backend)
+        return SparseVector._trusted(_merge(self._entries, other._entries, False), backend)
 
     def sub(self, other: "SparseVector") -> "SparseVector":
-        return self.add(other.scale(-1))
+        backend = join_backends(self._backend, other._backend)
+        return SparseVector._trusted(_merge(self._entries, other._entries, True), backend)
 
     __add__ = add
     __sub__ = sub
@@ -189,6 +206,32 @@ class SparseVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {v!r}" for i, v in self._entries)
         return f"SparseVector({{{body}}})"
+
+
+def _merge(a, b, subtract: bool) -> list:
+    """Entries of a + b (or a - b) for two index-sorted entry tuples, by one
+    sorted merge.  Zero results are left for the caller to drop."""
+    op = operator.sub if subtract else operator.add
+    out = []
+    append = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ia = a[i][0]
+        ib = b[j][0]
+        if ia < ib:
+            append(a[i])
+            i += 1
+        elif ib < ia:
+            append((ib, -b[j][1]) if subtract else b[j])
+            j += 1
+        else:
+            append((ia, op(a[i][1], b[j][1])))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend([(k, -v) for k, v in b[j:]] if subtract else b[j:])
+    return out
 
 
 def add(x: SparseVector, y: SparseVector) -> SparseVector:

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite: random instance generators, the
-classical p=2 oracles (numpy/scipy) the g-machinery is checked against, and
-a cofactor-expansion determinant to check the elimination against."""
+classical p=2 oracles (numpy/scipy) the g-machinery is checked against, a
+cofactor-expansion determinant to check the elimination against, and the
+straightforward forms of g and float tau that the linear-time kernels must
+reproduce exactly."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from gangle import SparseVector, Subspace
+from gangle import SparseVector, Subspace, lp_norm, sgn
+from gangle.semi_inner import _tau_central
 
 MAX_INDEX = 6
 
@@ -71,6 +74,27 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def g_explicit_by_get(x, y, p):
+    """The lp closed form of g with y read through ``SparseVector.get``, in
+    the operation order of ``g_explicit`` (exact for p in {1, 2})."""
+    if x.is_zero:
+        return 0.0 if "float" in (x.backend, y.backend) else Fraction(0)
+    if x.backend == "exact":
+        if p == 1:
+            return lp_norm(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))
+        return sum((v * y.get(i) for i, v in x), Fraction(0))
+    p = float(p)
+    s = sum(abs(v) ** (p - 1.0) * sgn(v) * y.get(i) for i, v in x)
+    return lp_norm(x, p) ** (2.0 - p) * s
+
+
+def tau_float_by_vectors(x, y, p):
+    """(value, step) of float tau at p > 1 with |x + t*y| evaluated on the
+    vector ``x.add(y.scale(t))`` at every step."""
+    p = float(p)
+    return _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(lp_norm(y, p)))
 
 
 def to_array(vec, length=MAX_INDEX):

@@ -51,6 +51,19 @@ def test_det_matches_cofactor_expansion_up_to_4x4():
             assert det(rows) == det_cofactor(rows)
 
 
+def test_det_and_solve_exact_on_int_matrices():
+    d = det([[1, 2], [3, 4]])
+    assert d == Fraction(-2) and type(d) is Fraction
+    x = solve([[1, 2], [3, 4]], [1, 1])
+    assert x == [Fraction(-1), Fraction(1)]
+    assert all(type(v) is Fraction for v in x)
+    zero = det([[1, 2], [2, 4]])
+    assert zero == 0 and type(zero) is Fraction
+    # ints next to Fractions stay exact; next to a float the result is a float
+    assert det([[Fraction(1, 2), 1], [3, 4]]) == Fraction(-1)
+    assert type(det([[1.0, 2], [3, 4]])) is float
+
+
 @pytest.mark.parametrize("one", [Fraction(1), 1.0], ids=["exact", "float"])
 def test_solve_singular_system_raises(one):
     with pytest.raises(DegenerateSubspaceError):

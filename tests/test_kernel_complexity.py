@@ -1,0 +1,97 @@
+"""A complexity guard for the sparse kernels that needs no timing.
+
+``SparseVector.get`` is a linear scan, so a kernel that calls it once per
+entry is O(nnz^2).  On nnz-4096 vectors g, g_from_norm and tau must make no
+``get`` call at all, and float tau must evaluate |x + t*y| without building
+a vector per step.  A regression fails here on any machine."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gangle import LpSpace, SparseVector, g_explicit, g_from_norm, tau
+
+NNZ = 4096
+
+
+def _pair(backend):
+    rng = random.Random(NNZ)
+    if backend == "exact":
+        def value():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    else:
+        def value():
+            return rng.uniform(-1.0, 1.0) or 1.0
+
+    # supports that overlap in about half their entries
+    return tuple(
+        SparseVector((i, value()) for i in rng.sample(range(1, 2 * NNZ + 1), NNZ))
+        for _ in range(2)
+    )
+
+
+PAIRS = {backend: _pair(backend) for backend in ("exact", "float")}
+
+
+@pytest.fixture
+def get_calls(monkeypatch):
+    calls = [0]
+    original = SparseVector.get
+
+    def counted(self, idx):
+        calls[0] += 1
+        return original(self, idx)
+
+    monkeypatch.setattr(SparseVector, "get", counted)
+    return calls
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts vectors built by ``__init__`` or by the trusted constructor."""
+    built = [0]
+    init = SparseVector.__init__
+    trusted = SparseVector._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args):
+        built[0] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(SparseVector, "__init__", counted_init)
+    monkeypatch.setattr(SparseVector, "_trusted", classmethod(counted_trusted))
+    return built
+
+
+def test_the_counters_see_calls(get_calls, constructions):
+    x, y = PAIRS["float"]
+    x.get(1)
+    x.add(y)
+    SparseVector({1: 1.0})
+    assert get_calls[0] == 1
+    assert constructions[0] == 2
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("exact", 2), ("float", 1.5)])
+def test_g_explicit_makes_no_get_call(get_calls, backend, p):
+    x, y = PAIRS[backend]
+    g_explicit(x, y, p)
+    assert get_calls[0] == 0
+
+
+def test_exact_l1_g_from_norm_makes_no_get_call(get_calls):
+    x, y = PAIRS["exact"]
+    g_from_norm(x, y, LpSpace(1))
+    assert get_calls[0] == 0
+
+
+def test_float_tau_makes_no_get_call_and_builds_no_vector(get_calls, constructions):
+    x, y = PAIRS["float"]
+    pair = tau(x, y, LpSpace(1.5))
+    assert pair.step_used > 0  # the central-difference route ran
+    assert get_calls[0] == 0
+    assert constructions[0] == 0

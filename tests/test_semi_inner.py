@@ -10,6 +10,7 @@ from gangle import (
     LpSpace,
     OracleSpace,
     SparseVector,
+    TauPair,
     ZeroVectorError,
     g,
     g_explicit,
@@ -19,7 +20,13 @@ from gangle import (
     tau,
 )
 
-from support import rand_exact_vector, rand_float_vector, rand_vector
+from support import (
+    g_explicit_by_get,
+    rand_exact_vector,
+    rand_float_vector,
+    rand_vector,
+    tau_float_by_vectors,
+)
 
 sv = SparseVector.from_dense
 L1 = LpSpace(1)
@@ -227,3 +234,45 @@ def test_dispatcher_uses_definition_for_oracles():
     y = sv([-1.0, 2.0])
     assert g(x, y, taxicab) == pytest.approx(2.0, abs=1e-8)
     assert g(x, y, LpSpace(1.0)) == 2.0
+
+
+# -- the linear-time kernels against their straightforward forms -------------
+
+
+def _kernel_pairs(rng, backend, n=60):
+    """Pairs with shared, disjoint and cancelling supports, at several
+    magnitudes in float mode."""
+    for k in range(n):
+        x = rand_vector(rng, backend, max_index=12, max_terms=8)
+        if backend == "float":
+            x = x.scale(rng.choice([1.0, 1e-30, 1e30]))
+        kind = k % 4
+        if kind == 0:
+            y = rand_vector(rng, backend, max_index=12, max_terms=8, nonzero=False)
+        elif kind == 1:  # x + t*y is exactly zero at the first step t = 2^-4
+            y = x.scale(-16)
+        elif kind == 2:  # supports disjoint from x
+            y = SparseVector((i + 12, v) for i, v in rand_vector(rng, backend, max_terms=3))
+        else:
+            y = x.add(rand_vector(rng, backend, max_index=3, max_terms=2))
+        yield x, y
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_float_tau_equals_the_vector_route_exactly(p):
+    rng = random.Random(int(p * 100))
+    for x, y in _kernel_pairs(rng, "float"):
+        if y.is_zero:
+            continue
+        value, step = tau_float_by_vectors(x, y, p)
+        assert tau(x, y, LpSpace(p)) == TauPair(value, value, step), (x, y)
+
+
+@pytest.mark.parametrize("backend,ps", [("exact", (1, 2)), ("float", (1.0, 1.5, 2.0, 3.0))])
+def test_g_explicit_equals_the_get_route_exactly(backend, ps):
+    rng = random.Random(len(ps))
+    for x, y in _kernel_pairs(rng, backend):
+        for p in ps:
+            for a, b in ((x, y), (y, x)):
+                got, ref = g_explicit(a, b, p), g_explicit_by_get(a, b, p)
+                assert got == ref and type(got) is type(ref), (a, b, p)

@@ -52,6 +52,16 @@ def test_backend_mixing_rejected():
         sv([1, 2]).scale(0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseVector([(1, bad), (2, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        SparseVector({3: bad})
+    with pytest.raises(ValueError, match="finite"):
+        sv([1.0, bad])
+
+
 def test_int_coefficients_promote_to_exact():
     assert sv([1, 2]).backend == "exact"
     assert sv([1.0, 2.0]).backend == "float"
@@ -88,6 +98,72 @@ def test_add_scale_match_dense_reference():
         lhs = np.array(x.add(y.scale(a)).to_dense(8))
         rhs = np.array(x.to_dense(8)) + a * np.array(y.to_dense(8))
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# -- arithmetic against the validating constructor on dense results ---------
+
+exact_coords = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(-100, 100, max_denominator=12)),
+    max_size=8,
+)
+# Magnitudes from subnormal to 1e150, so products underflow but never overflow.
+float_coords = st.lists(
+    st.one_of(st.just(0.0), st.floats(-1e150, 1e150, allow_nan=False)), max_size=8
+)
+
+
+def _padded(xs, ys):
+    n = max(len(xs), len(ys))  # a plain int 0 is neutral in either backend
+    return xs + [0] * (n - len(xs)), ys + [0] * (n - len(ys))
+
+
+def assert_same_vector(got, ref):
+    assert got.items() == ref.items()
+    assert [type(v) for _, v in got] == [type(v) for _, v in ref]
+    assert got.backend == ref.backend
+
+
+@pytest.mark.parametrize("coords", [exact_coords, float_coords], ids=["exact", "float"])
+@given(data=st.data())
+def test_add_sub_equal_constructor_on_dense_result(coords, data):
+    xs, ys = _padded(data.draw(coords), data.draw(coords))
+    x, y = sv(xs), sv(ys)
+    assert_same_vector(x.add(y), sv([a + b for a, b in zip(xs, ys)]))
+    assert_same_vector(x.sub(y), sv([a - b for a, b in zip(xs, ys)]))
+    assert_same_vector(x.sub(x), SparseVector())
+
+
+@given(exact_coords, st.one_of(st.integers(-5, 5), st.fractions(max_denominator=7)))
+def test_scale_exact_equals_constructor_on_dense_result(xs, a):
+    assert_same_vector(sv(xs).scale(a), sv([a * v for v in xs]))
+
+
+@given(float_coords, st.one_of(st.integers(-5, 5), st.floats(-1e150, 1e150, allow_nan=False)))
+def test_scale_float_equals_constructor_on_dense_result(xs, a):
+    assert_same_vector(sv(xs).scale(a), sv([a * v for v in xs]))
+
+
+def test_arithmetic_edge_cases():
+    x = sv([Fraction(1, 2), 0, Fraction(-3)])
+    # exact cancellation gives the zero vector, whose backend is None
+    for zero in (x.sub(x), x.add(x.scale(-1)), x.add(-x)):
+        assert zero.is_zero and zero.backend is None and zero == SparseVector()
+    # a float product that underflows to 0.0 is dropped
+    tiny = SparseVector({1: 1e-200, 2: 1.0}).scale(1e-200)
+    assert tiny.support == (2,) and tiny.items() == ((2, 1e-200),)
+    assert SparseVector({1: 1e-200}).scale(1e-200).backend is None
+    # an int scalar on an exact vector gives Fractions
+    doubled = x.scale(2)
+    assert doubled == sv([1, 0, -6]) and all(type(v) is Fraction for _, v in doubled)
+    assert all(type(v) is float for _, v in sv([1.0, 2.0]).scale(3))
+    # overflow inside arithmetic is not checked here (only at construction)
+    assert SparseVector([(1, 1e200)]).scale(1e200).items() == ((1, math.inf),)
+
+
+def test_to_float_drops_underflow():
+    v = SparseVector({1: Fraction(1, 10 ** 400), 2: Fraction(1, 3)}).to_float()
+    assert v.items() == ((2, 1 / 3),) and v.backend == "float"
+    assert SparseVector({1: Fraction(1, 10 ** 400)}).to_float().backend is None
 
 
 # -- norms ------------------------------------------------------------------
