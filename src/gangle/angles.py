@@ -19,28 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .errors import ConsistencyError, DegenerateSubspaceError, ZeroVectorError
 from .gram import Subspace, det, left_orthonormalize, project
 from .semi_inner import g
-from .vectors import (
-    Coeff,
-    LpSpace,
-    SparseVector,
-    Space,
-    exact_sqrt,
-    norm,
-    norm_sq,
-    sgn,
-)
+from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
 _CLAMP_SLACK = 1e-12
 
 PATH_VECTOR = "vector"
 PATH_LINE_PROJECTION = "dim1-projection"
-PATH_LINE_EXPLICIT = "dim1-explicit-sum"
 PATH_PLANE_LAMBDA = "dim2-lambda"
 
 
@@ -139,14 +128,17 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
 
 
 def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
-    """cos^2 of the line-vs-subspace angle by the explicit multi-index sum.
+    """cos^2 of the line-vs-subspace angle by the paper's explicit sum.
 
-    Left g-orthonormalizes the basis of V, then accumulates, over the finite
-    union of supports, weighted (t+1)-by-(t+1) determinants whose rows are the
-    orthonormalized basis vectors and whose bottom row holds the coordinates
-    of u.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
-    projection onto the orthonormalized basis.  t <= 3 only (the sum has t+1
-    nested indices)."""
+    Left g-orthonormalizes the basis of V into x_1*, ..., x_t*, then returns
+    (sum_j |D_j|^p)^(2/p) / |u|^2 over the union of the starred supports.
+    D_j is a (t+1)-by-(t+1) determinant: column c <= t holds (g(x_c*, x_1*),
+    ..., g(x_c*, x_t*), g(x_c*, u)) and the last column (x_1*(j), ...,
+    x_t*(j), 0).  The paper writes D_j as a multi-index sum of determinants
+    with weights |x_c*(i)|^(p-1) sgn(x_c*(i)); a determinant is linear in
+    each column and |x_c*| = 1, so each weighted column sums to the g-values
+    above.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
+    projection onto the orthonormalized basis.  t <= 3 only."""
     space = V.space
     if not isinstance(space, LpSpace):
         raise ValueError("the explicit sum is defined for lp spaces only")
@@ -157,34 +149,16 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     starred = left_orthonormalize(V.basis, space)
     p = space.p
-    nu = norm(u, space)
-    exact = not isinstance(nu, float)
-    supports = [v.support for v in starred]
-    outer_cols = sorted(set().union(*supports))
-
-    def weight(vec, idx):
-        v = vec.get(idx)
-        if exact:
-            if p == 1:
-                return sgn(v)
-            return v  # p == 2: |v| * sgn(v)
-        return abs(v) ** (float(p) - 1.0) * sgn(v)
-
+    # row r, column c: g(x_c*, x_r*), and g(x_c*, u) in the last row
+    lead = [[g(xc, v, space) for xc in starred] for v in starred + [u]]
     total = 0
-    for j_last in outer_cols:
-        inner = 0
-        for combo in product(*supports):
-            w = 1
-            for i, j_i in enumerate(combo):
-                w *= weight(starred[i], j_i)
-            cols = combo + (j_last,)
-            rows = [[v.get(c) for c in cols] for v in starred]
-            rows.append([u.get(c) for c in combo] + [0])
-            inner += w * det(rows)
-        total += abs(inner / nu) ** p
-    if exact:
-        return total * total if p == 1 else total
-    return total ** (2.0 / float(p))
+    for j in sorted(set().union(*(v.support for v in starred))):
+        last = [v.get(j) for v in starred] + [0]
+        total += abs(det([row + [e] for row, e in zip(lead, last)])) ** p
+    nsu = norm_sq(u, space)
+    if isinstance(nsu, float):
+        return total ** (2.0 / float(p)) / nsu
+    return (total * total if p == 1 else total) / nsu
 
 
 def lambda_functional(x: SparseVector, y: SparseVector, space: Space) -> LambdaValue:

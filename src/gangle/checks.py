@@ -152,18 +152,14 @@ def run_checks() -> list:
     return res
 
 
-def summarize(results, strict: bool = False) -> dict:
+def summarize(results) -> dict:
     """Counts plus the process exit status for a batch of check results."""
     statuses = [r.status for r in results]
-    warns = statuses.count(WARN)
     fails = statuses.count(FAIL)
-    if strict:  # strict mode promotes every WARN to a failure
-        fails += warns
-        warns = 0
     return {
         "total": len(results),
         "pass": statuses.count(PASS),
-        "warn": warns,
+        "warn": statuses.count(WARN),
         "fail": fails,
         "exit_status": 1 if fails else 0,
     }

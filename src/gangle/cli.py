@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Dict
 
@@ -323,16 +323,13 @@ def cmd_gram(problem: Problem, s_name: str) -> dict:
 
 def cmd_paper_check(strict: bool) -> dict:
     results = checks.run_checks()
-    summary = checks.summarize(results, strict=strict)
-    rows = []
-    for r in results:
-        status = checks.FAIL if strict and r.status == checks.WARN else r.status
-        row = asdict(r)
-        row["status"] = status
-        rows.append(row)
+    if strict:  # strict mode promotes every WARN to a failure
+        results = [replace(r, status=checks.FAIL) if r.status == checks.WARN else r
+                   for r in results]
+    summary = checks.summarize(results)
     return {
         "command": "paper-check" + (" --strict" if strict else ""),
-        "outputs": {"checks": rows, "summary": summary},
+        "outputs": {"checks": [asdict(r) for r in results], "summary": summary},
         "warnings": [],
         "status": summary["exit_status"],
     }

@@ -197,8 +197,7 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     result = SparseVector()
     for j in range(1, n + 1):
         minor = [[row[c] for c in range(n + 1) if c != j] for row in numeric]
-        cofactor = det(minor) if n > 1 else minor[0][0]
-        term = sub.basis[j - 1].scale(cofactor)
+        term = sub.basis[j - 1].scale(det(minor))
         result = result.add(term.scale(-1) if j % 2 == 1 else term)
     return result.scale(Fraction(-1) / data.det)
 

@@ -1,14 +1,26 @@
 """Shared helpers for the test suite: random instance generators, the
 classical p=2 oracles (numpy/scipy) the g-machinery is checked against, a
-cofactor-expansion determinant to check the elimination against, and the
+cofactor-expansion determinant to check the elimination against, the
 straightforward forms of g and float tau that the linear-time kernels must
-reproduce exactly."""
+reproduce exactly, and the paper's explicit sum for cos^2 as a literal
+multi-index sum."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from gangle import SparseVector, Subspace, lp_norm, sgn
+from gangle import (
+    LpSpace,
+    SparseVector,
+    Subspace,
+    ZeroVectorError,
+    left_orthonormalize,
+    lp_norm,
+    norm,
+    sgn,
+)
+from gangle.gram import det, solve
 from gangle.semi_inner import _tau_central
 
 MAX_INDEX = 6
@@ -63,6 +75,34 @@ def rand_subspace(rng, backend, dim, space, max_index=MAX_INDEX):
                 return sub
 
 
+def rational_orthogonal(rng, n):
+    """Random n-by-n orthogonal matrix with rational entries: the Cayley
+    transform Q = (I - A)(I + A)^-1 of a random skew-symmetric A."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            a[j][i] = -a[i][j]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # Q^T = (I - A)^-1 (I + A), so row k of Q solves (I - A) q = column k of I + A
+    minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
+    return [solve(minus, [eye[i][k] + a[i][k] for i in range(n)]) for k in range(n)]
+
+
+def rand_rational_l2_basis(rng, dim, n=4):
+    """Random exact basis of dim vectors in the first n coordinates whose left
+    l2-orthonormalization is rational: x_k = c_k q_k + sum_{l<k} a_l q_l for
+    orthonormal rational q_l, so the k-th residual is c_k q_k."""
+    q = rng.sample(rational_orthogonal(rng, n), dim)
+    basis = []
+    for k in range(dim):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+        coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3)))
+        dense = [sum((c * q[l][i] for l, c in enumerate(coeffs)), Fraction(0)) for i in range(n)]
+        basis.append(SparseVector.from_dense(dense))
+    return basis
+
+
 def det_cofactor(rows):
     """Determinant by first-row cofactor expansion (reference path)."""
     n = len(rows)
@@ -95,6 +135,55 @@ def tau_float_by_vectors(x, y, p):
     vector ``x.add(y.scale(t))`` at every step."""
     p = float(p)
     return _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(lp_norm(y, p)))
+
+
+def cos_sq_explicit_sum_by_multi_index(u, V):
+    """cos^2 of the line-vs-subspace angle by the explicit multi-index sum.
+
+    Left g-orthonormalizes the basis of V, then accumulates, over the finite
+    union of supports, weighted (t+1)-by-(t+1) determinants whose rows are the
+    orthonormalized basis vectors and whose bottom row holds the coordinates
+    of u.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
+    projection onto the orthonormalized basis.  t <= 3 only (the sum has t+1
+    nested indices)."""
+    space = V.space
+    if not isinstance(space, LpSpace):
+        raise ValueError("the explicit sum is defined for lp spaces only")
+    t = V.dim
+    if t > 3:
+        raise ValueError("explicit sum limited to subspaces of dimension <= 3")
+    if u.is_zero:
+        raise ZeroVectorError("the line must be spanned by a nonzero vector")
+    starred = left_orthonormalize(V.basis, space)
+    p = space.p
+    nu = norm(u, space)
+    exact = not isinstance(nu, float)
+    supports = [v.support for v in starred]
+    outer_cols = sorted(set().union(*supports))
+
+    def weight(vec, idx):
+        v = vec.get(idx)
+        if exact:
+            if p == 1:
+                return sgn(v)
+            return v  # p == 2: |v| * sgn(v)
+        return abs(v) ** (float(p) - 1.0) * sgn(v)
+
+    total = 0
+    for j_last in outer_cols:
+        inner = 0
+        for combo in product(*supports):
+            w = 1
+            for i, j_i in enumerate(combo):
+                w *= weight(starred[i], j_i)
+            cols = combo + (j_last,)
+            rows = [[v.get(c) for c in cols] for v in starred]
+            rows.append([u.get(c) for c in combo] + [0])
+            inner += w * det(rows)
+        total += abs(inner / nu) ** p
+    if exact:
+        return total * total if p == 1 else total
+    return total ** (2.0 / float(p))
 
 
 def to_array(vec, length=MAX_INDEX):

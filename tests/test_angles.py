@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gangle import (
+    BackendError,
     ConsistencyError,
     DegenerateSubspaceError,
+    GAngleError,
     LpSpace,
     SparseVector,
     Subspace,
@@ -24,10 +26,14 @@ from gangle import (
 )
 
 from support import (
+    cos_sq_explicit_sum_by_multi_index,
     principal_angle_cosines,
+    rand_exact_vector,
     rand_float_vector,
+    rand_rational_l2_basis,
     rand_subspace,
     rand_vector,
+    rational_orthogonal,
 )
 
 sv = SparseVector.from_dense
@@ -161,6 +167,59 @@ def test_explicit_sum_matches_projection_exactly_p1():
         starred = Subspace(left_orthonormalize(V.basis, L1), L1)
         ratio = angle_line_subspace(u, starred).cos_sq_ratio
         assert cos_sq_explicit_sum(u, V) == ratio
+
+
+def _explicit_sum_case(rng, p, t):
+    """(u, V) in exact lp; at p = 2 with a rational orthonormalization and a
+    rational |u|, so that the multi-index sum returns a value."""
+    if p == 1:
+        return rand_vector(rng, "exact"), rand_subspace(rng, "exact", t, L1)
+    u = SparseVector.from_dense(rng.choice(rational_orthogonal(rng, 4))).scale(rng.randint(1, 3))
+    return u, Subspace(rand_rational_l2_basis(rng, t), LpSpace(2))
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_explicit_sum_equals_the_multi_index_sum_exactly(p):
+    rng = random.Random(f"multi-index-{p}")
+    compared = 0
+    for k in range(45):
+        u, V = _explicit_sum_case(rng, p, k % 3 + 1)
+        try:
+            expected = cos_sq_explicit_sum_by_multi_index(u, V)
+        except GAngleError:
+            continue
+        assert cos_sq_explicit_sum(u, V) == expected
+        compared += 1
+    assert compared >= 40
+
+
+@pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0))
+def test_explicit_sum_matches_the_multi_index_sum_in_float(p):
+    rng = random.Random(f"multi-index-float-{p}")
+    space = LpSpace(p)
+    for k in range(30):
+        V = rand_subspace(rng, "float", k % 3 + 1, space)
+        u = rand_float_vector(rng)
+        expected = cos_sq_explicit_sum_by_multi_index(u, V)
+        assert abs(cos_sq_explicit_sum(u, V) - expected) <= 1e-12 * abs(expected)
+
+
+def test_exact_l2_explicit_sum_with_an_irrational_norm():
+    # |u| = sqrt(2); the sum divides by the rational |u|^2
+    u = sv([1, 1, 0])
+    V = Subspace([sv([1])], LpSpace(2))
+    assert cos_sq_explicit_sum(u, V) == Fraction(1, 2) == angle_line_subspace(u, V).cos_sq
+    rng = random.Random("explicit-l2-irrational")
+    for k in range(30):
+        V = Subspace(rand_rational_l2_basis(rng, k % 3 + 1), LpSpace(2))
+        u = rand_exact_vector(rng, max_index=4)
+        starred = Subspace(left_orthonormalize(V.basis, V.space), V.space)
+        assert cos_sq_explicit_sum(u, V) == angle_line_subspace(u, starred).cos_sq_ratio
+
+
+def test_explicit_sum_rejects_mixed_backends():
+    with pytest.raises(BackendError):
+        cos_sq_explicit_sum(sv([1.0, 2.0]), Subspace([sv([1])], L1))
 
 
 def test_p2_line_angle_matches_principal_angles():

@@ -146,6 +146,21 @@ def test_angle_plane_vs_space_reports_published_discrepancy_note():
     assert any("NOTE" in w for w in report["warnings"])
 
 
+def test_angle_exact_l2_with_an_irrational_norm(tmp_path):
+    # |u| = sqrt(2) is irrational, cos^2 = 1/2 is not
+    data = {
+        "p": 2,
+        "mode": "exact",
+        "vectors": {"u": [1, 1, 0], "e1": [1]},
+        "subspaces": {"U": ["u"], "V": ["e1"]},
+    }
+    path = tmp_path / "l2.json"
+    path.write_text(json.dumps(data))
+    out = run_json("angle", "-i", str(path), "U", "V")["outputs"]
+    assert out["cos_sq"]["exact"] == "1/2"
+    assert out["explicit_sum_cos_sq"]["exact"] == "1/2"
+
+
 def test_angle_dimension_three_rejected(tmp_path):
     data = {
         "p": 1,

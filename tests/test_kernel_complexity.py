@@ -1,16 +1,29 @@
-"""A complexity guard for the sparse kernels that needs no timing.
+"""Complexity guards for the sparse kernels and the explicit sum that need
+no timing.
 
 ``SparseVector.get`` is a linear scan, so a kernel that calls it once per
 entry is O(nnz^2).  On nnz-4096 vectors g, g_from_norm and tau must make no
 ``get`` call at all, and float tau must evaluate |x + t*y| without building
-a vector per step.  A regression fails here on any machine."""
+a vector per step.  The explicit cos^2 sum must take one determinant per
+coordinate, not one per multi-index.  A regression fails here on any
+machine."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gangle import LpSpace, SparseVector, g_explicit, g_from_norm, tau
+from gangle import (
+    LpSpace,
+    SparseVector,
+    Subspace,
+    cos_sq_explicit_sum,
+    g_explicit,
+    g_from_norm,
+    left_orthonormalize,
+    tau,
+)
+from gangle import angles
 
 NNZ = 4096
 
@@ -95,3 +108,22 @@ def test_float_tau_makes_no_get_call_and_builds_no_vector(get_calls, constructio
     assert pair.step_used > 0  # the central-difference route ran
     assert get_calls[0] == 0
     assert constructions[0] == 0
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+def test_explicit_sum_takes_one_det_per_coordinate(monkeypatch, backend, p):
+    x, y = PAIRS[backend]
+    # t = 3 on overlapping supports of 6 entries each, plus a longer u
+    basis = [SparseVector(list(x)[k : k + 6]) for k in (0, 3, 6)]
+    V = Subspace(basis, LpSpace(p))
+    calls = [0]
+    original = angles.det
+
+    def counted(rows):
+        calls[0] += 1
+        return original(rows)
+
+    monkeypatch.setattr(angles, "det", counted)
+    cos_sq_explicit_sum(SparseVector(list(y)[:32]), V)
+    starred = left_orthonormalize(basis, V.space)
+    assert calls[0] == len(set().union(*(v.support for v in starred)))
