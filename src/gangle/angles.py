@@ -24,7 +24,7 @@ from typing import Optional
 from .errors import ConsistencyError, DegenerateSubspaceError, ZeroVectorError
 from .gram import Subspace, det, left_orthonormalize, project
 from .semi_inner import g
-from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
+from .vectors import FLOAT, Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
 _CLAMP_SLACK = 1e-12
 
@@ -138,7 +138,11 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     with weights |x_c*(i)|^(p-1) sgn(x_c*(i)); a determinant is linear in
     each column and |x_c*| = 1, so each weighted column sums to the g-values
     above.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
-    projection onto the orthonormalized basis.  t <= 3 only."""
+    projection onto the orthonormalized basis.  t <= 3 only.
+
+    Of the t^2 + t g-values in the determinants, only the t(t+1)/2 with
+    c > r or in the last row are computed; the rest are the 1s and 0s of
+    the left g-orthonormal basis."""
     space = V.space
     if not isinstance(space, LpSpace):
         raise ValueError("the explicit sum is defined for lp spaces only")
@@ -149,8 +153,15 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     starred = left_orthonormalize(V.basis, space)
     p = space.p
-    # row r, column c: g(x_c*, x_r*), and g(x_c*, u) in the last row
-    lead = [[g(xc, v, space) for xc in starred] for v in starred + [u]]
+    # row r, column c: g(x_c*, x_r*), and g(x_c*, u) in the last row; the
+    # starred basis is left g-orthonormal, so row r < t is 0 left of column r
+    # and 1 in it
+    one = 1.0 if starred[0].backend == FLOAT else Fraction(1)
+    lead = [
+        [one * 0] * r + [one] + [g(xc, xr, space) for xc in starred[r + 1 :]]
+        for r, xr in enumerate(starred)
+    ]
+    lead.append([g(xc, u, space) for xc in starred])
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):
         last = [v.get(j) for v in starred] + [0]

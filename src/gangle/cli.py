@@ -241,15 +241,19 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> dict:
                 f"projection formula and length-ratio disagree by {result.ratio_gap:.3g}"
             )
         if isinstance(problem.space, LpSpace) and V.dim <= 3:
-            explicit = cos_sq_explicit_sum(U.basis[0], V)
-            outputs["explicit_sum_cos_sq"] = _scalar_out(explicit)
-            gap = abs(float(explicit) - float(result.cos_sq_ratio))
-            if gap > 1e-8:
-                warnings.append(
-                    "explicit-sum value differs from the given-basis projection "
-                    f"by {gap:.3g} (the projection depends on the basis of V "
-                    "unless p = 2)"
-                )
+            try:
+                explicit = cos_sq_explicit_sum(U.basis[0], V)
+            except GAngleError as exc:
+                warnings.append(f"explicit sum unavailable ({type(exc).__name__}: {exc})")
+            else:
+                outputs["explicit_sum_cos_sq"] = _scalar_out(explicit)
+                gap = abs(float(explicit) - float(result.cos_sq_ratio))
+                if gap > 1e-8:
+                    warnings.append(
+                        "explicit-sum value differs from the given-basis projection "
+                        f"by {gap:.3g} (the projection depends on the basis of V "
+                        "unless p = 2)"
+                    )
     elif U.dim == 2:
         result = angle_plane_subspace(U, V)
         if result.cos_sq == checks.EXACT_FINAL_COS_SQ:

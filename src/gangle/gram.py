@@ -15,19 +15,23 @@ projection genuinely depends on the *basis* chosen for the span, not just on
 the span itself (the orthogonality conditions g(x_i, r) = 0 are attached to
 the basis vectors).  Likewise left g-orthonormalization depends on the order
 of the input vectors.  Neither is "fixed" here; callers choose the basis.
+
+The Gram matrix [g(x_k*, x_l*)] of a left g-orthonormalized basis is unit
+lower-triangular: g(x_k*, x_k*) = |x_k*|^2 = 1, and g(x_k*, x_l*) = 0 for
+k < l because x_l* is a residual orthogonal to its predecessors.
+:func:`left_orthonormalize` reuses that structure instead of recomputing it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
 from .semi_inner import g
-from .vectors import Coeff, SparseVector, Space, norm
+from .vectors import FLOAT, Coeff, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -127,7 +131,8 @@ def certifies_independence(data: GramData) -> bool:
 class Subspace:
     """Ordered basis of nonzero vectors plus its ambient space.
 
-    Gram data is computed lazily, once, and shared across threads."""
+    Gram data is computed lazily and cached.  The cache is pure, so two
+    threads racing on a fresh subspace at worst compute the same data twice."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
         basis = tuple(basis)
@@ -138,7 +143,6 @@ class Subspace:
         self.basis = basis
         self.space = space
         self._gram = None
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -146,9 +150,7 @@ class Subspace:
 
     def gram(self) -> GramData:
         if self._gram is None:
-            with self._lock:
-                if self._gram is None:
-                    self._gram = gram(self.basis, self.space)
+            self._gram = gram(self.basis, self.space)
         return self._gram
 
     def __repr__(self) -> str:
@@ -202,19 +204,42 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     return result.scale(Fraction(-1) / data.det)
 
 
+def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], one: Coeff) -> GramData:
+    """Gram data of a left g-orthonormal basis from its rows below the
+    diagonal: ``one`` on the diagonal, zero above it, determinant ``one``."""
+    n = len(rows)
+    matrix = tuple(
+        tuple(row) + (one,) + (one * 0,) * (n - 1 - k) for k, row in enumerate(rows)
+    )
+    return GramData(matrix, one)
+
+
 def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     """Gram-Schmidt-like recursion producing unit vectors x_k* with
-    g(x_k*, x_l*) = 0 for k < l.  Order-sensitive by construction."""
+    g(x_k*, x_l*) = 0 for k < l.  Order-sensitive by construction.
+
+    Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`,
+    with the unit lower-triangular Gram data of the starred vectors filled in
+    from the rows kept so far, so it makes only the k - 1 right-hand-side g
+    calls.  The row g(x_k*, x_j*), j < k, costs k - 1 more and is computed
+    only when another vector follows: (d - 1)^2 g calls for d vectors."""
+    basis = tuple(basis)
     out = []
+    rows = []  # rows[k] = [g(x_k*, x_j*) for j < k]
     for k, xk in enumerate(basis):
         if k == 0:
             residual = xk
         else:
-            residual = project(xk, Subspace(out, space)).residual
+            sub = Subspace(out, space)
+            sub._gram = _unit_lower_gram(rows, 1.0 if out[0].backend == FLOAT else Fraction(1))
+            residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         r = norm(residual, space)
         if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
-        out.append(residual.scale(Fraction(1) / r))
+        starred = residual.scale(Fraction(1) / r)
+        if k + 1 < len(basis):
+            rows.append([g(starred, xj, space) for xj in out])
+        out.append(starred)
     return out

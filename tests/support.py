@@ -2,8 +2,9 @@
 classical p=2 oracles (numpy/scipy) the g-machinery is checked against, a
 cofactor-expansion determinant to check the elimination against, the
 straightforward forms of g and float tau that the linear-time kernels must
-reproduce exactly, and the paper's explicit sum for cos^2 as a literal
-multi-index sum."""
+reproduce exactly, left g-orthonormalization by a fresh projection per step
+that the incremental one must reproduce, and the paper's explicit sum for
+cos^2 as a literal multi-index sum."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from itertools import product
 import numpy as np
 
 from gangle import (
+    DependenceError,
     LpSpace,
     SparseVector,
     Subspace,
@@ -18,6 +20,7 @@ from gangle import (
     left_orthonormalize,
     lp_norm,
     norm,
+    project,
     sgn,
 )
 from gangle.gram import det, solve
@@ -135,6 +138,25 @@ def tau_float_by_vectors(x, y, p):
     vector ``x.add(y.scale(t))`` at every step."""
     p = float(p)
     return _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(lp_norm(y, p)))
+
+
+def left_orthonormalize_by_projection(basis, space):
+    """Gram-Schmidt-like recursion producing unit vectors x_k* with
+    g(x_k*, x_l*) = 0 for k < l, projecting onto a fresh ``Subspace`` of the
+    starred vectors, with its full Gram matrix, at every step."""
+    out = []
+    for k, xk in enumerate(basis):
+        if k == 0:
+            residual = xk
+        else:
+            residual = project(xk, Subspace(out, space)).residual
+        if residual.is_zero:
+            raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        r = norm(residual, space)
+        if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
+            raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        out.append(residual.scale(Fraction(1) / r))
+    return out
 
 
 def cos_sq_explicit_sum_by_multi_index(u, V):

@@ -161,6 +161,30 @@ def test_angle_exact_l2_with_an_irrational_norm(tmp_path):
     assert out["explicit_sum_cos_sq"]["exact"] == "1/2"
 
 
+def test_angle_survives_a_failing_explicit_sum(tmp_path):
+    # the second residual of V's basis has an irrational 2-norm, so the
+    # explicit sum cannot orthonormalize V exactly; the angle itself is exact
+    data = {
+        "p": 2,
+        "mode": "exact",
+        "vectors": {"u": [1, 2, 3], "a": [1, 1], "b": [0, 1, 1]},
+        "subspaces": {"U": ["u"], "V": ["a", "b"]},
+    }
+    path = tmp_path / "l2.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("angle", "-i", str(path), "U", "V")
+    assert "19/21" in proc.stdout
+    assert "explicit_sum_cos_sq" not in proc.stdout
+    warning = "explicit sum unavailable (BackendError: the 2-norm of this vector is irrational"
+    assert warning in proc.stdout
+
+    report = run_json("angle", "-i", str(path), "U", "V")
+    assert report["status"] == 0
+    assert report["outputs"]["cos_sq"]["exact"] == "19/21"
+    assert "explicit_sum_cos_sq" not in report["outputs"]
+    assert any(w.startswith(warning) for w in report["warnings"])
+
+
 def test_angle_dimension_three_rejected(tmp_path):
     data = {
         "p": 1,

@@ -26,7 +26,9 @@ from gangle.gram import det, solve
 from support import (
     classical_projection,
     det_cofactor,
+    left_orthonormalize_by_projection,
     rand_float_vector,
+    rand_rational_l2_basis,
     rand_subspace,
     rand_vector,
     to_array,
@@ -303,3 +305,54 @@ def test_orthonormalize_contract(backend, p):
         for orig in V.basis:
             coef, res, *_ = np.linalg.lstsq(A, to_array(orig), rcond=None)
             assert np.allclose(A @ coef, to_array(orig), atol=1e-8)
+
+
+def _bases(rng, backend, p):
+    """Independent bases of dimension 1 to 5 in 8 coordinates, or in 4 for
+    exact l2, where only the Cayley construction orthonormalizes rationally."""
+    for _ in range(20):
+        dim = rng.randint(1, 4 if (backend, p) == ("exact", 2) else 5)
+        if (backend, p) == ("exact", 2):
+            yield rand_rational_l2_basis(rng, dim)
+        else:
+            yield rand_subspace(rng, backend, dim, LpSpace(p), max_index=8).basis
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("exact", 2)])
+def test_orthonormalize_equals_projection_per_step_exactly(backend, p):
+    rng = random.Random(f"incremental-{backend}-{p}")
+    space = LpSpace(p)
+    for basis in _bases(rng, backend, p):
+        assert left_orthonormalize(basis, space) == left_orthonormalize_by_projection(
+            basis, space
+        )
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_orthonormalize_agrees_with_projection_per_step_in_float(p):
+    rng = random.Random(f"incremental-float-{p}")
+    space = LpSpace(p)
+    for basis in _bases(rng, "float", p):
+        ours = left_orthonormalize(basis, space)
+        ref = left_orthonormalize_by_projection(basis, space)
+        assert [v.support for v in ours] == [v.support for v in ref]
+        for a, b in zip(ours, ref):
+            for (_, x), (_, y) in zip(a, b):
+                assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "basis,space",
+    [
+        ([sv([1, 1]), sv([2, 2])], L1),
+        ([sv([1, 0, 2]), sv([0, 1, 1]), sv([1, 1, 3])], L1),
+        ([sv([3, 4]), sv([0, 0, 1]), sv([6, 8, 5])], LpSpace(2)),
+        ([sv([1.0, 2.0]), sv([0.5, -1.0, 2.0]), sv([2.0, 0.0, 4.0])], LpSpace(1.5)),
+    ],
+)
+def test_orthonormalize_dependent_input_raises_as_projection_per_step(basis, space):
+    with pytest.raises(DependenceError) as ours:
+        left_orthonormalize(basis, space)
+    with pytest.raises(DependenceError) as ref:
+        left_orthonormalize_by_projection(basis, space)
+    assert str(ours.value) == str(ref.value)

@@ -5,10 +5,12 @@ no timing.
 entry is O(nnz^2).  On nnz-4096 vectors g, g_from_norm and tau must make no
 ``get`` call at all, and float tau must evaluate |x + t*y| without building
 a vector per step.  The explicit cos^2 sum must take one determinant per
-coordinate, not one per multi-index.  A regression fails here on any
-machine."""
+coordinate, not one per multi-index.  Left g-orthonormalization of d
+vectors must take (d - 1)^2 g calls, and the explicit sum t(t + 1)/2 more
+of its own.  A regression fails here on any machine."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -127,3 +129,48 @@ def test_explicit_sum_takes_one_det_per_coordinate(monkeypatch, backend, p):
     cos_sq_explicit_sum(SparseVector(list(y)[:32]), V)
     starred = left_orthonormalize(basis, V.space)
     assert calls[0] == len(set().union(*(v.support for v in starred)))
+
+
+def _triangular_basis(d, backend):
+    """d independent vectors: x_k has a nonzero at coordinate k and up to
+    three more entries after it."""
+    rng = random.Random(d)
+    basis = []
+    for k in range(1, d + 1):
+        entries = {k: rng.choice([-2, -1, 1, 3])}
+        for i in rng.sample(range(k + 1, d + 5), 3):
+            entries[i] = rng.randint(-3, 3)
+        if backend == "float":
+            entries = {i: float(v) for i, v in entries.items()}
+        basis.append(SparseVector({i: v for i, v in entries.items() if v}))
+    return basis
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    """g calls made by the gram module and by the angles module."""
+    calls = {"gram": 0, "angles": 0}
+    for name, module in (("gram", sys.modules["gangle.gram"]), ("angles", angles)):
+        def counted(x, y, space, _name=name, _g=module.g):
+            calls[_name] += 1
+            return _g(x, y, space)
+
+        monkeypatch.setattr(module, "g", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, backend, p, d):
+    out = left_orthonormalize(_triangular_basis(d, backend), LpSpace(p))
+    assert len(out) == d
+    assert g_calls == {"gram": (d - 1) ** 2, "angles": 0}
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_explicit_sum_takes_t_times_t_plus_one_over_two_g_calls(g_calls, backend, p, t):
+    u = _triangular_basis(t + 1, backend)[0]
+    V = Subspace(_triangular_basis(t, backend), LpSpace(p))
+    cos_sq_explicit_sum(u, V)
+    assert g_calls == {"gram": (t - 1) ** 2, "angles": t * (t + 1) // 2}
