@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConsistencyError, DegenerateSubspaceError, ZeroVectorError
-from .gram import Subspace, det, left_orthonormalize, project
+from .gram import Subspace, _unit_lower_gram, det, left_orthonormalize, project
 from .semi_inner import g
-from .vectors import FLOAT, Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
+from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
 _CLAMP_SLACK = 1e-12
 
@@ -140,9 +140,9 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     above.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
     projection onto the orthonormalized basis.  t <= 3 only.
 
-    Of the t^2 + t g-values in the determinants, only the t(t+1)/2 with
-    c > r or in the last row are computed; the rest are the 1s and 0s of
-    the left g-orthonormal basis."""
+    Of the t^2 + t g-values in the determinants, only the t(t+1)/2 values
+    g(x_c*, x_r*) with r < c and g(x_c*, u) are computed; the rest are the
+    1s and 0s of the left g-orthonormal basis of an lp space."""
     space = V.space
     if not isinstance(space, LpSpace):
         raise ValueError("the explicit sum is defined for lp spaces only")
@@ -153,19 +153,17 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     starred = left_orthonormalize(V.basis, space)
     p = space.p
-    # row r, column c: g(x_c*, x_r*), and g(x_c*, u) in the last row; the
-    # starred basis is left g-orthonormal, so row r < t is 0 left of column r
-    # and 1 in it
-    one = 1.0 if starred[0].backend == FLOAT else Fraction(1)
+    # D_j transposed (same det): row c is the starred Gram row
+    # (g(x_c*, x_1*), ..., g(x_c*, x_t*)), unit lower-triangular, then
+    # g(x_c*, u); the last row is (x_1*(j), ..., x_t*(j), 0)
+    below = [[g(xc, xr, space) for xr in starred[:c]] for c, xc in enumerate(starred)]
     lead = [
-        [one * 0] * r + [one] + [g(xc, xr, space) for xc in starred[r + 1 :]]
-        for r, xr in enumerate(starred)
+        list(row) + [g(xc, u, space)]
+        for row, xc in zip(_unit_lower_gram(below, starred[0].backend).matrix, starred)
     ]
-    lead.append([g(xc, u, space) for xc in starred])
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):
-        last = [v.get(j) for v in starred] + [0]
-        total += abs(det([row + [e] for row, e in zip(lead, last)])) ** p
+        total += abs(det(lead + [[v.get(j) for v in starred] + [0]])) ** p
     nsu = norm_sq(u, space)
     if isinstance(nsu, float):
         return total ** (2.0 / float(p)) / nsu

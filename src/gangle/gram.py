@@ -16,10 +16,14 @@ the span itself (the orthogonality conditions g(x_i, r) = 0 are attached to
 the basis vectors).  Likewise left g-orthonormalization depends on the order
 of the input vectors.  Neither is "fixed" here; callers choose the basis.
 
-The Gram matrix [g(x_k*, x_l*)] of a left g-orthonormalized basis is unit
-lower-triangular: g(x_k*, x_k*) = |x_k*|^2 = 1, and g(x_k*, x_l*) = 0 for
-k < l because x_l* is a residual orthogonal to its predecessors.
+In an lp space the Gram matrix [g(x_k*, x_l*)] of a left g-orthonormalized
+basis is unit lower-triangular: g(x_k*, x_k*) = |x_k*|^2 = 1, and
+g(x_k*, x_l*) = 0 for k < l because x_l* is a residual orthogonal to its
+predecessors and g is linear in its second argument there.
 :func:`left_orthonormalize` reuses that structure instead of recomputing it.
+A black-box norm's g need not be additive in its second argument (the max
+norm with tied coordinates is not), so there the full Gram matrix is
+computed at every step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
 from .semi_inner import g
-from .vectors import FLOAT, Coeff, SparseVector, Space, norm
+from .vectors import Coeff, LpSpace, SparseVector, Space, _one, _zero, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -204,12 +208,14 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     return result.scale(Fraction(-1) / data.det)
 
 
-def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], one: Coeff) -> GramData:
-    """Gram data of a left g-orthonormal basis from its rows below the
-    diagonal: ``one`` on the diagonal, zero above it, determinant ``one``."""
+def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
+    """Gram data of a left g-orthonormal basis of an lp space from its rows
+    below the diagonal: 1 on the diagonal, 0 above it, determinant 1, all in
+    the scalars of ``backend``."""
     n = len(rows)
+    one, zero = _one(backend), _zero(backend)
     matrix = tuple(
-        tuple(row) + (one,) + (one * 0,) * (n - 1 - k) for k, row in enumerate(rows)
+        tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
     )
     return GramData(matrix, one)
 
@@ -218,20 +224,24 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     """Gram-Schmidt-like recursion producing unit vectors x_k* with
     g(x_k*, x_l*) = 0 for k < l.  Order-sensitive by construction.
 
-    Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`,
-    with the unit lower-triangular Gram data of the starred vectors filled in
-    from the rows kept so far, so it makes only the k - 1 right-hand-side g
-    calls.  The row g(x_k*, x_j*), j < k, costs k - 1 more and is computed
-    only when another vector follows: (d - 1)^2 g calls for d vectors."""
+    Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`.
+    In an lp space the unit lower-triangular Gram data of the starred vectors
+    is filled in from the rows kept so far, so the step makes only the k - 1
+    right-hand-side g calls.  The row g(x_k*, x_j*), j < k, costs k - 1 more
+    and is computed only when another vector follows: (d - 1)^2 g calls for
+    d vectors.  Under a black-box norm each step computes its full Gram
+    matrix, as g there need not be additive in its second argument."""
     basis = tuple(basis)
+    triangular = isinstance(space, LpSpace)
     out = []
-    rows = []  # rows[k] = [g(x_k*, x_j*) for j < k]
+    rows = []  # rows[k] = [g(x_k*, x_j*) for j < k], lp spaces only
     for k, xk in enumerate(basis):
         if k == 0:
             residual = xk
         else:
             sub = Subspace(out, space)
-            sub._gram = _unit_lower_gram(rows, 1.0 if out[0].backend == FLOAT else Fraction(1))
+            if triangular:
+                sub._gram = _unit_lower_gram(rows, out[0].backend)
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
@@ -239,7 +249,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
-        if k + 1 < len(basis):
+        if triangular and k + 1 < len(basis):
             rows.append([g(starred, xj, space) for xj in out])
         out.append(starred)
     return out

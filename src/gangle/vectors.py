@@ -33,6 +33,11 @@ def _zero(backend):
     return 0.0 if backend == FLOAT else Fraction(0)
 
 
+def _one(backend):
+    """The unit scalar of a backend; the zero vector's backend (None) is exact."""
+    return 1.0 if backend == FLOAT else Fraction(1)
+
+
 def _backend_of(value) -> str:
     if isinstance(value, float):
         return FLOAT

@@ -9,6 +9,7 @@ from gangle import (
     DegenerateSubspaceError,
     DependenceError,
     LpSpace,
+    OracleSpace,
     SparseVector,
     Subspace,
     ZeroVectorError,
@@ -356,3 +357,43 @@ def test_orthonormalize_dependent_input_raises_as_projection_per_step(basis, spa
     with pytest.raises(DependenceError) as ref:
         left_orthonormalize_by_projection(basis, space)
     assert str(ours.value) == str(ref.value)
+
+
+MAX_NORM = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")
+
+
+def test_orthonormalize_under_max_norm_raises_as_projection_per_step():
+    # g of the max norm is not additive in its second argument when
+    # coordinates tie, so the starred Gram matrix is not unit lower-triangular:
+    # here it is [[1, 0, -1/2], [0, 1, 1/2], [-1, 1, 1]], which is singular.
+    basis = [sv([1.0, 1, 1, 0]), sv([1.0, 0, 0, 0]), sv([0.0, 1, 0, 0]), sv([1.0, 1, 0, 1])]
+    with pytest.raises(DegenerateSubspaceError) as ours:
+        left_orthonormalize(basis, MAX_NORM)
+    with pytest.raises(DegenerateSubspaceError) as ref:
+        left_orthonormalize_by_projection(basis, MAX_NORM)
+    assert str(ours.value) == str(ref.value)
+
+
+def _outcome(f, basis, space):
+    try:
+        return f(basis, space)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [MAX_NORM, OracleSpace(lambda x: sum(abs(v) for _, v in x), "taxicab")],
+    ids=["max", "taxicab"],
+)
+def test_orthonormalize_under_oracle_norms_equals_projection_per_step(space):
+    # small integer coordinates make ties, where a black-box g is not additive
+    rng = random.Random(f"incremental-oracle-{space.name}")
+    for _ in range(40):
+        basis = [
+            sv([float(rng.randint(-2, 2)) for _ in range(4)]) for _ in range(rng.randint(1, 4))
+        ]
+        basis = [v for v in basis if not v.is_zero] or [sv([1.0])]
+        assert _outcome(left_orthonormalize, basis, space) == _outcome(
+            left_orthonormalize_by_projection, basis, space
+        )
