@@ -28,19 +28,16 @@ from .gram import (
     gram,
     left_orthonormalize,
     project,
-    project_bordered,
 )
 from .semi_inner import TauPair, g, g_explicit, g_from_norm, tau
 from .vectors import (
     LpSpace,
     OracleSpace,
     SparseVector,
-    add,
     check_norm_axioms,
     lp_norm,
     norm,
     norm_sq,
-    scale,
     sgn,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "Subspace",
     "TauPair",
     "ZeroVectorError",
-    "add",
     "angle_line_subspace",
     "angle_plane_subspace",
     "certifies_independence",
@@ -78,8 +74,6 @@ __all__ = [
     "norm",
     "norm_sq",
     "project",
-    "project_bordered",
-    "scale",
     "sgn",
     "tau",
     "vector_angle",

@@ -138,7 +138,7 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     with weights |x_c*(i)|^(p-1) sgn(x_c*(i)); a determinant is linear in
     each column and |x_c*| = 1, so each weighted column sums to the g-values
     above.  Equals the projected-length ratio |u_V*|^2 / |u|^2 for the
-    projection onto the orthonormalized basis.  t <= 3 only.
+    projection onto the orthonormalized basis.
 
     Of the t^2 + t g-values in the determinants, only the t(t+1)/2 values
     g(x_c*, x_r*) with r < c and g(x_c*, u) are computed; the rest are the
@@ -146,9 +146,6 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     space = V.space
     if not isinstance(space, LpSpace):
         raise ValueError("the explicit sum is defined for lp spaces only")
-    t = V.dim
-    if t > 3:
-        raise ValueError("explicit sum limited to subspaces of dimension <= 3")
     if u.is_zero:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     starred = left_orthonormalize(V.basis, space)

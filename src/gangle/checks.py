@@ -26,9 +26,8 @@ from .vectors import LpSpace, SparseVector, lp_norm
 
 L1 = LpSpace(1)
 
-# Final plane-vs-space value printed in the source article vs. the exact
-# evaluation of the article's own intermediate quantities.
-PUBLISHED_FINAL_COS_SQ = Fraction(36, 167)
+# Exact evaluation of the article's own intermediate quantities for the final
+# plane-vs-space value, and how it differs from the printed one.
 EXACT_FINAL_COS_SQ = Fraction(36, 175)
 FINAL_VALUE_NOTE = (
     "published as 36/167, but exact evaluation of the published "

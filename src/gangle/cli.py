@@ -44,7 +44,6 @@ from .semi_inner import g, g_from_norm, tau
 from .vectors import LpSpace, OracleSpace, Space, SparseVector
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
@@ -67,7 +66,6 @@ DEMO_ORACLES = {
 @dataclass
 class Problem:
     space: Space
-    mode: str
     vectors: Dict[str, SparseVector]
     subspaces: Dict[str, Subspace]
 
@@ -159,7 +157,7 @@ def load_problem(path: str) -> Problem:
         except ZeroVectorError as exc:
             raise ProblemFileError(f"subspace {name!r}: {exc}") from None
 
-    return Problem(space, mode, vectors, subspaces)
+    return Problem(space, vectors, subspaces)
 
 
 # -- rendering --------------------------------------------------------------
@@ -240,7 +238,7 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> dict:
             warnings.append(
                 f"projection formula and length-ratio disagree by {result.ratio_gap:.3g}"
             )
-        if isinstance(problem.space, LpSpace) and V.dim <= 3:
+        if isinstance(problem.space, LpSpace):
             try:
                 explicit = cos_sq_explicit_sum(U.basis[0], V)
             except GAngleError as exc:

@@ -6,9 +6,7 @@ computed from the n-by-n linear system
 
     sum_k c_k * g(x_i, x_k) = g(x_i, y),        y_S = sum_k c_k * x_k,
 
-which is equivalent (by Cramer's rule) to the bordered-determinant formula;
-:func:`project_bordered` implements the literal first-row cofactor expansion
-for n <= 3 as a cross-check oracle.
+which is equivalent (by Cramer's rule) to the bordered-determinant formula.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -184,28 +182,6 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     for c, xk in zip(coeffs, sub.basis):
         projected = projected.add(xk.scale(c))
     return Projection(tuple(coeffs), projected, y.sub(projected))
-
-
-def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
-    """Literal cofactor expansion of the bordered determinant whose first row
-    carries the basis vectors.  Cross-check oracle; n <= 3 only."""
-    n = sub.dim
-    if n > 3:
-        raise ValueError("bordered cofactor expansion is provided only for n <= 3")
-    data = sub.gram()
-    if data.is_degenerate:
-        raise DegenerateSubspaceError("Gram determinant is zero")
-    rhs = [g(xi, y, sub.space) for xi in sub.basis]
-    # Numeric part of the bordered matrix: column 0 holds g(x_i, y), columns
-    # 1..n hold the Gram matrix.  Expanding along the first row (0, x_1..x_n):
-    # y_S = -(1/Gamma) * sum_j (-1)^j x_j * minor(0, j).
-    numeric = [[rhs[i]] + list(data.matrix[i]) for i in range(n)]
-    result = SparseVector()
-    for j in range(1, n + 1):
-        minor = [[row[c] for c in range(n + 1) if c != j] for row in numeric]
-        term = sub.basis[j - 1].scale(det(minor))
-        result = result.add(term.scale(-1) if j % 2 == 1 else term)
-    return result.scale(Fraction(-1) / data.det)
 
 
 def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:

@@ -78,7 +78,8 @@ def _tau_central(f, scale: float) -> tuple:
 
     Halves the step until successive extrapolants stabilize; keeps the value
     at the smallest successive gap so round-off growth past the optimum is
-    harmless.  Returns (value, step)."""
+    harmless.  Returns (value, step).  Raises EstimationFailureError when
+    no gap between successive extrapolants is finite (the norm overflowed)."""
     tol = 1e-13 * max(scale, 1e-300)
     prev_d = None
     prev_r = None
@@ -102,7 +103,10 @@ def _tau_central(f, scale: float) -> tuple:
             prev_r = r
         prev_d = d
     if best is None:
-        best, best_h = prev_r if prev_r is not None else prev_d, 2.0 ** -5
+        raise EstimationFailureError(
+            "central difference quotients gave no finite estimate",
+            last_two=(prev_d, prev_r),
+        )
     return best, best_h
 
 

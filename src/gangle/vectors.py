@@ -192,9 +192,6 @@ class SparseVector:
     def __neg__(self) -> "SparseVector":
         return self.scale(-1)
 
-    def __rmul__(self, a: Coeff) -> "SparseVector":
-        return self.scale(a)
-
     # -- protocol glue ------------------------------------------------------
 
     def __iter__(self) -> Iterator[Tuple[int, Coeff]]:
@@ -237,14 +234,6 @@ def _merge(a, b, subtract: bool) -> list:
     out.extend(a[i:])
     out.extend([(k, -v) for k, v in b[j:]] if subtract else b[j:])
     return out
-
-
-def add(x: SparseVector, y: SparseVector) -> SparseVector:
-    return x.add(y)
-
-
-def scale(a: Coeff, x: SparseVector) -> SparseVector:
-    return x.scale(a)
 
 
 ZERO = SparseVector()
@@ -291,34 +280,28 @@ def exact_sqrt(value: Fraction):
     return None
 
 
-def _lp_norm_exact(x: SparseVector, p) -> Fraction:
+def lp_norm(x: SparseVector, p) -> Coeff:
+    if x.is_zero:
+        return _zero(x.backend)
+    exact = x.backend == EXACT
+    if not exact:
+        p = float(p)
     if p == 1:
-        return sum((abs(v) for _, v in x), Fraction(0))
+        return sum(abs(v) for _, v in x)
     if p == 2:
-        root = exact_sqrt(sum((v * v for _, v in x), Fraction(0)))
+        squares = sum(v * v for _, v in x)
+        if not exact:
+            return math.sqrt(squares)
+        root = exact_sqrt(squares)
         if root is None:
             raise BackendError(
                 "the 2-norm of this vector is irrational; use float mode "
                 "or norm_sq for the exact squared norm"
             )
         return root
-    raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
-
-
-def _lp_norm_float(x: SparseVector, p: float) -> float:
-    if p == 1:
-        return sum(abs(v) for _, v in x)
-    if p == 2:
-        return math.sqrt(sum(v * v for _, v in x))
+    if exact:
+        raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     return sum(abs(v) ** p for _, v in x) ** (1.0 / p)
-
-
-def lp_norm(x: SparseVector, p) -> Coeff:
-    if x.backend == FLOAT:
-        return _lp_norm_float(x, float(p))
-    if x.is_zero:
-        return _zero(x.backend)
-    return _lp_norm_exact(x, p)
 
 
 def norm(x: SparseVector, space: Space) -> Coeff:

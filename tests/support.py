@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random instance generators, the
 classical p=2 oracles (numpy/scipy) the g-machinery is checked against, a
 cofactor-expansion determinant to check the elimination against, the
+projection as the literal cofactor expansion of the bordered determinant, the
 straightforward forms of g and float tau that the linear-time kernels must
 reproduce exactly, left g-orthonormalization by a fresh projection per step
 that the incremental one must reproduce, and the paper's explicit sum for
@@ -12,11 +13,13 @@ from itertools import product
 import numpy as np
 
 from gangle import (
+    DegenerateSubspaceError,
     DependenceError,
     LpSpace,
     SparseVector,
     Subspace,
     ZeroVectorError,
+    g,
     left_orthonormalize,
     lp_norm,
     norm,
@@ -117,6 +120,28 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
+    """Literal cofactor expansion of the bordered determinant whose first row
+    carries the basis vectors.  Cross-check oracle; n <= 3 only."""
+    n = sub.dim
+    if n > 3:
+        raise ValueError("bordered cofactor expansion is provided only for n <= 3")
+    data = sub.gram()
+    if data.is_degenerate:
+        raise DegenerateSubspaceError("Gram determinant is zero")
+    rhs = [g(xi, y, sub.space) for xi in sub.basis]
+    # Numeric part of the bordered matrix: column 0 holds g(x_i, y), columns
+    # 1..n hold the Gram matrix.  Expanding along the first row (0, x_1..x_n):
+    # y_S = -(1/Gamma) * sum_j (-1)^j x_j * minor(0, j).
+    numeric = [[rhs[i]] + list(data.matrix[i]) for i in range(n)]
+    result = SparseVector()
+    for j in range(1, n + 1):
+        minor = [[row[c] for c in range(n + 1) if c != j] for row in numeric]
+        term = sub.basis[j - 1].scale(det(minor))
+        result = result.add(term.scale(-1) if j % 2 == 1 else term)
+    return result.scale(Fraction(-1) / data.det)
 
 
 def g_explicit_by_get(x, y, p):

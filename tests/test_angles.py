@@ -11,6 +11,7 @@ from gangle import (
     DegenerateSubspaceError,
     GAngleError,
     LpSpace,
+    OracleSpace,
     SparseVector,
     Subspace,
     ZeroVectorError,
@@ -24,6 +25,7 @@ from gangle import (
     project,
     vector_angle,
 )
+from gangle.angles import _clamp_unit
 
 from support import (
     cos_sq_explicit_sum_by_multi_index,
@@ -107,6 +109,14 @@ def test_second_argument_discontinuity_sequence():
 # -- line vs subspace -------------------------------------------------------
 
 
+def test_clamp_unit_forgives_only_round_off():
+    assert _clamp_unit(-1e-13) == 0.0
+    assert _clamp_unit(1.0 + 1e-13) == 1.0
+    for beyond in (-1e-9, 1.0 + 1e-9, Fraction(-1, 10 ** 20)):
+        with pytest.raises(ConsistencyError):
+            _clamp_unit(beyond)
+
+
 def test_line_vs_plane_worked_example():
     V = Subspace([sv([1]), sv([0, 1])], L1)
     u = sv([1, 2, 1])
@@ -140,13 +150,20 @@ def test_projection_zero_gives_right_angle():
 
 
 def test_explicit_sum_guards():
+    with pytest.raises(ZeroVectorError):
+        cos_sq_explicit_sum(SparseVector(), Subspace([sv([1]), sv([0, 1])], L1))
+    taxicab = OracleSpace(lambda x: sum(abs(v) for _, v in x), "taxicab")
+    with pytest.raises(ValueError, match="lp spaces only"):
+        cos_sq_explicit_sum(sv([1.0, 1.0]), Subspace([sv([1.0]), sv([0.0, 1.0])], taxicab))
+
+
+def test_explicit_sum_beyond_three_dimensions():
     V4 = Subspace([sv([1]), sv([0, 1]), sv([0, 0, 1]), sv([0, 0, 0, 1])], L1)
-    with pytest.raises(ValueError):
-        cos_sq_explicit_sum(sv([1, 1, 1, 1, 1]), V4)
+    assert cos_sq_explicit_sum(sv([1, 1, 1, 1, 1]), V4) == Fraction(16, 25)
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
-@pytest.mark.parametrize("t", (1, 2, 3))
+@pytest.mark.parametrize("t", (1, 2, 3, 4, 5))
 def test_explicit_sum_matches_projection_onto_orthonormalized_basis(p, t):
     rng = random.Random(f"explicit-{p}-{t}")
     space = LpSpace(p)

@@ -185,6 +185,20 @@ def test_angle_survives_a_failing_explicit_sum(tmp_path):
     assert any(w.startswith(warning) for w in report["warnings"])
 
 
+def test_angle_against_four_dimensions_prints_the_explicit_sum(tmp_path):
+    data = {
+        "p": 1,
+        "mode": "exact",
+        "vectors": {"u": [1, 1, 1, 1, 1], "a": [1], "b": [0, 1], "c": [0, 0, 1], "d": [0, 0, 0, 1]},
+        "subspaces": {"U": ["u"], "V": ["a", "b", "c", "d"]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("angle", "-i", str(path), "U", "V")
+    assert "explicit_sum_cos_sq = 16/25" in proc.stdout
+    assert "cos_sq = 16/25" in proc.stdout
+
+
 def test_angle_dimension_three_rejected(tmp_path):
     data = {
         "p": 1,

@@ -20,7 +20,6 @@ from gangle import (
     norm,
     norm_sq,
     project,
-    project_bordered,
 )
 from gangle.gram import det, solve
 
@@ -28,6 +27,7 @@ from support import (
     classical_projection,
     det_cofactor,
     left_orthonormalize_by_projection,
+    project_bordered,
     rand_float_vector,
     rand_rational_l2_basis,
     rand_subspace,

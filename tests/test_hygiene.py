@@ -1,11 +1,13 @@
 """Source hygiene that needs no linter: every name a package module imports
-is used in that module.  ``__init__.py`` is exempt, since its imports are
-the package's re-exports."""
+is used in that module, and ``__init__.py``, whose imports are the package's
+re-exports, lists exactly those in ``__all__``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import gangle
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gangle"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -37,3 +39,14 @@ def test_the_check_sees_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_all_lists_exactly_the_public_names_init_binds():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(gangle.__all__) == sorted(name for name in bound if not name.startswith("_"))

@@ -98,6 +98,17 @@ def test_tau_oracle_nonconvergent_reports_estimates():
     assert len(exc.value.last_two) == 2
 
 
+def test_float_tau_that_overflows_raises_instead_of_returning_nan():
+    # |x + t*y|^2 overflows at every step, so every quotient is NaN
+    x = SparseVector({1: 1e200, 2: 1e200})
+    y = SparseVector({1: 1.0})
+    with pytest.raises(EstimationFailureError) as exc:
+        tau(x, y, LpSpace(2))
+    assert len(exc.value.last_two) == 2
+    with pytest.raises(EstimationFailureError):
+        g_from_norm(x, y, LpSpace(2))
+
+
 # -- g, both routes ---------------------------------------------------------
 
 

@@ -11,12 +11,10 @@ from gangle import (
     LpSpace,
     OracleSpace,
     SparseVector,
-    add,
     check_norm_axioms,
     lp_norm,
     norm,
     norm_sq,
-    scale,
     sgn,
 )
 
@@ -72,13 +70,13 @@ def test_int_coefficients_promote_to_exact():
 
 
 def test_add_example():
-    assert add(sv([-2, 0]), sv([0, 2])) == sv([-2, 2])
+    assert sv([-2, 0]).add(sv([0, 2])) == sv([-2, 2])
 
 
 def test_scale_examples():
     x = sv([1, 2])
-    assert scale(0, x).is_zero
-    assert scale(-1, x) == sv([-1, -2])
+    assert x.scale(0).is_zero
+    assert x.scale(-1) == sv([-1, -2])
 
 
 def test_sgn():
