@@ -17,6 +17,7 @@ from .errors import (
     DependenceError,
     EstimationFailureError,
     GAngleError,
+    NumericalRangeError,
     ProblemFileError,
     ZeroVectorError,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "GramData",
     "LambdaValue",
     "LpSpace",
+    "NumericalRangeError",
     "OracleSpace",
     "ProblemFileError",
     "Projection",

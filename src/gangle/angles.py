@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import ConsistencyError, DegenerateSubspaceError, ZeroVectorError
 from .gram import Subspace, _unit_lower_gram, det, left_orthonormalize, project
-from .semi_inner import g
+from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
 _CLAMP_SLACK = 1e-12
@@ -141,8 +141,9 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     projection onto the orthonormalized basis.
 
     Of the t^2 + t g-values in the determinants, only the t(t+1)/2 values
-    g(x_c*, x_r*) with r < c and g(x_c*, u) are computed; the rest are the
-    1s and 0s of the left g-orthonormal basis of an lp space."""
+    g(x_c*, x_r*) with r < c and g(x_c*, u) are computed, from one map
+    ``g_functional(x_c*, space)`` per starred vector; the rest are the 1s
+    and 0s of the left g-orthonormal basis of an lp space."""
     space = V.space
     if not isinstance(space, LpSpace):
         raise ValueError("the explicit sum is defined for lp spaces only")
@@ -153,10 +154,11 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     # D_j transposed (same det): row c is the starred Gram row
     # (g(x_c*, x_1*), ..., g(x_c*, x_t*)), unit lower-triangular, then
     # g(x_c*, u); the last row is (x_1*(j), ..., x_t*(j), 0)
-    below = [[g(xc, xr, space) for xr in starred[:c]] for c, xc in enumerate(starred)]
+    gs = [g_functional(xc, space) for xc in starred]
+    below = [list(map(gc, starred[:c])) for c, gc in enumerate(gs)]
     lead = [
-        list(row) + [g(xc, u, space)]
-        for row, xc in zip(_unit_lower_gram(below, starred[0].backend).matrix, starred)
+        list(row) + [gc(u)]
+        for row, gc in zip(_unit_lower_gram(below, starred[0].backend).matrix, gs)
     ]
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):

@@ -33,6 +33,12 @@ class EstimationFailureError(GAngleError):
         self.last_two = last_two
 
 
+class NumericalRangeError(GAngleError):
+    """A float quantity left the float range: a norm or a value of g
+    overflowed, or the norm of a nonzero vector underflowed to 0.  Exact
+    mode has no such limit."""
+
+
 class ConsistencyError(GAngleError):
     """An internal quantity violated a bound it should satisfy by more than
     round-off slack.  Raised instead of silently clamping."""

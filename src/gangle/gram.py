@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
-from .semi_inner import g
+from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, _one, _zero, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
@@ -112,13 +112,15 @@ class GramData:
 
 
 def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
-    """Gram data of an ordered set of nonzero vectors."""
+    """Gram data of an ordered set of nonzero vectors.  Row i is one map
+    ``g_functional(x_i, space)`` applied to every basis vector, so x_i's norm
+    and weights are prepared once per row: d preparations for d^2 g-values."""
     basis = tuple(basis)
     if not basis:
         raise ValueError("basis must be nonempty")
     if any(v.is_zero for v in basis):
         raise ZeroVectorError("basis vectors must be nonzero")
-    matrix = tuple(tuple(g(xi, xk, space) for xk in basis) for xi in basis)
+    matrix = tuple(tuple(map(g_functional(xi, space), basis)) for xi in basis)
     return GramData(matrix, det(matrix))
 
 
@@ -204,13 +206,15 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     In an lp space the unit lower-triangular Gram data of the starred vectors
     is filled in from the rows kept so far, so the step makes only the k - 1
     right-hand-side g calls.  The row g(x_k*, x_j*), j < k, costs k - 1 more
-    and is computed only when another vector follows: (d - 1)^2 g calls for
-    d vectors.  Under a black-box norm each step computes its full Gram
-    matrix, as g there need not be additive in its second argument."""
+    g-values from one map ``g_functional(x_k*, space)``, built only when the
+    row has entries and another vector follows: (d - 1)^2 g-values and
+    d(d - 1)/2 + d - 2 first-argument preparations for d >= 2 vectors.
+    Under a black-box norm each step computes its full Gram matrix, as g
+    there need not be additive in its second argument."""
     basis = tuple(basis)
     triangular = isinstance(space, LpSpace)
     out = []
-    rows = []  # rows[k] = [g(x_k*, x_j*) for j < k], lp spaces only
+    rows = [[]]  # rows[k] = [g(x_k*, x_j*) for j < k], lp spaces only
     for k, xk in enumerate(basis):
         if k == 0:
             residual = xk
@@ -225,7 +229,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
-        if triangular and k + 1 < len(basis):
-            rows.append([g(starred, xj, space) for xj in out])
+        if triangular and 0 < k < len(basis) - 1:
+            rows.append(list(map(g_functional(starred, space), out)))
         out.append(starred)
     return out

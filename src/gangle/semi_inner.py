@@ -7,6 +7,13 @@ Two independent routes are provided:
 * :func:`g_from_norm` -- the definition ``(|x|/2) * (tau+ + tau-)`` built
   from difference quotients of ``t -> |x + t*y|``.
 
+:func:`g_functional` prepares the closed form's share of x (the factor
+``|x|^(2-p)`` and the weights) once and returns the map ``y -> g(x, y)``;
+:func:`g` and :func:`g_explicit` call it for a single y, and the Gram rows,
+left orthonormalization and the explicit sum reuse one map per first
+argument.  In float mode a norm, a value of g or a power inside float tau
+beyond the float range raises :class:`~gangle.errors.NumericalRangeError`.
+
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
 For p > 1 the norm is smooth away from 0 and the derivative is estimated by
@@ -23,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendError, EstimationFailureError, ZeroVectorError
+from .errors import BackendError, EstimationFailureError, NumericalRangeError, ZeroVectorError
 from .vectors import (
     EXACT,
     FLOAT,
@@ -165,7 +172,10 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
     else:
         def f(t):
             return sum(abs(a + t * b) ** p for a, b in pairs) ** (1.0 / p)
-    value, step = _tau_central(f, float(norm(y, space)))
+    try:
+        value, step = _tau_central(f, float(norm(y, space)))
+    except OverflowError:  # some |x_i + t*y_i|^p is beyond the float range
+        raise NumericalRangeError(f"|x + t*y| at p={p:g} overflows the float range") from None
     return TauPair(value, value, step)
 
 
@@ -177,29 +187,55 @@ def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
     return (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
 
 
+def g_functional(x: SparseVector, space: Space):
+    """The map y -> g(x, y) under ``space``, with x's share computed once: in
+    an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (|x|_1 and the
+    signs at p = 1, x's entries at p = 2).  A call sums y's entries on x's
+    support in index order, rounding as one :func:`g_explicit` call does.
+
+    Raises BackendError for an exact x and p not in {1, 2}, and
+    NumericalRangeError when the float |x|^(2-p) is out of range; a call
+    raises them for a y of the other backend and for an infinite g(x, y)."""
+    if isinstance(space, OracleSpace):
+        return lambda y: g_from_norm(x, y, space)
+    if x.is_zero:
+        return lambda y: _zero(y.backend)
+    p, zero = space.p, _zero(x.backend)
+    if p == 2:
+        factor, weights = None, dict(x.items())
+    elif p == 1:
+        factor, weights = lp_norm(x, 1), {i: sgn(v) for i, v in x}
+    elif x.backend == EXACT:
+        raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
+    else:
+        p = float(p)
+        try:
+            factor = lp_norm(x, p) ** (2.0 - p)
+        except (OverflowError, ZeroDivisionError):  # a tiny |x| to a power below 0
+            factor = 0.0
+        if factor == 0.0:
+            raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
+        weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x}
+
+    def g_x(y: SparseVector) -> Coeff:
+        join_backends(x.backend, y.backend)
+        if p == 1:  # negating is cheaper than multiplying by a sign
+            s = sum((v if weights[i] > 0 else -v for i, v in y.items() if i in weights), zero)
+        else:
+            s = sum((weights[i] * v for i, v in y.items() if i in weights), zero)
+        value = s if factor is None else factor * s
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalRangeError("g(x, y) overflows the float range")
+        return value
+
+    return g_x
+
+
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:
     """g by the lp closed form.  Exact in rational mode for p in {1, 2}."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p!r}")
-    backend = join_backends(x.backend, y.backend)
-    if x.is_zero:
-        return _zero(backend)
-    ys = dict(y.items())
-    if backend == EXACT:
-        if p == 1:
-            return lp_norm(x, 1) * sum((sgn(v) * ys.get(i, 0) for i, v in x), Fraction(0))
-        if p == 2:
-            return sum((v * ys.get(i, 0) for i, v in x), Fraction(0))
-        raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
-    p = float(p)
-    nx = lp_norm(x, p)
-    s = sum(abs(v) ** (p - 1.0) * sgn(v) * ys.get(i, 0) for i, v in x)
-    return nx ** (2.0 - p) * s
+    return g_functional(x, LpSpace(p))(y)
 
 
 def g(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
-    """Semi-inner product under ``space``: closed form for lp spaces, the
-    difference-quotient definition for norm oracles."""
-    if isinstance(space, LpSpace):
-        return g_explicit(x, y, space.p)
-    return g_from_norm(x, y, space)
+    """Semi-inner product: the lp closed form, or the norm-oracle definition."""
+    return g_functional(x, space)(y)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-from .errors import BackendError
+from .errors import BackendError, NumericalRangeError
 
 Coeff = Union[int, float, Fraction]
 
@@ -281,27 +281,36 @@ def exact_sqrt(value: Fraction):
 
 
 def lp_norm(x: SparseVector, p) -> Coeff:
+    """The p-norm of ``x``; a float norm beyond the float range raises
+    :class:`~gangle.errors.NumericalRangeError`."""
     if x.is_zero:
         return _zero(x.backend)
     exact = x.backend == EXACT
     if not exact:
         p = float(p)
     if p == 1:
-        return sum(abs(v) for _, v in x)
-    if p == 2:
+        value = sum(abs(v) for _, v in x)
+    elif p == 2:
         squares = sum(v * v for _, v in x)
-        if not exact:
-            return math.sqrt(squares)
-        root = exact_sqrt(squares)
-        if root is None:
-            raise BackendError(
-                "the 2-norm of this vector is irrational; use float mode "
-                "or norm_sq for the exact squared norm"
-            )
-        return root
-    if exact:
+        if exact:
+            root = exact_sqrt(squares)
+            if root is None:
+                raise BackendError(
+                    "the 2-norm of this vector is irrational; use float mode "
+                    "or norm_sq for the exact squared norm"
+                )
+            return root
+        value = math.sqrt(squares)
+    elif exact:
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
-    return sum(abs(v) ** p for _, v in x) ** (1.0 / p)
+    else:
+        try:
+            value = sum(abs(v) ** p for _, v in x) ** (1.0 / p)
+        except OverflowError:  # some |v|^p is beyond the float range
+            value = math.inf
+    if value == math.inf:
+        raise NumericalRangeError(f"the {p:g}-norm of this vector overflows the float range")
+    return value
 
 
 def norm(x: SparseVector, space: Space) -> Coeff:

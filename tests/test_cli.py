@@ -125,6 +125,15 @@ def test_non_finite_p_is_input_error(tmp_path, p):
     assert "p must be" in proc.stderr
 
 
+def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):
+    # NumericalRangeError has no exit code of its own yet; the GAngleError
+    # fallback maps it to 2
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": 3, "mode": "float", "vectors": {"x": [1e150, 1.0], "y": [1.0]}}')
+    assert cli.main(["g", "-i", str(path), "x", "y"]) == 2
+    assert "overflows the float range" in capsys.readouterr().err
+
+
 # -- angle ------------------------------------------------------------------
 
 

@@ -6,8 +6,11 @@ entry is O(nnz^2).  On nnz-4096 vectors g, g_from_norm and tau must make no
 ``get`` call at all, and float tau must evaluate |x + t*y| without building
 a vector per step.  The explicit cos^2 sum must take one determinant per
 coordinate, not one per multi-index.  Left g-orthonormalization of d
-vectors must take (d - 1)^2 g calls, and the explicit sum t(t + 1)/2 more
-of its own.  A regression fails here on any machine."""
+vectors must take (d - 1)^2 g-values, and the explicit sum t(t + 1)/2 more
+of its own; a g-value counts whether it comes from ``g`` or from a map of
+``g_functional``.  Each first argument is prepared (norm and weights) once
+per Gram row, starred row or right-hand-side value, so ``gram`` of d vectors
+prepares d, not d^2.  A regression fails here on any machine."""
 
 import random
 import sys
@@ -22,6 +25,7 @@ from gangle import (
     cos_sq_explicit_sum,
     g_explicit,
     g_from_norm,
+    gram,
     left_orthonormalize,
     tau,
 )
@@ -148,15 +152,58 @@ def _triangular_basis(d, backend):
 
 @pytest.fixture
 def g_calls(monkeypatch):
-    """g calls made by the gram module and by the angles module."""
-    calls = {"gram": 0, "angles": 0}
+    """g-values computed by the gram module and by the angles module, through
+    ``g`` or through the maps ``g_functional`` returns, and the first-argument
+    preparations (``g_functional`` calls, also the one inside each ``g``)."""
+    calls = {"gram": 0, "angles": 0, "prepared": 0}
+    semi_inner = sys.modules["gangle.semi_inner"]
+    prepare = semi_inner.g_functional
+
+    def counted_prepare(x, space):
+        calls["prepared"] += 1
+        return prepare(x, space)
+
+    monkeypatch.setattr(semi_inner, "g_functional", counted_prepare)
     for name, module in (("gram", sys.modules["gangle.gram"]), ("angles", angles)):
         def counted(x, y, space, _name=name, _g=module.g):
             calls[_name] += 1
             return _g(x, y, space)
 
+        def counted_functional(x, space, _name=name):
+            g_x = counted_prepare(x, space)
+
+            def counted_map(y):
+                calls[_name] += 1
+                return g_x(y)
+
+            return counted_map
+
         monkeypatch.setattr(module, "g", counted)
+        monkeypatch.setattr(module, "g_functional", counted_functional)
     return calls
+
+
+def _orthonormalize_preparations(d):
+    """One per right-hand-side g call, d(d - 1)/2, and one per kept row of
+    the starred Gram matrix, d - 2 for d >= 2."""
+    return d * (d - 1) // 2 + max(d - 2, 0)
+
+
+def test_the_g_counters_see_both_routes(g_calls):
+    gram_module = sys.modules["gangle.gram"]
+    x = SparseVector({1: 1, 2: -2})
+    g_x = gram_module.g_functional(x, LpSpace(1))
+    g_x(x)
+    g_x(SparseVector({2: 1}))
+    gram_module.g(x, x, LpSpace(1))
+    assert g_calls == {"gram": 3, "angles": 0, "prepared": 2}
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_gram_prepares_each_first_argument_once(g_calls, backend, p, d):
+    gram(_triangular_basis(d, backend), LpSpace(p))
+    assert g_calls == {"gram": d * d, "angles": 0, "prepared": d}
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -164,7 +211,8 @@ def g_calls(monkeypatch):
 def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, backend, p, d):
     out = left_orthonormalize(_triangular_basis(d, backend), LpSpace(p))
     assert len(out) == d
-    assert g_calls == {"gram": (d - 1) ** 2, "angles": 0}
+    assert {k: g_calls[k] for k in ("gram", "angles")} == {"gram": (d - 1) ** 2, "angles": 0}
+    assert g_calls["prepared"] == _orthonormalize_preparations(d)  # 134 at d = 16, not 225
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -173,4 +221,8 @@ def test_explicit_sum_takes_t_times_t_plus_one_over_two_g_calls(g_calls, backend
     u = _triangular_basis(t + 1, backend)[0]
     V = Subspace(_triangular_basis(t, backend), LpSpace(p))
     cos_sq_explicit_sum(u, V)
-    assert g_calls == {"gram": (t - 1) ** 2, "angles": t * (t + 1) // 2}
+    assert {k: g_calls[k] for k in ("gram", "angles")} == {
+        "gram": (t - 1) ** 2,
+        "angles": t * (t + 1) // 2,
+    }
+    assert g_calls["prepared"] == _orthonormalize_preparations(t) + t

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gangle import (
     BackendError,
     EstimationFailureError,
     LpSpace,
+    NumericalRangeError,
     OracleSpace,
     SparseVector,
     TauPair,
@@ -15,10 +17,13 @@ from gangle import (
     g,
     g_explicit,
     g_from_norm,
+    gram,
+    lp_norm,
     norm,
     norm_sq,
     tau,
 )
+from gangle.semi_inner import g_functional
 
 from support import (
     g_explicit_by_get,
@@ -30,6 +35,7 @@ from support import (
 
 sv = SparseVector.from_dense
 L1 = LpSpace(1)
+MAX_NORM = OracleSpace(lambda v: max((abs(c) for _, c in v), default=0.0), "max")
 
 
 # -- tau --------------------------------------------------------------------
@@ -287,3 +293,138 @@ def test_g_explicit_equals_the_get_route_exactly(backend, ps):
             for a, b in ((x, y), (y, x)):
                 got, ref = g_explicit(a, b, p), g_explicit_by_get(a, b, p)
                 assert got == ref and type(got) is type(ref), (a, b, p)
+
+
+# -- g_functional: one first argument, many second arguments ----------------
+
+FUNCTIONAL_PS = [("float", 1.0), ("float", 1.5), ("float", 2.0), ("float", 3.0), ("exact", 1), ("exact", 2)]
+
+
+def _values(backend):
+    """Nonzero coefficients: rationals, or floats from 1e-20 to 1e21."""
+    if backend == "exact":
+        return st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 9))
+    return st.builds(
+        lambda m, e: m * 10.0 ** e,
+        st.integers(-99, 99).filter(bool).map(float),
+        st.integers(-20, 19),
+    )
+
+
+def _vectors(backend, first=1, last=12, min_size=0, max_size=8):
+    return st.dictionaries(
+        st.integers(first, last), _values(backend), min_size=min_size, max_size=max_size
+    ).map(SparseVector)
+
+
+@pytest.mark.parametrize("backend,p", FUNCTIONAL_PS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_reused_functional_keeps_no_state_between_calls(backend, p, data):
+    x = data.draw(_vectors(backend), "x")
+    ys = [
+        data.draw(_vectors(backend, first=13, last=20), "disjoint"),
+        x,
+        SparseVector(),
+        data.draw(_vectors(backend, last=40, min_size=16, max_size=24), "long"),
+        data.draw(_vectors(backend, max_size=1), "short"),
+    ] + data.draw(st.lists(_vectors(backend), max_size=3), "more")
+    g_x = g_functional(x, LpSpace(p))
+    for y in ys + ys[::-1]:
+        got, ref = g_x(y), g_explicit_by_get(x, y, p)
+        assert got == ref and type(got) is type(ref), (x, y)
+
+
+@pytest.mark.parametrize("backend,p", FUNCTIONAL_PS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gram_equals_the_pairwise_reference_exactly(backend, p, data):
+    nonzero = _vectors(backend).filter(lambda v: not v.is_zero)
+    basis = data.draw(st.lists(nonzero, min_size=1, max_size=5), "basis")
+    matrix = gram(basis, LpSpace(p)).matrix
+    ref = tuple(tuple(g_explicit_by_get(a, b, p) for b in basis) for a in basis)
+    assert matrix == ref
+    assert [type(v) for row in matrix for v in row] == [type(v) for row in ref for v in row]
+
+
+def test_exact_p3_raises_backend_error_on_every_route():
+    x, y = sv([1, 2]), sv([2, 1])
+    with pytest.raises(BackendError):
+        g(x, y, LpSpace(3))
+    with pytest.raises(BackendError):
+        g_explicit(x, y, 3)
+    with pytest.raises(BackendError):
+        gram([x, y], LpSpace(3))
+    with pytest.raises(BackendError):
+        g_functional(x, LpSpace(3))
+
+
+@pytest.mark.parametrize("p", (1, 2, 1.5))
+def test_mixing_backends_raises_backend_error(p):
+    exact, inexact = sv([1, 2]), sv([1.0, 2.0])
+    for x, y in ((exact, inexact), (inexact, exact)):
+        if x is exact and p == 1.5:
+            continue  # exact p = 1.5 fails at the set-up, as the test above pins
+        with pytest.raises(BackendError):
+            g_functional(x, LpSpace(p))(y)
+        with pytest.raises(BackendError):
+            g(x, y, LpSpace(p))
+    with pytest.raises(BackendError):
+        gram([inexact, exact], LpSpace(p))
+
+
+@pytest.mark.parametrize("space", [LpSpace(1), LpSpace(2), LpSpace(3.0), MAX_NORM], ids=["l1", "l2", "l3", "max"])
+def test_a_zero_first_argument_gives_zero_in_the_backend_of_y(space):
+    g_0 = g_functional(SparseVector(), space)
+    for y, zero in ((sv([1.0, 2.0]), 0.0), (sv([1, 2]), Fraction(0)), (SparseVector(), Fraction(0))):
+        got = g_0(y)
+        assert got == zero and type(got) is type(zero), y
+
+
+def test_gram_under_the_max_norm_is_unchanged():
+    # pinned from the per-pair g route; g of the max norm is not additive in
+    # its second argument, so each entry runs the difference quotients
+    basis = [sv([1.0, 1.0, 1.0, 0.0]), sv([1.0, 0.0, 0.0, 0.0]), sv([0.0, 1.0, 0.0, 0.0]), sv([1.0, 1.0, 0.0, 1.0])]
+    data = gram(basis, MAX_NORM)
+    assert data.matrix == (
+        (1.0, 0.5, 0.5, 0.5),
+        (1.0, 1.0, 0.0, 1.0),
+        (1.0, 0.0, 1.0, 1.0),
+        (0.5, 0.5, 0.5, 1.0),
+    )
+    assert data.det == -0.25
+    assert gram([sv([2.0, -1.0]), sv([0.5, 3.0])], MAX_NORM).matrix == ((4.0, 1.0), (-3.0, 9.0))
+
+
+# -- results beyond the float range ----------------------------------------
+
+
+def test_a_float_norm_that_overflows_raises_numerical_range_error():
+    x = SparseVector({1: 1e150, 2: 1.0})
+    with pytest.raises(NumericalRangeError):
+        lp_norm(x, 3)  # |x1|^3 overflows
+    with pytest.raises(NumericalRangeError):
+        g_explicit(x, SparseVector({1: 1.0}), 3)
+    with pytest.raises(NumericalRangeError):
+        lp_norm(SparseVector({1: 1e200, 2: 1e200}), 2)  # the sum of squares is inf
+
+
+def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
+    x = SparseVector({1: 1e150, 2: 1.0})
+    with pytest.raises(NumericalRangeError):
+        tau(x, SparseVector({1: 1.0}), LpSpace(3.0))
+
+
+def test_a_float_norm_that_underflows_raises_numerical_range_error():
+    t = SparseVector({1: 1e-300, 2: 1e-300})
+    assert lp_norm(t, 3.0) == 0.0  # the norm itself is left as it rounds
+    for p in (3.0, 1.5):  # |t|^(2-p) would divide by 0, or give g = 0 for every y
+        with pytest.raises(NumericalRangeError):
+            g_explicit(t, t, p)
+
+
+def test_a_float_g_that_overflows_raises_numerical_range_error():
+    big = SparseVector({1: 1e200})
+    with pytest.raises(NumericalRangeError):
+        g_explicit(big, big, 2)
+    assert g_explicit(big, SparseVector({1: 1.0}), 2) == 1e200  # p = 2 needs no norm
