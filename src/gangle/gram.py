@@ -7,6 +7,10 @@ computed from the n-by-n linear system
     sum_k c_k * g(x_i, x_k) = g(x_i, y),        y_S = sum_k c_k * x_k,
 
 which is equivalent (by Cramer's rule) to the bordered-determinant formula.
+A Gram matrix is eliminated once: the factors give its determinant and then
+solve each right-hand side by forward and back substitution, O(n^2), and the
+Gram data keeps them with the maps y -> g(x_i, y) its rows came from, so a
+projection onto a subspace whose Gram data is built prepares no basis vector.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
 from .semi_inner import g, g_functional
@@ -40,27 +44,73 @@ from .vectors import Coeff, LpSpace, SparseVector, Space, _one, _zero, norm
 REL_SINGULAR = 1e-10
 
 
-def _eliminate(a: list) -> int:
-    """Reduce the n rows of ``a`` (n or more columns) in place to upper
-    triangular form in their first n columns, by Gaussian elimination with
-    partial pivoting.  Returns the sign of the row permutation, or 0 when a
-    pivot column is zero (the leading n-by-n block is singular)."""
-    n = len(a)
+class _Factors(NamedTuple):
+    """P·A = L·U from one elimination of a square A.  Row k of ``lu`` is row
+    ``order[k]`` of A reduced: the multipliers of the unit lower L below the
+    diagonal, U on and above it.  ``sign`` is the sign of the row order, or 0
+    when a pivot column is zero (A is singular; ``lu`` is only partly
+    reduced).  ``unit_upper`` marks a U known to be the identity, which
+    leaves a solve with the forward substitution alone."""
+
+    lu: Sequence[Sequence[Coeff]]
+    order: Sequence[int]
+    sign: int
+    unit_upper: bool = False
+
+
+def _eliminate(rows: Sequence[Sequence[Coeff]]) -> _Factors:
+    """Factor a square matrix by Gaussian elimination with partial pivoting.
+    An int pivot becomes a Fraction, as ints are exact and int / int is a
+    float."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix must be square")
+    order = list(range(n))
     sign = 1
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0:
-            return 0
+            return _Factors(a, order, 0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
+            order[col], order[pivot] = order[pivot], order[col]
             sign = -sign
         if isinstance(a[col][col], int):
-            a[col][col] = Fraction(a[col][col])  # ints are exact; int / int is a float
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, len(a[col])):
-                a[r][c] -= f * a[col][c]
-    return sign
+            a[col][col] = Fraction(a[col][col])
+        head, tail = a[col][col], a[col][col + 1 :]
+        for row in a[col + 1 :]:
+            f = row[col] = row[col] / head
+            row[col + 1 :] = [v - f * w for v, w in zip(row[col + 1 :], tail)]
+    return _Factors(a, order, sign)
+
+
+def _det(f: _Factors) -> Coeff:
+    if f.sign == 0:
+        return f.lu[0][0] * 0  # zero in the right backend
+    return f.sign * math.prod(row[i] for i, row in enumerate(f.lu))
+
+
+def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
+    """Solve A x = rhs from the factors of A: L z = P·rhs forward, then
+    U x = z backward.  Each entry sees the subtractions, in the same order,
+    that eliminating the augmented matrix [A | rhs] would apply to it."""
+    if not f.sign:
+        raise DegenerateSubspaceError("singular linear system")
+    lu, n = f.lu, len(f.lu)
+    x = [rhs[i] for i in f.order]
+    for i in range(1, n):
+        acc, row = x[i], lu[i]
+        for j in range(i):
+            acc -= row[j] * x[j]
+        x[i] = acc
+    if not f.unit_upper:
+        for i in range(n - 1, -1, -1):
+            acc, row = x[i], lu[i]
+            for j in range(i + 1, n):
+                acc -= row[j] * x[j]
+            x[i] = acc / row[i]
+    return x
 
 
 def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
@@ -68,34 +118,24 @@ def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
 
     Works for Fraction and float entries alike (exact for Fractions and
     ints)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    sign = _eliminate(a)
-    if sign == 0:
-        return a[0][0] * 0  # zero in the right backend
-    return sign * math.prod(a[i][i] for i in range(n))
+    return _det(_eliminate(rows))
 
 
 def solve(rows: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list:
-    """Solve a square linear system by elimination with partial pivoting."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not _eliminate(a):
-        raise DegenerateSubspaceError("singular linear system")
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n]
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
+    """Solve a square linear system: factor by elimination with partial
+    pivoting, then substitute."""
+    return _substitute(_eliminate(rows), rhs)
 
 
 @dataclass(frozen=True)
 class GramData:
-    """Matrix [g(x_i, x_k)] (row i, column k) and its determinant."""
+    """Matrix [g(x_i, x_k)] (row i, column k) and its determinant.
+
+    Gram data made by this module also keeps, outside its fields, so that
+    equality, hashing and repr ignore them, ``_factors``, the factors of the
+    one elimination that gave the determinant, and ``_maps``, the maps
+    ``g_functional(x_i, space)`` its rows came from (None for Gram data
+    filled in from known entries)."""
 
     matrix: Tuple[Tuple[Coeff, ...], ...]
     det: Coeff
@@ -111,17 +151,26 @@ class GramData:
         return abs(self.det) <= REL_SINGULAR * abs(float(self.diagonal_product))
 
 
+def _gram_data(matrix, factors: _Factors, maps=None) -> GramData:
+    data = GramData(matrix, _det(factors))
+    object.__setattr__(data, "_factors", factors)
+    object.__setattr__(data, "_maps", maps)
+    return data
+
+
 def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
     """Gram data of an ordered set of nonzero vectors.  Row i is one map
     ``g_functional(x_i, space)`` applied to every basis vector, so x_i's norm
-    and weights are prepared once per row: d preparations for d^2 g-values."""
+    and weights are prepared once per row: d preparations for d^2 g-values.
+    The data keeps the d maps and the factors of its one elimination."""
     basis = tuple(basis)
     if not basis:
         raise ValueError("basis must be nonempty")
     if any(v.is_zero for v in basis):
         raise ZeroVectorError("basis vectors must be nonzero")
-    matrix = tuple(tuple(map(g_functional(xi, space), basis)) for xi in basis)
-    return GramData(matrix, det(matrix))
+    maps = tuple(g_functional(xi, space) for xi in basis)
+    matrix = tuple(tuple(map(g_x, basis)) for g_x in maps)
+    return _gram_data(matrix, _eliminate(matrix), maps)
 
 
 def certifies_independence(data: GramData) -> bool:
@@ -135,8 +184,11 @@ def certifies_independence(data: GramData) -> bool:
 class Subspace:
     """Ordered basis of nonzero vectors plus its ambient space.
 
-    Gram data is computed lazily and cached.  The cache is pure, so two
-    threads racing on a fresh subspace at worst compute the same data twice."""
+    Gram data is computed lazily and cached, with the maps
+    ``g_functional(x_i, space)`` its rows came from and the factors of its
+    matrix, so the subspace holds about the size of its basis once more.
+    The cache is pure and set in one assignment, so two threads racing on a
+    fresh subspace at worst compute the same data twice."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
         basis = tuple(basis)
@@ -172,14 +224,23 @@ class Projection:
 
 
 def project(y: SparseVector, sub: Subspace) -> Projection:
-    """g-orthogonal projection of y onto the subspace's basis."""
+    """g-orthogonal projection of y onto the subspace's basis.
+
+    The right-hand side g(x_i, y) comes from the maps the subspace's Gram
+    rows came from, and the system is solved from the factors of its Gram
+    matrix: once the Gram data is built, a projection costs d g-values, no
+    preparation and O(d^2) substitution.  Gram data filled in from known
+    entries has no maps, and its right-hand side calls g."""
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError(
             "Gram determinant is zero; the projection is undefined"
         )
-    rhs = [g(xi, y, sub.space) for xi in sub.basis]
-    coeffs = solve(data.matrix, rhs)
+    if data._maps is None:
+        rhs = [g(xi, y, sub.space) for xi in sub.basis]
+    else:
+        rhs = [g_x(y) for g_x in data._maps]
+    coeffs = _substitute(data._factors, rhs)
     projected = SparseVector()
     for c, xk in zip(coeffs, sub.basis):
         projected = projected.add(xk.scale(c))
@@ -189,13 +250,19 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
 def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
     """Gram data of a left g-orthonormal basis of an lp space from its rows
     below the diagonal: 1 on the diagonal, 0 above it, determinant 1, all in
-    the scalars of ``backend``."""
+    the scalars of ``backend``.  The matrix is its own factorization, L
+    below the diagonal and U = I with the rows in place, so a solve is one
+    forward substitution.  Elimination with partial pivoting would choose
+    the same factors whenever every |g(x_k*, x_j*)| <= 1, as it always is in
+    exact mode (|g(x, y)| <= |x| |y|, and starred vectors have norm 1); a
+    float entry rounded above 1 would make it pivot, where the forward
+    substitution solves the same triangular system without a swap."""
     n = len(rows)
     one, zero = _one(backend), _zero(backend)
     matrix = tuple(
         tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
     )
-    return GramData(matrix, one)
+    return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True))
 
 
 def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
@@ -205,7 +272,8 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`.
     In an lp space the unit lower-triangular Gram data of the starred vectors
     is filled in from the rows kept so far, so the step makes only the k - 1
-    right-hand-side g calls.  The row g(x_k*, x_j*), j < k, costs k - 1 more
+    right-hand-side g calls and solves by forward substitution, with no
+    elimination.  The row g(x_k*, x_j*), j < k, costs k - 1 more
     g-values from one map ``g_functional(x_k*, space)``, built only when the
     row has entries and another vector follows: (d - 1)^2 g-values and
     d(d - 1)/2 + d - 2 first-argument preparations for d >= 2 vectors.

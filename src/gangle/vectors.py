@@ -324,13 +324,23 @@ def norm(x: SparseVector, space: Space) -> Coeff:
 
 
 def norm_sq(x: SparseVector, space: Space) -> Coeff:
-    """Squared norm.  Exact for p in {1, 2} even when the norm is irrational."""
+    """Squared norm.  Exact for p in {1, 2} even when the norm is irrational.
+    A float square beyond the float range raises
+    :class:`~gangle.errors.NumericalRangeError`, also when the norm itself
+    is finite."""
     if not isinstance(space, LpSpace):
         value = norm(x, space)
-        return value * value
-    if space.p == 2 and x.backend == EXACT:
+        value = value * value
+    elif space.p == 2 and x.backend == EXACT:
         return sum((v * v for _, v in x), Fraction(0))
-    return lp_norm(x, space.p) ** 2
+    else:
+        try:
+            value = lp_norm(x, space.p) ** 2
+        except OverflowError:  # a float norm above about 1.3e154
+            value = math.inf
+    if value == math.inf:
+        raise NumericalRangeError("the squared norm of this vector overflows the float range")
+    return value
 
 
 def check_norm_axioms(space: Space, rng, trials: int = 200, max_index: int = 6,

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random instance generators, the
 classical p=2 oracles (numpy/scipy) the g-machinery is checked against, a
 cofactor-expansion determinant to check the elimination against, the
-projection as the literal cofactor expansion of the bordered determinant, the
+elimination of the augmented matrix that the factored solve must reproduce
+bit for bit, the projection as the literal cofactor expansion of the bordered determinant, the
 straightforward forms of g and float tau that the linear-time kernels must
 reproduce exactly, left g-orthonormalization by a fresh projection per step
 that the incremental one must reproduce, and the paper's explicit sum for
@@ -9,6 +10,7 @@ cos^2 as a literal multi-index sum."""
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -120,6 +122,54 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def _eliminate_augmented(a):
+    """Reduce the n rows of ``a`` (n or more columns) in place to upper
+    triangular form in their first n columns, by Gaussian elimination with
+    partial pivoting.  Returns the sign of the row permutation, or 0 when a
+    pivot column is zero."""
+    n = len(a)
+    sign = 1
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        if isinstance(a[col][col], int):
+            a[col][col] = Fraction(a[col][col])  # ints are exact; int / int is a float
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, len(a[col])):
+                a[r][c] -= f * a[col][c]
+    return sign
+
+
+def det_augmented(rows):
+    """Determinant from the diagonal of the augmented-matrix elimination."""
+    a = [list(r) for r in rows]
+    sign = _eliminate_augmented(a)
+    if sign == 0:
+        return a[0][0] * 0
+    return sign * prod(a[i][i] for i in range(len(a)))
+
+
+def solve_augmented(rows, rhs):
+    """Solve a square system by eliminating the augmented matrix [A | rhs],
+    then substituting backward: the oracle for the factored solve."""
+    n = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if not _eliminate_augmented(a):
+        raise DegenerateSubspaceError("singular linear system")
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = a[i][n]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x
 
 
 def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:

@@ -11,6 +11,7 @@ from gangle import (
     DegenerateSubspaceError,
     GAngleError,
     LpSpace,
+    NumericalRangeError,
     OracleSpace,
     SparseVector,
     Subspace,
@@ -404,3 +405,14 @@ def test_plane_angle_range_p2():
         U = rand_subspace(rng, "float", 2, space)
         res = angle_plane_subspace(U, V)
         assert 0 <= res.cos_sq <= 1
+
+
+def test_angles_whose_squared_norms_overflow_raise_numerical_range_error():
+    space = LpSpace(1.5)
+    big, one = SparseVector({1: 1e200}), SparseVector({1: 1.0})
+    with pytest.raises(NumericalRangeError):
+        vector_angle(big, one, space)
+    with pytest.raises(NumericalRangeError):
+        angle_line_subspace(big, Subspace([sv([1.0, 1.0])], space))
+    with pytest.raises(NumericalRangeError):
+        lambda_functional(big, SparseVector({2: 1.0}), space)

@@ -134,6 +134,17 @@ def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):
     assert "overflows the float range" in capsys.readouterr().err
 
 
+def test_an_angle_whose_squared_norm_overflows_is_input_error(tmp_path, capsys):
+    # |x| = 1e200 is finite at p = 1.5, its square is not
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"p": 1.5, "mode": "float", "vectors": {"x": [1e200], "y": [1.0, 1.0]},'
+        ' "subspaces": {"U": ["x"], "V": ["y"]}}'
+    )
+    assert cli.main(["angle", "-i", str(path), "U", "V"]) == 2
+    assert "squared norm of this vector overflows" in capsys.readouterr().err
+
+
 # -- angle ------------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gangle import (
     DegenerateSubspaceError,
@@ -21,10 +23,11 @@ from gangle import (
     norm_sq,
     project,
 )
-from gangle.gram import det, solve
+from gangle.gram import GramData, _eliminate, _substitute, _unit_lower_gram, det, solve
 
 from support import (
     classical_projection,
+    det_augmented,
     det_cofactor,
     left_orthonormalize_by_projection,
     project_bordered,
@@ -32,6 +35,7 @@ from support import (
     rand_rational_l2_basis,
     rand_subspace,
     rand_vector,
+    solve_augmented,
     to_array,
 )
 
@@ -71,6 +75,86 @@ def test_det_and_solve_exact_on_int_matrices():
 def test_solve_singular_system_raises(one):
     with pytest.raises(DegenerateSubspaceError):
         solve([[one, 2 * one], [2 * one, 4 * one]], [one, one])
+
+
+def bits(values):
+    """Type and round-trip text of each value: equal for equal bits (the
+    sign of a float zero included)."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def outcome(solver, rows, rhs):
+    try:
+        return bits(solver(rows, rhs))
+    except DegenerateSubspaceError:
+        return "singular"
+
+
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+EXACTS = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def systems(draw, entries):
+    """A square matrix and several right-hand sides of one scalar kind."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    return rows, rhss
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(systems(FLOATS), systems(EXACTS)))
+def test_one_factorization_solves_like_the_augmented_elimination(system):
+    rows, rhss = system
+    factors = _eliminate(rows)
+    assert bits([det(rows)]) == bits([det_augmented(rows)])
+    for rhs in rhss:
+        expected = outcome(solve_augmented, rows, rhs)
+        assert outcome(lambda _, b: _substitute(factors, b), rows, rhs) == expected
+        assert outcome(solve, rows, rhs) == expected
+
+
+def test_the_factored_solve_pivots_like_the_augmented_elimination():
+    rows = [[0.0, 1.0, 2.0], [1e-3, 0.5, 1.0], [2.0, -1.0, 0.5]]
+    factors = _eliminate(rows)
+    assert list(factors.order) == [2, 0, 1]  # column 0 pivots on row 2, column 1 on row 0
+    assert factors.sign == 1
+    rhs = [1.0, 0.1, -2.0]
+    assert bits(_substitute(factors, rhs)) == bits(solve_augmented(rows, rhs))
+
+
+@st.composite
+def unit_lower_systems(draw, entries, backend):
+    n = draw(st.integers(1, 6))
+    below = [draw(st.lists(entries, min_size=k, max_size=k)) for k in range(n)]
+    rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    return _unit_lower_gram(below, backend), rhss
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    # -0.0 + 0.0 is 0.0: a right-hand side of -0.0 would make the augmented
+    # back substitution's 0 * x terms flip the sign of a zero solution
+    unit_lower_systems(st.floats(-1.0, 1.0).map(lambda v: v + 0.0), "float"),
+    unit_lower_systems(st.fractions(min_value=-1, max_value=1, max_denominator=8), "exact"),
+))
+def test_forward_substitution_solves_unit_lower_gram_data_like_the_elimination(system):
+    data, rhss = system
+    assert data.det == det_augmented(data.matrix) == 1
+    for rhs in rhss:
+        assert bits(_substitute(data._factors, rhs)) == bits(solve_augmented(data.matrix, rhs))
+
+
+def test_gram_data_fields_equality_and_repr_ignore_the_factors():
+    assert [f.name for f in fields(GramData)] == ["matrix", "det"]
+    data = gram([sv([1, 2]), sv([0, 1, 1])], L1)
+    bare = GramData(data.matrix, data.det)
+    assert bare == data and hash(bare) == hash(data) and repr(bare) == repr(data)
+    assert repr(data) == f"GramData(matrix={data.matrix!r}, det={data.det!r})"
+    assert len(data._maps) == 2 and data._factors.sign == 1
 
 
 # -- gram -------------------------------------------------------------------

@@ -10,7 +10,11 @@ vectors must take (d - 1)^2 g-values, and the explicit sum t(t + 1)/2 more
 of its own; a g-value counts whether it comes from ``g`` or from a map of
 ``g_functional``.  Each first argument is prepared (norm and weights) once
 per Gram row, starred row or right-hand-side value, so ``gram`` of d vectors
-prepares d, not d^2.  A regression fails here on any machine."""
+prepares d, not d^2.  A Gram matrix is eliminated once: ``project`` onto a
+subspace whose Gram data is built takes d g-values from the maps its rows
+came from, with no preparation and no elimination, and left
+g-orthonormalization in lp eliminates nothing.  A regression fails here on
+any machine."""
 
 import random
 import sys
@@ -22,11 +26,13 @@ from gangle import (
     LpSpace,
     SparseVector,
     Subspace,
+    angle_plane_subspace,
     cos_sq_explicit_sum,
     g_explicit,
     g_from_norm,
     gram,
     left_orthonormalize,
+    project,
     tau,
 )
 from gangle import angles
@@ -183,6 +189,31 @@ def g_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Gaussian eliminations: calls of ``gram._eliminate``, which ``det``,
+    ``solve`` and ``gram`` go through."""
+    calls = [0]
+    gram_module = sys.modules["gangle.gram"]
+    eliminate = gram_module._eliminate
+
+    def counted(rows):
+        calls[0] += 1
+        return eliminate(rows)
+
+    monkeypatch.setattr(gram_module, "_eliminate", counted)
+    return calls
+
+
+def test_the_elimination_counter_sees_calls(eliminations):
+    gram_module = sys.modules["gangle.gram"]
+    gram_module.det([[1, 2], [3, 4]])
+    gram_module.solve([[1, 2], [3, 4]], [1, 1])
+    gram([SparseVector({1: 1}), SparseVector({2: 1})], LpSpace(1))
+    project(SparseVector({1: 1, 2: 1}), Subspace([SparseVector({1: 1})], LpSpace(1)))
+    assert eliminations[0] == 4
+
+
 def _orthonormalize_preparations(d):
     """One per right-hand-side g call, d(d - 1)/2, and one per kept row of
     the starred Gram matrix, d - 2 for d >= 2."""
@@ -208,11 +239,37 @@ def test_gram_prepares_each_first_argument_once(g_calls, backend, p, d):
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
-def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, backend, p, d):
+def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, eliminations, backend, p, d):
     out = left_orthonormalize(_triangular_basis(d, backend), LpSpace(p))
     assert len(out) == d
     assert {k: g_calls[k] for k in ("gram", "angles")} == {"gram": (d - 1) ** 2, "angles": 0}
     assert g_calls["prepared"] == _orthonormalize_preparations(d)  # 134 at d = 16, not 225
+    assert eliminations[0] == 0  # each step solves by forward substitution
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_project_on_a_built_subspace_takes_d_g_values_and_no_elimination(
+    g_calls, eliminations, backend, p, d
+):
+    V = Subspace(_triangular_basis(d, backend), LpSpace(p))
+    V.gram()
+    assert eliminations[0] == 1
+    g_calls.update(gram=0, prepared=0)
+    for y in _triangular_basis(d + 3, backend)[:3]:
+        project(y, V)
+    assert g_calls == {"gram": 3 * d, "angles": 0, "prepared": 0}
+    assert eliminations[0] == 1
+
+
+# exact l2: in l1 the cos^2 ratio of these planes can exceed 1 and raise
+@pytest.mark.parametrize("backend,p", [("exact", 2), ("float", 1.5)])
+@pytest.mark.parametrize("t", [2, 4, 8])
+def test_plane_angle_eliminates_once_for_the_gram_of_v(eliminations, backend, p, t):
+    U = Subspace(_triangular_basis(t + 2, backend)[:2], LpSpace(p))
+    V = Subspace(_triangular_basis(t, backend), LpSpace(p))
+    angle_plane_subspace(U, V)
+    assert eliminations[0] == 1
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])

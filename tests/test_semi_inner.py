@@ -428,3 +428,14 @@ def test_a_float_g_that_overflows_raises_numerical_range_error():
     with pytest.raises(NumericalRangeError):
         g_explicit(big, big, 2)
     assert g_explicit(big, SparseVector({1: 1.0}), 2) == 1e200  # p = 2 needs no norm
+
+
+def test_a_float_squared_norm_that_overflows_raises_numerical_range_error():
+    big = SparseVector({1: 1e200})
+    for p in (1, 1.5):
+        assert lp_norm(big, p) < math.inf  # the norm itself is finite
+        with pytest.raises(NumericalRangeError):
+            norm_sq(big, LpSpace(p))
+    with pytest.raises(NumericalRangeError):
+        norm_sq(big, OracleSpace(lambda v: lp_norm(v, 1.5), "l1.5"))
+    assert norm_sq(SparseVector({1: 1e150}), LpSpace(1.5)) == pytest.approx(1e300)
