@@ -241,9 +241,14 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     else:
         rhs = [g_x(y) for g_x in data._maps]
     coeffs = _substitute(data._factors, rhs)
-    projected = SparseVector()
+    # y_S in one pass: each coordinate adds its products c_k * x_k(i) in
+    # basis order, as successive x.add(x_k.scale(c_k)) would
+    acc = {}
     for c, xk in zip(coeffs, sub.basis):
-        projected = projected.add(xk.scale(c))
+        if c:
+            for i, v in xk.items():
+                acc[i] = acc[i] + c * v if i in acc else c * v
+    projected = SparseVector._checked(sorted(acc.items()), sub.basis[0].backend)
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 

@@ -39,6 +39,7 @@ from .vectors import (
     OracleSpace,
     SparseVector,
     Space,
+    _exact_sum,
     join_backends,
     lp_norm,
     norm,
@@ -68,6 +69,8 @@ class TauPair:
 def _tau_l1(x: SparseVector, y: SparseVector) -> TauPair:
     # Below t* = min |xi|/|yi| / 2 over shared support no coordinate of
     # x + t*y changes sign, so the quotient equals the one-sided derivative.
+    if x.backend == EXACT:
+        return _tau_l1_exact(x, y)
     ys = dict(y.items())
     shared = [(xi, ys[i]) for i, xi in x if i in ys]
     if shared:
@@ -77,6 +80,42 @@ def _tau_l1(x: SparseVector, y: SparseVector) -> TauPair:
     n0 = lp_norm(x, 1)
     plus = (lp_norm(x.add(y.scale(tstar)), 1) - n0) / tstar
     minus = (lp_norm(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
+    return TauPair(plus, minus, 0)
+
+
+def _tau_l1_exact(x: SparseVector, y: SparseVector) -> TauPair:
+    """:func:`_tau_l1` on int numerators and denominators: t* is the least
+    |a/b| / |c/e| by cross products, and |x + t*y|_1 at t = +-t* is summed
+    term by term over the union of the supports as in :func:`lp_norm`,
+    without building x + t*y."""
+    xs, ys = dict(x.items()), dict(y.items())
+    tn = td = 0
+    for i, xi in x:
+        yi = ys.get(i)
+        if yi is not None:
+            n = abs(xi.numerator) * yi.denominator
+            d = xi.denominator * abs(yi.numerator)
+            if not td or n * td < tn * d:
+                tn, td = n, d
+    tstar = Fraction(tn, 2 * td) if td else Fraction(1)
+    tn, td = tstar.numerator, tstar.denominator
+
+    def terms(sn):  # |x_i + (sn/td)*y_i| as (numerator, denominator)
+        for i, xi in x:
+            a, b = xi.numerator, xi.denominator
+            yi = ys.get(i)
+            if yi is None:
+                yield abs(a), b
+            else:
+                c, e = yi.numerator, yi.denominator
+                yield abs(a * td * e + sn * c * b), b * td * e
+        for i, yi in y:
+            if i not in xs:
+                yield abs(tn * yi.numerator), td * yi.denominator
+
+    n0 = lp_norm(x, 1)
+    plus = (_exact_sum(terms(tn)) - n0) / tstar
+    minus = (_exact_sum(terms(-tn)) - n0) / (-tstar)
     return TauPair(plus, minus, 0)
 
 
@@ -191,7 +230,9 @@ def g_functional(x: SparseVector, space: Space):
     """The map y -> g(x, y) under ``space``, with x's share computed once: in
     an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (|x|_1 and the
     signs at p = 1, x's entries at p = 2).  A call sums y's entries on x's
-    support in index order, rounding as one :func:`g_explicit` call does.
+    support in index order, rounding as one :func:`g_explicit` call does; in
+    exact mode it sums the products as int numerators over int denominators
+    and builds one Fraction for the sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -201,12 +242,19 @@ def g_functional(x: SparseVector, space: Space):
     if x.is_zero:
         return lambda y: _zero(y.backend)
     p, zero = space.p, _zero(x.backend)
-    if p == 2:
+    exact = x.backend == EXACT
+    if exact:  # weights as (numerator, denominator): (+-1, 1) at p = 1, x_i at p = 2
+        if p == 2:
+            factor, weights = None, {i: (v.numerator, v.denominator) for i, v in x}
+        elif p == 1:
+            signs = ((-1, 1), (1, 1))
+            factor, weights = lp_norm(x, 1), {i: signs[v.numerator > 0] for i, v in x}
+        else:
+            raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
+    elif p == 2:
         factor, weights = None, dict(x.items())
     elif p == 1:
         factor, weights = lp_norm(x, 1), {i: sgn(v) for i, v in x}
-    elif x.backend == EXACT:
-        raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
     else:
         p = float(p)
         try:
@@ -219,7 +267,13 @@ def g_functional(x: SparseVector, space: Space):
 
     def g_x(y: SparseVector) -> Coeff:
         join_backends(x.backend, y.backend)
-        if p == 1:  # negating is cheaper than multiplying by a sign
+        if exact:
+            s = _exact_sum(
+                (w[0] * v.numerator, w[1] * v.denominator)
+                for i, v in y.items()
+                if (w := weights.get(i)) is not None
+            )
+        elif p == 1:  # negating is cheaper than multiplying by a sign
             s = sum((v if weights[i] > 0 else -v for i, v in y.items() if i in weights), zero)
         else:
             s = sum((weights[i] * v for i, v in y.items() if i in weights), zero)

@@ -121,6 +121,22 @@ class SparseVector:
         return vec
 
     @classmethod
+    def _checked(cls, entries, backend) -> "SparseVector":
+        """:meth:`_trusted` for the result of float arithmetic, which may have
+        overflowed: an entry beyond the float range raises
+        :class:`~gangle.errors.NumericalRangeError`.  An infinite value makes
+        the sum of all values infinite or NaN, so the values are looked into
+        one by one only when their sum is not finite (finite values can
+        overflow the sum)."""
+        if (
+            backend == FLOAT
+            and not math.isfinite(sum(map(operator.itemgetter(1), entries)))
+            and not all(math.isfinite(v) for _, v in entries)
+        ):
+            raise NumericalRangeError("a coefficient of this vector overflows the float range")
+        return cls._trusted(entries, backend)
+
+    @classmethod
     def from_dense(cls, values: Sequence[Coeff]) -> "SparseVector":
         """Build from a dense array; slot ``i`` (0-based) holds coordinate ``i+1``."""
         return cls((i + 1, v) for i, v in enumerate(values))
@@ -171,20 +187,32 @@ class SparseVector:
     # -- arithmetic ---------------------------------------------------------
 
     def scale(self, a: Coeff) -> "SparseVector":
+        """``a`` times this vector; a float entry beyond the float range
+        raises :class:`~gangle.errors.NumericalRangeError`."""
         if self.is_zero or a == 0:
             return ZERO
         backend = join_backends(self._backend, None if isinstance(a, int) else _backend_of(a))
         if backend == FLOAT:
-            a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
-        return SparseVector._trusted([(i, a * v) for i, v in self._entries], backend)
+            try:
+                a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
+            except OverflowError:  # an int scalar beyond the float range
+                raise NumericalRangeError("the scalar overflows the float range") from None
+        entries = [(i, a * v) for i, v in self._entries]
+        if backend == FLOAT and abs(a) > 1:  # finite entries times |a| <= 1 stay finite
+            return SparseVector._checked(entries, backend)
+        return SparseVector._trusted(entries, backend)
 
     def add(self, other: "SparseVector") -> "SparseVector":
+        """Sum of two vectors; a float entry beyond the float range raises
+        :class:`~gangle.errors.NumericalRangeError`."""
         backend = join_backends(self._backend, other._backend)
-        return SparseVector._trusted(_merge(self._entries, other._entries, False), backend)
+        return SparseVector._checked(_merge(self._entries, other._entries, False), backend)
 
     def sub(self, other: "SparseVector") -> "SparseVector":
+        """Difference of two vectors; a float entry beyond the float range
+        raises :class:`~gangle.errors.NumericalRangeError`."""
         backend = join_backends(self._backend, other._backend)
-        return SparseVector._trusted(_merge(self._entries, other._entries, True), backend)
+        return SparseVector._checked(_merge(self._entries, other._entries, True), backend)
 
     __add__ = add
     __sub__ = sub
@@ -234,6 +262,18 @@ def _merge(a, b, subtract: bool) -> list:
     out.extend(a[i:])
     out.extend([(k, -v) for k, v in b[j:]] if subtract else b[j:])
     return out
+
+
+def _exact_sum(pairs) -> Fraction:
+    """Sum of the fractions n/d given as (n, d) int pairs, d > 0, in ints:
+    numerators over one denominator are added, the sums are brought to the
+    least common multiple of the distinct denominators, and one Fraction,
+    the reduced result, is built per call instead of one per term."""
+    by_den = {}
+    for n, d in pairs:
+        by_den[d] = by_den.get(d, 0) + n
+    den = math.lcm(*by_den)
+    return Fraction(sum([n * (den // d) for d, n in by_den.items()]), den)
 
 
 ZERO = SparseVector()
@@ -289,18 +329,19 @@ def lp_norm(x: SparseVector, p) -> Coeff:
     if not exact:
         p = float(p)
     if p == 1:
+        if exact:
+            return _exact_sum((abs(v.numerator), v.denominator) for _, v in x)
         value = sum(abs(v) for _, v in x)
     elif p == 2:
-        squares = sum(v * v for _, v in x)
         if exact:
-            root = exact_sqrt(squares)
+            root = exact_sqrt(_exact_sum((v.numerator ** 2, v.denominator ** 2) for _, v in x))
             if root is None:
                 raise BackendError(
                     "the 2-norm of this vector is irrational; use float mode "
                     "or norm_sq for the exact squared norm"
                 )
             return root
-        value = math.sqrt(squares)
+        value = math.sqrt(sum(v * v for _, v in x))
     elif exact:
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     else:
@@ -332,7 +373,7 @@ def norm_sq(x: SparseVector, space: Space) -> Coeff:
         value = norm(x, space)
         value = value * value
     elif space.p == 2 and x.backend == EXACT:
-        return sum((v * v for _, v in x), Fraction(0))
+        return _exact_sum((v.numerator ** 2, v.denominator ** 2) for _, v in x)
     else:
         try:
             value = lp_norm(x, space.p) ** 2

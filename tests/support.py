@@ -4,9 +4,12 @@ cofactor-expansion determinant to check the elimination against, the
 elimination of the augmented matrix that the factored solve must reproduce
 bit for bit, the projection as the literal cofactor expansion of the bordered determinant, the
 straightforward forms of g and float tau that the linear-time kernels must
-reproduce exactly, left g-orthonormalization by a fresh projection per step
-that the incremental one must reproduce, and the paper's explicit sum for
-cos^2 as a literal multi-index sum."""
+reproduce exactly, the exact sums, norms and l1 tau on Fraction objects that
+the integer kernels must reproduce, the projection assembled by successive
+vector additions that the one-pass assembly must reproduce bit for bit, left
+g-orthonormalization by a fresh projection per step that the incremental one
+must reproduce, and the paper's explicit sum for cos^2 as a literal
+multi-index sum."""
 
 from fractions import Fraction
 from itertools import product
@@ -15,11 +18,13 @@ from math import prod
 import numpy as np
 
 from gangle import (
+    BackendError,
     DegenerateSubspaceError,
     DependenceError,
     LpSpace,
     SparseVector,
     Subspace,
+    TauPair,
     ZeroVectorError,
     g,
     left_orthonormalize,
@@ -30,6 +35,7 @@ from gangle import (
 )
 from gangle.gram import det, solve
 from gangle.semi_inner import _tau_central
+from gangle.vectors import exact_sqrt
 
 MAX_INDEX = 6
 
@@ -194,14 +200,57 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     return result.scale(Fraction(-1) / data.det)
 
 
+def project_by_successive_adds(coefficients, basis):
+    """y_S = sum c_k x_k assembled as ``projected.add(x_k.scale(c_k))``, one
+    vector per step."""
+    projected = SparseVector()
+    for c, xk in zip(coefficients, basis):
+        projected = projected.add(xk.scale(c))
+    return projected
+
+
+def exact_sum_by_fractions(pairs):
+    """Sum of n/d over (n, d) int pairs with one Fraction per term."""
+    return sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
+def lp_norm_by_fractions(x, p):
+    """Exact p-norm, p in {1, 2}, summed on Fraction objects; an irrational
+    2-norm raises BackendError as ``lp_norm`` does."""
+    if p == 1:
+        return sum((abs(v) for _, v in x), Fraction(0))
+    root = exact_sqrt(norm_sq_by_fractions(x))
+    if root is None:
+        raise BackendError("the 2-norm of this vector is irrational")
+    return root
+
+
+def norm_sq_by_fractions(x):
+    """Exact squared 2-norm summed on Fraction objects."""
+    return sum((v * v for _, v in x), Fraction(0))
+
+
+def tau_l1_by_vectors(x, y):
+    """Exact l1 tau pair by its quotients at t = +-t*, t* = min |xi|/|yi| / 2
+    by Fraction division, on the vectors x + t*y."""
+    ys = dict(y.items())
+    shared = [(xi, ys[i]) for i, xi in x if i in ys]
+    tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else Fraction(1)
+    n0 = lp_norm_by_fractions(x, 1)
+    plus = (lp_norm_by_fractions(x.add(y.scale(tstar)), 1) - n0) / tstar
+    minus = (lp_norm_by_fractions(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
+    return TauPair(plus, minus, 0)
+
+
 def g_explicit_by_get(x, y, p):
     """The lp closed form of g with y read through ``SparseVector.get``, in
-    the operation order of ``g_explicit`` (exact for p in {1, 2})."""
+    the operation order of ``g_explicit`` (exact for p in {1, 2}, summed on
+    Fraction objects)."""
     if x.is_zero:
         return 0.0 if "float" in (x.backend, y.backend) else Fraction(0)
     if x.backend == "exact":
         if p == 1:
-            return lp_norm(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))
+            return lp_norm_by_fractions(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))
         return sum((v * y.get(i) for i, v in x), Fraction(0))
     p = float(p)
     s = sum(abs(v) ** (p - 1.0) * sgn(v) * y.get(i) for i, v in x)

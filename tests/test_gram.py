@@ -11,6 +11,7 @@ from gangle import (
     DegenerateSubspaceError,
     DependenceError,
     LpSpace,
+    NumericalRangeError,
     OracleSpace,
     SparseVector,
     Subspace,
@@ -31,6 +32,7 @@ from support import (
     det_cofactor,
     left_orthonormalize_by_projection,
     project_bordered,
+    project_by_successive_adds,
     rand_float_vector,
     rand_rational_l2_basis,
     rand_subspace,
@@ -332,6 +334,49 @@ def test_p2_projection_matches_normal_equations():
         ours = to_array(project(y, V).projected)
         ref = classical_projection(y, V.basis)
         assert np.allclose(ours, ref, atol=1e-9)
+
+
+def assert_assembled_by_successive_adds(y, sub):
+    """y_S and the residual of ``project`` are, bit for bit, what adding the
+    scaled basis vectors one at a time gives with the same coefficients."""
+    proj = project(y, sub)
+    ref = project_by_successive_adds(proj.coefficients, sub.basis)
+    assert repr(proj.projected.items()) == repr(ref.items())
+    assert repr(proj.residual.items()) == repr(y.sub(ref).items())
+    assert proj.projected.backend == ref.backend
+    return proj
+
+
+# coefficients m * 10^e down to 1e-200, so that products c_k * x_k(i) underflow
+WIDE_FLOATS = st.builds(
+    lambda m, e: m * 10.0 ** e,
+    st.integers(-9, 9).filter(bool).map(float),
+    st.sampled_from([-200, -160, -20, 0, 0, 0, 20]),
+)
+FLOAT_VECTORS = st.dictionaries(st.integers(1, 6), WIDE_FLOATS, min_size=1, max_size=4).map(
+    SparseVector
+)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@settings(max_examples=60, deadline=None)
+@given(basis=st.lists(FLOAT_VECTORS, min_size=1, max_size=4), y=FLOAT_VECTORS)
+def test_one_pass_assembly_equals_successive_adds(p, basis, y):
+    try:
+        assert_assembled_by_successive_adds(y, Subspace(basis, LpSpace(p)))
+    except (DegenerateSubspaceError, NumericalRangeError):
+        pass  # no coefficients to assemble with
+
+
+def test_one_pass_assembly_where_a_coordinate_cancels_or_a_product_underflows():
+    # y = x_1 - x_2: coordinate 1 of y_S is 1.0 * 1.0 + (-1.0) * 1.0 = 0.0
+    basis = [sv([1.0, 1.0]), sv([1.0])]
+    proj = assert_assembled_by_successive_adds(sv([0.0, 1.0]), Subspace(basis, L2_FLOAT))
+    assert proj.coefficients == (1.0, -1.0) and proj.projected.items() == ((2, 1.0),)
+    # c_1 = 1e-30, so c_1 * 1e-300 underflows to 0.0 at coordinate 2, next to c_2 * 1.0
+    basis = [sv([1.0, 1e-300]), sv([0.0, 1.0, 1.0])]
+    proj = assert_assembled_by_successive_adds(sv([1e-30, 0.0, 1.0]), Subspace(basis, L2_FLOAT))
+    assert proj.coefficients[0] * 1e-300 == 0.0
 
 
 # -- left g-orthonormalization ---------------------------------------------

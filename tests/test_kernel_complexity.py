@@ -14,7 +14,13 @@ prepares d, not d^2.  A Gram matrix is eliminated once: ``project`` onto a
 subspace whose Gram data is built takes d g-values from the maps its rows
 came from, with no preparation and no elimination, and left
 g-orthonormalization in lp eliminates nothing.  A regression fails here on
-any machine."""
+any machine.
+
+The exact kernels sum int numerators over shared denominators: on the
+nnz-4096 exact pair, g (p = 1, 2), the 1-norm, the squared 2-norm and l1
+``g_from_norm`` each build a few Fraction objects, not one or more per
+entry.  ``project`` builds y_S in one pass: two vectors per call, y_S and
+the residual."""
 
 import random
 import sys
@@ -32,6 +38,8 @@ from gangle import (
     g_from_norm,
     gram,
     left_orthonormalize,
+    lp_norm,
+    norm_sq,
     project,
     tau,
 )
@@ -92,13 +100,50 @@ def constructions(monkeypatch):
     return built
 
 
-def test_the_counters_see_calls(get_calls, constructions):
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Counts Fraction objects built: every Fraction operation builds its
+    result through ``Fraction.__new__``."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def test_the_counters_see_calls(get_calls, constructions, fractions_built):
     x, y = PAIRS["float"]
     x.get(1)
     x.add(y)
     SparseVector({1: 1.0})
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert get_calls[0] == 1
     assert constructions[0] == 2
+    assert fractions_built[0] == 4
+
+
+FRACTION_BOUND = 64  # 1 to 13 are built; one per entry would be 4096
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda x, y: g_explicit(x, y, 1),
+        lambda x, y: g_explicit(x, y, 2),
+        lambda x, y: lp_norm(x, 1),
+        lambda x, y: norm_sq(x, LpSpace(2)),
+        lambda x, y: g_from_norm(x, y, LpSpace(1)),
+    ],
+    ids=["g p=1", "g p=2", "lp_norm p=1", "norm_sq p=2", "g_from_norm p=1"],
+)
+def test_exact_kernels_build_few_fractions(fractions_built, kernel):
+    x, y = PAIRS["exact"]
+    kernel(x, y)
+    assert 0 < fractions_built[0] <= FRACTION_BOUND
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("exact", 2), ("float", 1.5)])
@@ -260,6 +305,17 @@ def test_project_on_a_built_subspace_takes_d_g_values_and_no_elimination(
         project(y, V)
     assert g_calls == {"gram": 3 * d, "angles": 0, "prepared": 0}
     assert eliminations[0] == 1
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+def test_project_on_a_built_subspace_builds_two_vectors(constructions, backend, p):
+    V = Subspace(_triangular_basis(8, backend), LpSpace(p))
+    V.gram()
+    y = _triangular_basis(11, backend)[0]
+    constructions[0] = 0
+    proj = project(y, V)
+    assert not proj.projected.is_zero
+    assert constructions[0] == 2  # y_S and the residual
 
 
 # exact l2: in l1 the cos^2 ratio of these planes can exceed 1 and raise

@@ -27,10 +27,13 @@ from gangle.semi_inner import g_functional
 
 from support import (
     g_explicit_by_get,
+    lp_norm_by_fractions,
+    norm_sq_by_fractions,
     rand_exact_vector,
     rand_float_vector,
     rand_vector,
     tau_float_by_vectors,
+    tau_l1_by_vectors,
 )
 
 sv = SparseVector.from_dense
@@ -345,6 +348,52 @@ def test_gram_equals_the_pairwise_reference_exactly(backend, p, data):
     ref = tuple(tuple(g_explicit_by_get(a, b, p) for b in basis) for a in basis)
     assert matrix == ref
     assert [type(v) for row in matrix for v in row] == [type(v) for row in ref for v in row]
+
+
+# -- exact kernels on int numerators against the Fraction-object sums --------
+
+
+def _exact_outcome(f, *args):
+    """Value and type of f(*args), or the name of the error it raises."""
+    try:
+        value = f(*args)
+    except BackendError:  # an irrational exact 2-norm
+        return "BackendError"
+    return value, type(value)
+
+
+def _wide_fractions():
+    """Small rationals and ones with 30-digit numerators and denominators."""
+    huge = 10 ** 30
+    return st.one_of(
+        _values("exact"),
+        st.builds(Fraction, st.integers(-huge, huge).filter(bool), st.integers(1, huge)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_kernels_equal_the_fraction_routes(data):
+    vectors = st.dictionaries(st.integers(1, 12), _wide_fractions(), max_size=8).map(SparseVector)
+    x = data.draw(vectors.filter(lambda v: not v.is_zero), "x")
+    y = data.draw(vectors, "y")
+    a = data.draw(_wide_fractions(), "a")
+    pythagorean = SparseVector({1: 3 * a, 5: -4 * a})  # 2-norm 5|a|, rational
+    for v in (x, y, pythagorean):
+        if v.is_zero:
+            continue
+        for p in (1, 2):
+            assert _exact_outcome(lp_norm, v, p) == _exact_outcome(lp_norm_by_fractions, v, p)
+        assert _exact_outcome(norm_sq, v, LpSpace(2)) == _exact_outcome(norm_sq_by_fractions, v)
+    for p in (1, 2):
+        assert _exact_outcome(g_explicit, x, y, p) == _exact_outcome(g_explicit_by_get, x, y, p)
+    if y.is_zero:
+        return
+    ref = tau_l1_by_vectors(x, y)
+    got = tau(x, y, L1)
+    assert got == ref and [type(v) for v in (got.tau_plus, got.tau_minus)] == [Fraction] * 2
+    expected = (ref.tau_plus + ref.tau_minus) / 2 * lp_norm_by_fractions(x, 1)
+    assert _exact_outcome(g_from_norm, x, y, L1) == (expected, Fraction)
 
 
 def test_exact_p3_raises_backend_error_on_every_route():

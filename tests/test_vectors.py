@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from gangle import (
     BackendError,
     LpSpace,
+    NumericalRangeError,
     OracleSpace,
     SparseVector,
     check_norm_axioms,
@@ -18,7 +19,9 @@ from gangle import (
     sgn,
 )
 
-from support import rand_float_vector
+from gangle.vectors import _exact_sum
+
+from support import exact_sum_by_fractions, rand_float_vector
 
 sv = SparseVector.from_dense
 
@@ -154,8 +157,54 @@ def test_arithmetic_edge_cases():
     doubled = x.scale(2)
     assert doubled == sv([1, 0, -6]) and all(type(v) is Fraction for _, v in doubled)
     assert all(type(v) is float for _, v in sv([1.0, 2.0]).scale(3))
-    # overflow inside arithmetic is not checked here (only at construction)
-    assert SparseVector([(1, 1e200)]).scale(1e200).items() == ((1, math.inf),)
+    # float arithmetic that overflows raises the typed error, never holds inf
+    with pytest.raises(NumericalRangeError):
+        SparseVector([(1, 1e200)]).scale(1e200)
+    with pytest.raises(NumericalRangeError):  # the int scalar itself is beyond the float range
+        SparseVector([(1, 1e-200)]).scale(10 ** 400)
+    big = SparseVector({1: 1e308, 2: 1.0})
+    for overflow in (lambda: big.add(big), lambda: big.sub(-big), lambda: big - big.scale(-1.5)):
+        with pytest.raises(NumericalRangeError):
+            overflow()
+    # finite entries whose sum is beyond the float range are no overflow
+    wide = SparseVector({1: 1e308, 2: 1e308}).add(SparseVector({1: 5e307}))
+    assert wide.items() == ((1, 1e308 + 5e307), (2, 1e308))
+    assert SparseVector({1: 1e308, 2: -1e308}).scale(1.5).items() == ((1, 1.5e308), (2, -1.5e308))
+
+
+# -- exact sums on int numerators --------------------------------------------
+
+HUGE = 10 ** 60
+# numerators small or huge, of either sign; denominators from a set with
+# common factors (shared and coprime ones) or huge
+fraction_pairs = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-9, 9), st.integers(-HUGE, HUGE)),
+        st.one_of(st.sampled_from([1, 2, 3, 4, 5, 6, 12]), st.integers(1, HUGE)),
+    ),
+    max_size=12,
+)
+
+
+@given(fraction_pairs)
+def test_exact_sum_equals_the_fraction_sum(pairs):
+    got, ref = _exact_sum(iter(pairs)), exact_sum_by_fractions(pairs)
+    assert got == ref and type(got) is Fraction
+
+
+@pytest.mark.parametrize(
+    "pairs,value",
+    [
+        ([], 0),
+        ([(1, 2), (-1, 2)], 0),                      # shared denominator, cancelling
+        ([(1, 3), (1, 5)], Fraction(8, 15)),         # coprime denominators
+        ([(-3, 4), (1, 6), (5, 4)], Fraction(2, 3)),  # shared and not, reduced
+        ([(HUGE + 1, HUGE), (-1, HUGE)], 1),
+    ],
+)
+def test_exact_sum_examples(pairs, value):
+    got = _exact_sum(pairs)
+    assert got == value and type(got) is Fraction
 
 
 def test_to_float_drops_underflow():
