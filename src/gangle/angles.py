@@ -107,14 +107,12 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
     pr = project(u, V)
     u_v = pr.projected
     nsu = norm_sq(u, V.space)
-    if u_v.is_zero or (
-        isinstance(nsu, float) and norm_sq(u_v, V.space) <= 1e-24 * nsu
-    ):
+    nsuv = None if u_v.is_zero else norm_sq(u_v, V.space)
+    if u_v.is_zero or (isinstance(nsu, float) and nsuv <= 1e-24 * nsu):
         zero = nsu * 0
         return AngleResult(
             zero, math.pi / 2, PATH_LINE_PROJECTION, cos_sq_ratio=zero, ratio_gap=0.0
         )
-    nsuv = norm_sq(u_v, V.space)
     guvu = g(u_v, u, V.space)
     primary = _clamp_unit(guvu * guvu / (nsu * nsuv))
     ratio = nsuv / nsu  # can exceed 1 when |u_V| > |u|; reported, not clamped

@@ -202,11 +202,11 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> dict:
     try:
         pair = tau(x, y, space)
     except BackendError:
-        pair = tau(x.to_float(), y.to_float(), _float_space(space))
+        pair = tau(x.to_float(), y.to_float(), space)
         warnings.append("tau computed in float mode (exact quotients unavailable)")
     delta = None
     if isinstance(space, LpSpace):
-        cross = g_from_norm(x.to_float(), y.to_float(), _float_space(space))
+        cross = g_from_norm(x.to_float(), y.to_float(), space)
         delta = abs(float(gxy) - float(cross))
     return {
         "command": f"g {x_name} {y_name}",
@@ -220,10 +220,6 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> dict:
         "warnings": warnings,
         "status": EXIT_OK,
     }
-
-
-def _float_space(space: Space) -> Space:
-    return LpSpace(float(space.p)) if isinstance(space, LpSpace) else space
 
 
 def cmd_angle(problem: Problem, u_name: str, v_name: str) -> dict:

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
 from .semi_inner import g, g_functional
-from .vectors import Coeff, LpSpace, SparseVector, Space, _one, _zero, norm
+from .vectors import Coeff, LpSpace, SparseVector, Space, _zero, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -119,12 +119,6 @@ def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
     Works for Fraction and float entries alike (exact for Fractions and
     ints)."""
     return _det(_eliminate(rows))
-
-
-def solve(rows: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list:
-    """Solve a square linear system: factor by elimination with partial
-    pivoting, then substitute."""
-    return _substitute(_eliminate(rows), rhs)
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,8 @@ def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
     float entry rounded above 1 would make it pivot, where the forward
     substitution solves the same triangular system without a swap."""
     n = len(rows)
-    one, zero = _one(backend), _zero(backend)
+    zero = _zero(backend)
+    one = zero + 1  # 1.0 or Fraction(1)
     matrix = tuple(
         tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
     )

@@ -11,8 +11,8 @@ Two independent routes are provided:
 ``|x|^(2-p)`` and the weights) once and returns the map ``y -> g(x, y)``;
 :func:`g` and :func:`g_explicit` call it for a single y, and the Gram rows,
 left orthonormalization and the explicit sum reuse one map per first
-argument.  In float mode a norm, a value of g or a power inside float tau
-beyond the float range raises :class:`~gangle.errors.NumericalRangeError`.
+argument.  In float mode a norm, a value of g or a power or quotient inside
+float tau beyond the float range raises :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -66,27 +66,10 @@ class TauPair:
     step_used: Coeff = 0
 
 
-def _tau_l1(x: SparseVector, y: SparseVector) -> TauPair:
-    # Below t* = min |xi|/|yi| / 2 over shared support no coordinate of
-    # x + t*y changes sign, so the quotient equals the one-sided derivative.
-    if x.backend == EXACT:
-        return _tau_l1_exact(x, y)
-    ys = dict(y.items())
-    shared = [(xi, ys[i]) for i, xi in x if i in ys]
-    if shared:
-        tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2
-    else:
-        tstar = 1
-    n0 = lp_norm(x, 1)
-    plus = (lp_norm(x.add(y.scale(tstar)), 1) - n0) / tstar
-    minus = (lp_norm(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
-    return TauPair(plus, minus, 0)
-
-
 def _tau_l1_exact(x: SparseVector, y: SparseVector) -> TauPair:
-    """:func:`_tau_l1` on int numerators and denominators: t* is the least
-    |a/b| / |c/e| by cross products, and |x + t*y|_1 at t = +-t* is summed
-    term by term over the union of the supports as in :func:`lp_norm`,
+    """:func:`tau` at p = 1 on int numerators and denominators: t* is the
+    least |a/b| / |c/e| by cross products, and |x + t*y|_1 at t = +-t* is
+    summed term by term over the union of the supports as in :func:`lp_norm`,
     without building x + t*y."""
     xs, ys = dict(x.items()), dict(y.items())
     tn = td = 0
@@ -192,9 +175,9 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
     join_backends(x.backend, y.backend)
     if isinstance(space, OracleSpace):
         return _tau_oracle(x, y, space)
-    if space.p == 1:
-        return _tau_l1(x, y)
-    if x.backend == EXACT or y.backend == EXACT:
+    if x.backend == EXACT:
+        if space.p == 1:
+            return _tau_l1_exact(x, y)
         raise BackendError(
             f"difference quotients for p={space.p} require float mode "
             "(the norm is not piecewise linear)"
@@ -205,6 +188,17 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
     xs = dict(x.items())
     ys = dict(y.items())
     pairs = [(xs.get(i, 0.0), ys.get(i, 0.0)) for i in sorted(xs.keys() | ys.keys())]
+    if p == 1:
+        # Below t* = min |a|/|b| / 2 over the pairs with a != 0 != b no
+        # a + t*b changes sign, so the quotient is the one-sided derivative.
+        ratios = [abs(a) / abs(b) for a, b in pairs if a and b]
+        tstar = min(ratios) / 2 if ratios else 1.0
+        if tstar > 0:  # else the least ratio underflowed
+            n0 = lp_norm(x, 1)
+            plus, minus = ((sum(abs(a + t * b) for a, b in pairs) - n0) / t for t in (tstar, -tstar))
+            if math.isfinite(plus) and math.isfinite(minus):
+                return TauPair(plus, minus, 0)
+        raise NumericalRangeError(f"l1 difference quotients at t* = {tstar!r} are beyond the float range")
     if p == 2:
         def f(t):
             return math.sqrt(sum((v := a + t * b) * v for a, b in pairs))

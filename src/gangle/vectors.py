@@ -33,11 +33,6 @@ def _zero(backend):
     return 0.0 if backend == FLOAT else Fraction(0)
 
 
-def _one(backend):
-    """The unit scalar of a backend; the zero vector's backend (None) is exact."""
-    return 1.0 if backend == FLOAT else Fraction(1)
-
-
 def _backend_of(value) -> str:
     if isinstance(value, float):
         return FLOAT
@@ -181,8 +176,12 @@ class SparseVector:
         return out
 
     def to_float(self) -> "SparseVector":
-        """Copy of this vector in the float backend."""
-        return SparseVector._trusted([(i, float(v)) for i, v in self._entries], FLOAT)
+        """Copy of this vector in the float backend; a coefficient beyond the
+        float range raises :class:`~gangle.errors.NumericalRangeError`."""
+        try:
+            return SparseVector._trusted([(i, float(v)) for i, v in self._entries], FLOAT)
+        except OverflowError:  # float() of a Fraction beyond the float range
+            raise NumericalRangeError("a coefficient of this vector is beyond the float range") from None
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -4,8 +4,9 @@ cofactor-expansion determinant to check the elimination against, the
 elimination of the augmented matrix that the factored solve must reproduce
 bit for bit, the projection as the literal cofactor expansion of the bordered determinant, the
 straightforward forms of g and float tau that the linear-time kernels must
-reproduce exactly, the exact sums, norms and l1 tau on Fraction objects that
-the integer kernels must reproduce, the projection assembled by successive
+reproduce exactly, l1 tau on the vectors x + t*y that both tau routes must
+reproduce, the exact sums and norms on Fraction objects that the integer
+kernels must reproduce, the projection assembled by successive
 vector additions that the one-pass assembly must reproduce bit for bit, left
 g-orthonormalization by a fresh projection per step that the incremental one
 must reproduce, and the paper's explicit sum for cos^2 as a literal
@@ -33,7 +34,7 @@ from gangle import (
     project,
     sgn,
 )
-from gangle.gram import det, solve
+from gangle.gram import _eliminate, _substitute, det
 from gangle.semi_inner import _tau_central
 from gangle.vectors import exact_sqrt
 
@@ -100,7 +101,8 @@ def rational_orthogonal(rng, n):
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     # Q^T = (I - A)^-1 (I + A), so row k of Q solves (I - A) q = column k of I + A
     minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
-    return [solve(minus, [eye[i][k] + a[i][k] for i in range(n)]) for k in range(n)]
+    factors = _eliminate(minus)
+    return [_substitute(factors, [eye[i][k] + a[i][k] for i in range(n)]) for k in range(n)]
 
 
 def rand_rational_l2_basis(rng, dim, n=4):
@@ -231,14 +233,17 @@ def norm_sq_by_fractions(x):
 
 
 def tau_l1_by_vectors(x, y):
-    """Exact l1 tau pair by its quotients at t = +-t*, t* = min |xi|/|yi| / 2
-    by Fraction division, on the vectors x + t*y."""
+    """l1 tau pair by its quotients at t = +-t* on the vectors x + t*y, with
+    t* = min |xi|/|yi| / 2 over the shared support, or 1 without one.  Exact
+    pairs are summed on Fraction objects; float pairs take the float
+    ``lp_norm`` and ``add``/``scale``, the vector route float tau replaces."""
+    n1 = lp_norm_by_fractions if x.backend == "exact" else lp_norm
     ys = dict(y.items())
     shared = [(xi, ys[i]) for i, xi in x if i in ys]
-    tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else Fraction(1)
-    n0 = lp_norm_by_fractions(x, 1)
-    plus = (lp_norm_by_fractions(x.add(y.scale(tstar)), 1) - n0) / tstar
-    minus = (lp_norm_by_fractions(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
+    tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else 1
+    n0 = n1(x, 1)
+    plus = (n1(x.add(y.scale(tstar)), 1) - n0) / tstar
+    minus = (n1(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
     return TauPair(plus, minus, 0)
 
 

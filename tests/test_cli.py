@@ -134,6 +134,14 @@ def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):
     assert "overflows the float range" in capsys.readouterr().err
 
 
+def test_an_exact_coordinate_beyond_the_float_range_is_input_error(tmp_path, capsys):
+    # exact g and tau succeed; the float cross-check cannot convert 1e400
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": 1, "mode": "exact", "vectors": {"x": ["1e400", 1], "y": [1, 2]}}')
+    assert cli.main(["g", "-i", str(path), "x", "y"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_an_angle_whose_squared_norm_overflows_is_input_error(tmp_path, capsys):
     # |x| = 1e200 is finite at p = 1.5, its square is not
     path = tmp_path / "huge.json"

@@ -1,8 +1,10 @@
 """Source hygiene that needs no linter: every name a package module imports
-is used in that module, and ``__init__.py``, whose imports are the package's
-re-exports, lists exactly those in ``__all__``."""
+is used in that module, every module-level definition is used somewhere in
+the package, exported or the console script, and ``__init__.py``, whose
+imports are the package's re-exports, lists exactly those in ``__all__``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import gangle
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gangle"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def unused_imports(source):
@@ -50,3 +53,61 @@ def test_all_lists_exactly_the_public_names_init_binds():
         for alias in node.names
     }
     assert sorted(gangle.__all__) == sorted(name for name in bound if not name.startswith("_"))
+
+
+def module_definitions(source):
+    """Names bound at module level by def, class or assignment to a name."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def names_used(sources):
+    """Names the sources read as a Name or an Attribute, or spell as a string
+    constant (the CLI looks its handlers up by name).  A Name bound by an
+    assignment is not a use."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def unused_definitions(modules, exported=(), scripts=()):
+    """``module.name`` for each module-level definition in ``modules`` (module
+    name -> source) that no module uses and that is neither exported nor a
+    console script (``module.name`` in ``scripts``)."""
+    used = names_used(modules.values()) | set(exported)
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in module_definitions(source)
+        if name not in used and f"{module}.{name}" not in scripts
+    ]
+
+
+def test_the_check_sees_unused_definitions():
+    modules = {
+        "a": "X = 1\nclass C: pass\ndef f(): return helper\ndef dead(): pass\ndef main(): pass\n",
+        "b": "def helper(): return C\ndef g(): pass\nHANDLERS = {'go': 'g'}\ndef k(m): return m.X\n",
+    }
+    assert unused_definitions(modules, exported=["f", "k"], scripts=["a.main"]) == ["a.dead", "b.HANDLERS"]
+
+
+def test_every_module_level_definition_is_used():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    scripts = {
+        f"{module}.{name}"
+        for module, name in re.findall(r'=\s*"gangle\.(\w+):(\w+)"', PYPROJECT.read_text())
+    }
+    assert scripts  # the console script entry was found
+    definers = {m: s for m, s in modules.items() if m != "__init__"}
+    assert unused_definitions(definers, gangle.__all__, scripts) == []

@@ -278,14 +278,53 @@ def _kernel_pairs(rng, backend, n=60):
         yield x, y
 
 
-@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0))
 def test_float_tau_equals_the_vector_route_exactly(p):
     rng = random.Random(int(p * 100))
     for x, y in _kernel_pairs(rng, "float"):
         if y.is_zero:
             continue
-        value, step = tau_float_by_vectors(x, y, p)
-        assert tau(x, y, LpSpace(p)) == TauPair(value, value, step), (x, y)
+        if p == 1:
+            ref = tau_l1_by_vectors(x, y)
+        else:
+            value, step = tau_float_by_vectors(x, y, p)
+            ref = TauPair(value, value, step)
+        assert tau(x, y, LpSpace(p)) == ref, (x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_l1_tau_equals_the_vector_route_across_magnitudes(data):
+    values = st.builds(
+        lambda m, e: m * 10.0 ** e,
+        st.integers(-99, 99).filter(bool).map(float),
+        st.integers(-300, 300),
+    )
+    vectors = st.dictionaries(st.integers(1, 8), values, min_size=1, max_size=6).map(SparseVector)
+    x, y = data.draw(vectors, "x"), data.draw(vectors, "y")
+    try:
+        ref = tau_l1_by_vectors(x, y)
+    except (NumericalRangeError, ZeroDivisionError):  # the latter when t* underflows to 0
+        ref = None
+    if ref is not None and math.isfinite(ref.tau_plus) and math.isfinite(ref.tau_minus):
+        assert repr(tau(x, y, L1)) == repr(ref)
+    else:  # where the vector route overflows, float l1 tau raises
+        with pytest.raises(NumericalRangeError):
+            tau(x, y, L1)
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ({1: 1e300}, {1: 1e-300, 2: 1.0}),  # t* = inf
+        ({1: 1e308}, {1: 1.0, 2: 1e308}),  # t* * y_2 = inf
+        ({1: 1e-300}, {1: 1e300}),  # t* underflows to 0
+    ],
+    ids=["tstar-inf", "step-inf", "tstar-zero"],
+)
+def test_float_l1_tau_beyond_the_float_range_raises_numerical_range_error(x, y):
+    with pytest.raises(NumericalRangeError):
+        tau(SparseVector(x), SparseVector(y), L1)
 
 
 @pytest.mark.parametrize("backend,ps", [("exact", (1, 2)), ("float", (1.0, 1.5, 2.0, 3.0))])

@@ -213,6 +213,11 @@ def test_to_float_drops_underflow():
     assert SparseVector({1: Fraction(1, 10 ** 400)}).to_float().backend is None
 
 
+def test_to_float_beyond_the_float_range_raises_numerical_range_error():
+    with pytest.raises(NumericalRangeError):
+        SparseVector({1: Fraction(10 ** 400), 2: Fraction(1)}).to_float()
+
+
 # -- norms ------------------------------------------------------------------
 
 
