@@ -1,3 +1,3 @@
-from .cli import entry
+from .cli import main
 
-entry()
+raise SystemExit(main())

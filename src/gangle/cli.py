@@ -39,7 +39,7 @@ from .errors import (
     ProblemFileError,
     ZeroVectorError,
 )
-from .gram import Subspace, left_orthonormalize, project
+from .gram import Subspace, certifies_independence, left_orthonormalize, project
 from .semi_inner import g, g_from_norm, tau
 from .vectors import LpSpace, OracleSpace, Space, SparseVector
 
@@ -190,9 +190,12 @@ def _get(mapping, kind, name):
 
 
 # -- commands ---------------------------------------------------------------
+#
+# Each handler returns (outputs, warnings, exit status); main wraps them in
+# the report.
 
 
-def cmd_g(problem: Problem, x_name: str, y_name: str) -> dict:
+def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
     x = _get(problem.vectors, "vector", x_name)
     y = _get(problem.vectors, "vector", y_name)
     space = problem.space
@@ -208,21 +211,17 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> dict:
     if isinstance(space, LpSpace):
         cross = g_from_norm(x.to_float(), y.to_float(), space)
         delta = abs(float(gxy) - float(cross))
-    return {
-        "command": f"g {x_name} {y_name}",
-        "outputs": {
-            "g_xy": _scalar_out(gxy),
-            "g_yx": _scalar_out(gyx),
-            "tau_plus": _scalar_out(pair.tau_plus),
-            "tau_minus": _scalar_out(pair.tau_minus),
-            "definition_crosscheck_delta": delta,
-        },
-        "warnings": warnings,
-        "status": EXIT_OK,
+    outputs = {
+        "g_xy": _scalar_out(gxy),
+        "g_yx": _scalar_out(gyx),
+        "tau_plus": _scalar_out(pair.tau_plus),
+        "tau_minus": _scalar_out(pair.tau_minus),
+        "definition_crosscheck_delta": delta,
     }
+    return outputs, warnings, EXIT_OK
 
 
-def cmd_angle(problem: Problem, u_name: str, v_name: str) -> dict:
+def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
     U = _get(problem.subspaces, "subspace", u_name)
     V = _get(problem.subspaces, "subspace", v_name)
     warnings = []
@@ -264,73 +263,51 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> dict:
             "path": result.path,
         }
     )
-    return {
-        "command": f"angle {u_name} {v_name}",
-        "outputs": outputs,
-        "warnings": warnings,
-        "status": EXIT_OK,
-    }
+    return outputs, warnings, EXIT_OK
 
 
-def cmd_project(problem: Problem, y_name: str, s_name: str) -> dict:
+def cmd_project(problem: Problem, y_name: str, s_name: str) -> tuple:
     y = _get(problem.vectors, "vector", y_name)
     S = _get(problem.subspaces, "subspace", s_name)
     pr = project(y, S)
     residual_checks = [_scalar_out(g(xi, pr.residual, problem.space)) for xi in S.basis]
-    return {
-        "command": f"project {y_name} {s_name}",
-        "outputs": {
-            "coefficients": [_scalar_out(c) for c in pr.coefficients],
-            "projected": _vector_out(pr.projected),
-            "residual": _vector_out(pr.residual),
-            "residual_orthogonality": residual_checks,
-        },
-        "warnings": [],
-        "status": EXIT_OK,
+    outputs = {
+        "coefficients": [_scalar_out(c) for c in pr.coefficients],
+        "projected": _vector_out(pr.projected),
+        "residual": _vector_out(pr.residual),
+        "residual_orthogonality": residual_checks,
     }
+    return outputs, [], EXIT_OK
 
 
-def cmd_orthonormalize(problem: Problem, s_name: str) -> dict:
+def cmd_orthonormalize(problem: Problem, s_name: str) -> tuple:
     S = _get(problem.subspaces, "subspace", s_name)
     out = left_orthonormalize(S.basis, problem.space)
-    return {
-        "command": f"orthonormalize {s_name}",
-        "outputs": {"vectors": [_vector_out(v) for v in out]},
-        "warnings": [],
-        "status": EXIT_OK,
-    }
+    return {"vectors": [_vector_out(v) for v in out]}, [], EXIT_OK
 
 
-def cmd_gram(problem: Problem, s_name: str) -> dict:
+def cmd_gram(problem: Problem, s_name: str) -> tuple:
     S = _get(problem.subspaces, "subspace", s_name)
     data = S.gram()
-    degenerate = data.is_degenerate
-    return {
-        "command": f"gram {s_name}",
-        "outputs": {
-            "matrix": [[_scalar_out(e) for e in row] for row in data.matrix],
-            "det": _scalar_out(data.det),
-            "certifies_independence": not degenerate,
-        },
-        "warnings": ["Gram determinant is zero; projections onto this basis are undefined"]
-        if degenerate
-        else [],
-        "status": EXIT_DEGENERATE if degenerate else EXIT_OK,
+    independent = certifies_independence(data)
+    outputs = {
+        "matrix": [[_scalar_out(e) for e in row] for row in data.matrix],
+        "det": _scalar_out(data.det),
+        "certifies_independence": independent,
     }
+    if independent:
+        return outputs, [], EXIT_OK
+    warning = "Gram determinant is zero; projections onto this basis are undefined"
+    return outputs, [warning], EXIT_DEGENERATE
 
 
-def cmd_paper_check(strict: bool) -> dict:
+def cmd_paper_check(strict: bool) -> tuple:
     results = checks.run_checks()
     if strict:  # strict mode promotes every WARN to a failure
         results = [replace(r, status=checks.FAIL) if r.status == checks.WARN else r
                    for r in results]
     summary = checks.summarize(results)
-    return {
-        "command": "paper-check" + (" --strict" if strict else ""),
-        "outputs": {"checks": [asdict(r) for r in results], "summary": summary},
-        "warnings": [],
-        "status": summary["exit_status"],
-    }
+    return {"checks": [asdict(r) for r in results], "summary": summary}, [], summary["exit_status"]
 
 
 # -- text rendering ---------------------------------------------------------
@@ -402,21 +379,22 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler_name, positionals, _ = _COMMANDS[args.command]
     handler = globals()[handler_name]
+    names = [getattr(args, a) for a in positionals or ()]
     try:
         if positionals is None:
-            report = handler(strict=args.strict)
+            outputs, warnings, status = handler(strict=args.strict)
         else:
-            report = handler(load_problem(args.input), *(getattr(args, a) for a in positionals))
+            outputs, warnings, status = handler(load_problem(args.input), *names)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
+    if positionals is None and args.strict:
+        names.append("--strict")
+    command = " ".join([args.command, *names])
+    report = {"command": command, "outputs": outputs, "warnings": warnings, "status": status}
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         _print_report(report)
-    return report["status"]
-
-
-def entry() -> None:
-    raise SystemExit(main())
+    return status

@@ -222,11 +222,11 @@ def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
 
 def g_functional(x: SparseVector, space: Space):
     """The map y -> g(x, y) under ``space``, with x's share computed once: in
-    an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (|x|_1 and the
-    signs at p = 1, x's entries at p = 2).  A call sums y's entries on x's
-    support in index order, rounding as one :func:`g_explicit` call does; in
-    exact mode it sums the products as int numerators over int denominators
-    and builds one Fraction for the sum.
+    an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (x's entries,
+    and no norm, at p = 2).  A call sums y's entries on x's support in index
+    order, rounding as one :func:`g_explicit` call does; in exact mode it sums
+    the products as int numerators over int denominators and builds one
+    Fraction for the sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -247,9 +247,7 @@ def g_functional(x: SparseVector, space: Space):
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
     elif p == 2:
         factor, weights = None, dict(x.items())
-    elif p == 1:
-        factor, weights = lp_norm(x, 1), {i: sgn(v) for i, v in x}
-    else:
+    else:  # also at p = 1, where |x|^1.0 = |x| and |xi|^0.0 * sgn(xi) = +-1.0
         p = float(p)
         try:
             factor = lp_norm(x, p) ** (2.0 - p)
@@ -267,8 +265,6 @@ def g_functional(x: SparseVector, space: Space):
                 for i, v in y.items()
                 if (w := weights.get(i)) is not None
             )
-        elif p == 1:  # negating is cheaper than multiplying by a sign
-            s = sum((v if weights[i] > 0 else -v for i, v in y.items() if i in weights), zero)
         else:
             s = sum((weights[i] * v for i, v in y.items() if i in weights), zero)
         value = s if factor is None else factor * s

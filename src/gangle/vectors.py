@@ -324,15 +324,10 @@ def lp_norm(x: SparseVector, p) -> Coeff:
     :class:`~gangle.errors.NumericalRangeError`."""
     if x.is_zero:
         return _zero(x.backend)
-    exact = x.backend == EXACT
-    if not exact:
-        p = float(p)
-    if p == 1:
-        if exact:
+    if x.backend == EXACT:
+        if p == 1:
             return _exact_sum((abs(v.numerator), v.denominator) for _, v in x)
-        value = sum(abs(v) for _, v in x)
-    elif p == 2:
-        if exact:
+        if p == 2:
             root = exact_sqrt(_exact_sum((v.numerator ** 2, v.denominator ** 2) for _, v in x))
             if root is None:
                 raise BackendError(
@@ -340,10 +335,11 @@ def lp_norm(x: SparseVector, p) -> Coeff:
                     "or norm_sq for the exact squared norm"
                 )
             return root
-        value = math.sqrt(sum(v * v for _, v in x))
-    elif exact:
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
-    else:
+    p = float(p)
+    if p == 2:
+        value = math.sqrt(sum(v * v for _, v in x))
+    else:  # at p = 1 each |v| ** 1.0 and the sum ** 1.0 are exact
         try:
             value = sum(abs(v) ** p for _, v in x) ** (1.0 / p)
         except OverflowError:  # some |v|^p is beyond the float range
