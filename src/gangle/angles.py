@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConsistencyError, DegenerateSubspaceError, ZeroVectorError
+from .errors import ConsistencyError, DegenerateSubspaceError, NumericalRangeError, ZeroVectorError
 from .gram import Subspace, _unit_lower_gram, det, left_orthonormalize, project
 from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
@@ -75,6 +75,14 @@ def _clamp_unit(v, what: str = "cos^2"):
     return v
 
 
+def _nonzero_square(value):
+    """A squared norm of a nonzero vector, or a product of two: 0 only when
+    the float value underflowed, which raises NumericalRangeError."""
+    if value == 0:
+        raise NumericalRangeError("a squared norm of a nonzero vector underflows to 0")
+    return value
+
+
 def _subspace_angle(cos_sq) -> float:
     return math.acos(math.sqrt(float(cos_sq)))
 
@@ -89,7 +97,7 @@ def vector_angle(x: SparseVector, y: SparseVector, space: Space) -> AngleResult:
     gyx = g(y, x, space)
     nsx = norm_sq(x, space)
     nsy = norm_sq(y, space)
-    cos = float(gyx) / math.sqrt(float(nsx) * float(nsy))
+    cos = float(gyx) / math.sqrt(_nonzero_square(float(nsx) * float(nsy)))
     if cos < -1.0 - _CLAMP_SLACK or cos > 1.0 + _CLAMP_SLACK:
         raise ConsistencyError(f"cosine {cos} falls outside [-1, 1] beyond round-off slack")
     cos = max(-1.0, min(1.0, cos))
@@ -106,7 +114,7 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     pr = project(u, V)
     u_v = pr.projected
-    nsu = norm_sq(u, V.space)
+    nsu = _nonzero_square(norm_sq(u, V.space))
     nsuv = None if u_v.is_zero else norm_sq(u_v, V.space)
     if u_v.is_zero or (isinstance(nsu, float) and nsuv <= 1e-24 * nsu):
         zero = nsu * 0
@@ -114,7 +122,7 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
             zero, math.pi / 2, PATH_LINE_PROJECTION, cos_sq_ratio=zero, ratio_gap=0.0
         )
     guvu = g(u_v, u, V.space)
-    primary = _clamp_unit(guvu * guvu / (nsu * nsuv))
+    primary = _clamp_unit(guvu * guvu / _nonzero_square(nsu * nsuv))
     ratio = nsuv / nsu  # can exceed 1 when |u_V| > |u|; reported, not clamped
     return AngleResult(
         primary,
@@ -161,7 +169,7 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):
         total += abs(det(lead + [[v.get(j) for v in starred] + [0]])) ** p
-    nsu = norm_sq(u, space)
+    nsu = _nonzero_square(norm_sq(u, space))
     if isinstance(nsu, float):
         return total ** (2.0 / float(p)) / nsu
     return (total * total if p == 1 else total) / nsu
@@ -204,13 +212,11 @@ def angle_plane_subspace(U: Subspace, V: Subspace) -> AngleResult:
         raise ValueError("V must have dimension at least 2")
     space = V.space
     u1, u2 = U.basis
-    lam = lambda_functional(u1, u2, space)
-    base_sq = lam.value_sq
-    if base_sq == 0 or (
-        isinstance(base_sq, float)
-        and base_sq
-        <= _CLAMP_SLACK * float(norm_sq(u1, space)) * float(norm_sq(u2, space))
-    ):
+    base_sq = lambda_functional(u1, u2, space).value_sq
+    if isinstance(base_sq, float):
+        ns1, ns2 = float(norm_sq(u1, space)), float(norm_sq(u2, space))
+        _nonzero_square(ns1 * ns2)
+    if base_sq == 0 or (isinstance(base_sq, float) and base_sq <= _CLAMP_SLACK * ns1 * ns2):
         raise DegenerateSubspaceError(
             "the spanning pair of U has zero area; the angle is undefined"
         )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import DegenerateSubspaceError, DependenceError, ZeroVectorError
+from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
 from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, _zero, norm
 
@@ -164,6 +164,8 @@ def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
         raise ZeroVectorError("basis vectors must be nonzero")
     maps = tuple(g_functional(xi, space) for xi in basis)
     matrix = tuple(tuple(map(g_x, basis)) for g_x in maps)
+    if any(row[i] == 0 for i, row in enumerate(matrix)):  # g(x, x) = |x|^2 underflowed
+        raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
     return _gram_data(matrix, _eliminate(matrix), maps)
 
 
@@ -294,8 +296,12 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         r = norm(residual, space)
-        if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
-            raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        if isinstance(r, float):
+            nx = float(norm(xk, space))
+            if nx == 0.0:
+                raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
+            if r <= 1e-12 * max(nx, 1e-300):
+                raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if triangular and 0 < k < len(basis) - 1:
             rows.append(list(map(g_functional(starred, space), out)))

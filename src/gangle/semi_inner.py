@@ -217,7 +217,10 @@ def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
     if x.is_zero:
         return _zero(y.backend)
     pair = tau(x, y, space)
-    return (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
+    value = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NumericalRangeError("g(x, y) overflows the float range")
+    return value
 
 
 def g_functional(x: SparseVector, space: Space):

@@ -4,14 +4,16 @@ cofactor-expansion determinant to check the elimination against, the
 elimination of the augmented matrix that the factored solve must reproduce
 bit for bit, the projection as the literal cofactor expansion of the bordered determinant, the
 straightforward forms of g and float tau that the linear-time kernels must
-reproduce exactly, l1 tau on the vectors x + t*y that both tau routes must
-reproduce, the exact sums and norms on Fraction objects that the integer
+reproduce exactly, float l1 norms and g by sum(abs(v)) and sign negation that
+the general lp formula must reproduce at p = 1, l1 tau and g on the vectors
+x + t*y that both tau routes must reproduce, the exact sums and norms on Fraction objects that the integer
 kernels must reproduce, the projection assembled by successive
 vector additions that the one-pass assembly must reproduce bit for bit, left
 g-orthonormalization by a fresh projection per step that the incremental one
 must reproduce, and the paper's explicit sum for cos^2 as a literal
 multi-index sum."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -23,6 +25,7 @@ from gangle import (
     DegenerateSubspaceError,
     DependenceError,
     LpSpace,
+    NumericalRangeError,
     SparseVector,
     Subspace,
     TauPair,
@@ -232,19 +235,48 @@ def norm_sq_by_fractions(x):
     return sum((v * v for _, v in x), Fraction(0))
 
 
+def l1_norm_by_abs(x):
+    """Float l1 norm as sum(abs(v)); a sum beyond the float range raises
+    NumericalRangeError."""
+    value = sum(abs(v) for _, v in x)
+    if value == math.inf:
+        raise NumericalRangeError("the 1-norm of this vector overflows the float range")
+    return value
+
+
+def g_l1_by_signs(x, y):
+    """Float l1 g as |x|_1 times the sum of y's entries on x's support, each
+    negated where x_i < 0; a value beyond the float range raises
+    NumericalRangeError."""
+    if x.is_zero:
+        return 0.0
+    xs = dict(x.items())
+    value = l1_norm_by_abs(x) * sum((v if xs[i] > 0 else -v for i, v in y if i in xs), 0.0)
+    if not math.isfinite(value):
+        raise NumericalRangeError("g(x, y) overflows the float range")
+    return value
+
+
 def tau_l1_by_vectors(x, y):
     """l1 tau pair by its quotients at t = +-t* on the vectors x + t*y, with
     t* = min |xi|/|yi| / 2 over the shared support, or 1 without one.  Exact
-    pairs are summed on Fraction objects; float pairs take the float
-    ``lp_norm`` and ``add``/``scale``, the vector route float tau replaces."""
-    n1 = lp_norm_by_fractions if x.backend == "exact" else lp_norm
+    pairs are summed on Fraction objects; float pairs take ``l1_norm_by_abs``
+    and ``add``/``scale``, the vector route float tau replaces."""
+    n1 = (lambda v: lp_norm_by_fractions(v, 1)) if x.backend == "exact" else l1_norm_by_abs
     ys = dict(y.items())
     shared = [(xi, ys[i]) for i, xi in x if i in ys]
     tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else 1
-    n0 = n1(x, 1)
-    plus = (n1(x.add(y.scale(tstar)), 1) - n0) / tstar
-    minus = (n1(x.add(y.scale(-tstar)), 1) - n0) / (-tstar)
+    n0 = n1(x)
+    plus = (n1(x.add(y.scale(tstar))) - n0) / tstar
+    minus = (n1(x.add(y.scale(-tstar))) - n0) / (-tstar)
     return TauPair(plus, minus, 0)
+
+
+def g_from_norm_l1_by_vectors(x, y):
+    """Float l1 g by its definition from ``tau_l1_by_vectors`` and
+    ``l1_norm_by_abs``, in the operation order of ``g_from_norm``."""
+    pair = tau_l1_by_vectors(x, y)
+    return (pair.tau_plus + pair.tau_minus) / 2 * l1_norm_by_abs(x)
 
 
 def g_explicit_by_get(x, y, p):

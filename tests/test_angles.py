@@ -9,6 +9,7 @@ from gangle import (
     BackendError,
     ConsistencyError,
     DegenerateSubspaceError,
+    DependenceError,
     GAngleError,
     LpSpace,
     NumericalRangeError,
@@ -416,3 +417,43 @@ def test_angles_whose_squared_norms_overflow_raise_numerical_range_error():
         angle_line_subspace(big, Subspace([sv([1.0, 1.0])], space))
     with pytest.raises(NumericalRangeError):
         lambda_functional(big, SparseVector({2: 1.0}), space)
+
+
+
+def _span(*rows, space=L2_FLOAT):
+    return Subspace([sv(list(r)) for r in rows], space)
+
+
+TINY_U = sv([1e-200, 3e-200])  # |u|^2 = 1e-399 underflows; exact cos^2 onto (1, 2) is 49/50
+
+
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (lambda: angle_line_subspace(TINY_U, _span((1.0, 2.0))), NumericalRangeError),
+        (lambda: angle_line_subspace(TINY_U, _span((1.0, 2.0), space=LpSpace(1.5))), NumericalRangeError),
+        (lambda: cos_sq_explicit_sum(TINY_U, _span((1.0, 2.0))), NumericalRangeError),
+        (lambda: vector_angle(sv([1e-200, 1e-200]), sv([1e-200, 0.0]), L2_FLOAT), NumericalRangeError),
+        (lambda: project(sv([1.0, 2.0]), _span((1e-200, 1e-200))), NumericalRangeError),
+        (lambda: left_orthonormalize([sv([1e-200, 1e-200]), sv([1.0, 2.0])], L2_FLOAT), NumericalRangeError),
+        (
+            lambda: angle_plane_subspace(
+                _span((1e-200, 0.0, 0.0), (0.0, 1e-200, 0.0)), _span((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+            ),
+            NumericalRangeError,
+        ),
+        # a projection whose squared norm underflows gives a right angle, not an error
+        (lambda: angle_line_subspace(sv([1e-170, 1.0]), _span((1.0,))).angle_rad, math.pi / 2),
+        (lambda: left_orthonormalize([sv([1.0, 2.0]), sv([2.0, 4.0])], L2_FLOAT), DependenceError),
+    ],
+    ids=[
+        "line-l2", "line-p1.5", "explicit-sum", "vector", "project", "orthonormalize", "plane",
+        "near-orthogonal-line", "dependent-pair",
+    ],
+)
+def test_float_underflow_raises_numerical_range_error(compute, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            compute()
+    else:
+        assert compute() == expected

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,6 +24,7 @@ from gangle import (
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = PKG_ROOT / "problems"
+PYPROJECT = PKG_ROOT / "pyproject.toml"
 
 
 def run_cli(*args, expect=0):
@@ -343,3 +346,55 @@ def test_paper_check_strict_fails():
     statuses = {row["status"] for row in report["outputs"]["checks"]}
     assert "FAIL" in statuses
     assert report["outputs"]["summary"]["fail"] == 2
+
+
+# -- the report contract ----------------------------------------------------
+
+
+def _contract_problem(tmp_path, mode, p):
+    path = tmp_path / f"contract_{mode}.json"
+    path.write_text(json.dumps({
+        "p": p,
+        "mode": mode,
+        "vectors": {"x": [1, 2, 0], "y": [0, 1, 3], "z": [1, 0, 1]},
+        "subspaces": {"U": ["y"], "V": ["x", "z"], "S": ["x", "z"]},
+    }))
+    return str(path)
+
+
+# Every file-reading subcommand names its positionals after the vectors and
+# subspaces of the contract problem, so they double as its arguments.
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("mode, p", [("exact", 1), ("float", 1.5)])
+def test_json_report_keys_and_command(tmp_path, capsys, name, mode, p):
+    positionals = cli._COMMANDS[name][1]
+    if positionals is None:
+        runs = [([], name), (["--strict"], name + " --strict")]
+    else:
+        runs = [(["-i", _contract_problem(tmp_path, mode, p), *positionals], " ".join((name, *positionals)))]
+    for args, command in runs:
+        status = cli.main([name, *args, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["command", "outputs", "warnings", "status"]
+        assert report["command"] == command
+        assert report["status"] == status == (1 if "--strict" in args else 0)
+        assert cli.main([name, *args]) == status
+        assert capsys.readouterr().out.startswith(f"# {command}\n")
+
+
+def _console_script():
+    """The object the console script named in pyproject.toml calls."""
+    [(module, attr)] = re.findall(r'^gangle\s*=\s*"([\w.]+):(\w+)"', PYPROJECT.read_text(), re.M)
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["paper-check", "--strict"], 1), (["gram", "-i", problem("gram_degenerate_l1.json"), "S"], 3)],
+    ids=["paper-check-strict", "gram-degenerate"],
+)
+def test_console_script_exit_status(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["gangle", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        sys.exit(_console_script()())
+    assert exit_info.value.code == code

@@ -27,6 +27,9 @@ from gangle.semi_inner import g_functional
 
 from support import (
     g_explicit_by_get,
+    g_from_norm_l1_by_vectors,
+    g_l1_by_signs,
+    l1_norm_by_abs,
     lp_norm_by_fractions,
     norm_sq_by_fractions,
     rand_exact_vector,
@@ -325,6 +328,49 @@ def test_float_l1_tau_equals_the_vector_route_across_magnitudes(data):
 def test_float_l1_tau_beyond_the_float_range_raises_numerical_range_error(x, y):
     with pytest.raises(NumericalRangeError):
         tau(SparseVector(x), SparseVector(y), L1)
+
+
+OVERFLOW = "overflow"
+
+
+def _reference_outcome(f, *args):
+    """repr of f(*args), or OVERFLOW where it raises NumericalRangeError or
+    ZeroDivisionError (an l1 t* that underflows to 0) or is not finite."""
+    try:
+        value = f(*args)
+    except (NumericalRangeError, ZeroDivisionError):
+        return OVERFLOW
+    parts = (value.tau_plus, value.tau_minus) if isinstance(value, TauPair) else (value,)
+    return repr(value) if all(map(math.isfinite, parts)) else OVERFLOW
+
+
+def _library_outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except NumericalRangeError:
+        return OVERFLOW
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float_l1_equals_the_sign_and_abs_routes_across_magnitudes(data):
+    values = st.builds(
+        lambda sign, m, e: sign * m * 10.0 ** e,
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(1.0, 9.99),
+        st.integers(-320, 307),
+    )
+    vectors = st.dictionaries(st.integers(1, 8), values, min_size=1, max_size=6).map(SparseVector)
+    x, y = data.draw(vectors, "x"), data.draw(vectors, "y")
+    pairs = [
+        (lambda: lp_norm(x, 1), lambda: l1_norm_by_abs(x)),
+        (lambda: g(x, y, L1), lambda: g_l1_by_signs(x, y)),
+        (lambda: g(y, x, L1), lambda: g_l1_by_signs(y, x)),
+        (lambda: tau(x, y, L1), lambda: tau_l1_by_vectors(x, y)),
+        (lambda: g_from_norm(x, y, L1), lambda: g_from_norm_l1_by_vectors(x, y)),
+    ]
+    for library, reference in pairs:
+        assert _library_outcome(library) == _reference_outcome(reference), (x, y)
 
 
 @pytest.mark.parametrize("backend,ps", [("exact", (1, 2)), ("float", (1.0, 1.5, 2.0, 3.0))])
