@@ -77,9 +77,10 @@ def _clamp_unit(v, what: str = "cos^2"):
 
 def _nonzero_square(value):
     """A squared norm of a nonzero vector, or a product of two: 0 only when
-    the float value underflowed, which raises NumericalRangeError."""
-    if value == 0:
-        raise NumericalRangeError("a squared norm of a nonzero vector underflows to 0")
+    the float value underflowed and inf only when it overflowed, each of
+    which raises NumericalRangeError."""
+    if value == 0 or value == math.inf:
+        raise NumericalRangeError("a squared norm, or a product of two, leaves the float range")
     return value
 
 
@@ -97,11 +98,19 @@ def vector_angle(x: SparseVector, y: SparseVector, space: Space) -> AngleResult:
     gyx = g(y, x, space)
     nsx = norm_sq(x, space)
     nsy = norm_sq(y, space)
-    cos = float(gyx) / math.sqrt(_nonzero_square(float(nsx) * float(nsy)))
-    if cos < -1.0 - _CLAMP_SLACK or cos > 1.0 + _CLAMP_SLACK:
-        raise ConsistencyError(f"cosine {cos} falls outside [-1, 1] beyond round-off slack")
-    cos = max(-1.0, min(1.0, cos))
+    try:
+        scale = float(nsx) * float(nsy)
+    except OverflowError:  # an exact squared norm beyond the float range
+        scale = math.inf
+    cos = None
+    if isinstance(nsx, float) or 0.0 < scale < math.inf:
+        cos = float(gyx) / math.sqrt(_nonzero_square(scale))
+        if cos < -1.0 - _CLAMP_SLACK or cos > 1.0 + _CLAMP_SLACK:
+            raise ConsistencyError(f"cosine {cos} falls outside [-1, 1] beyond round-off slack")
+        cos = max(-1.0, min(1.0, cos))
     cos_sq = _clamp_unit(gyx * gyx / (nsx * nsy))
+    if cos is None:  # exact norms whose float product leaves the float range
+        cos = math.copysign(math.sqrt(cos_sq), -1 if gyx < 0 else 1)
     return AngleResult(cos_sq, math.acos(cos), PATH_VECTOR, cos=cos)
 
 

@@ -11,6 +11,9 @@ A Gram matrix is eliminated once: the factors give its determinant and then
 solve each right-hand side by forward and back substitution, O(n^2), and the
 Gram data keeps them with the maps y -> g(x_i, y) its rows came from, so a
 projection onto a subspace whose Gram data is built prepares no basis vector.
+Exact factors are integer Bareiss arrays with row scales: elimination and
+solves run on ints, and only the determinant, each coefficient and each
+coordinate of y_S become a Fraction.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -31,6 +34,7 @@ computed at every step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
@@ -46,57 +50,97 @@ REL_SINGULAR = 1e-10
 
 class _Factors(NamedTuple):
     """P·A = L·U from one elimination of a square A.  Row k of ``lu`` is row
-    ``order[k]`` of A reduced: the multipliers of the unit lower L below the
-    diagonal, U on and above it.  ``sign`` is the sign of the row order, or 0
-    when a pivot column is zero (A is singular; ``lu`` is only partly
-    reduced).  ``unit_upper`` marks a U known to be the identity, which
-    leaves a solve with the forward substitution alone."""
+    ``order[k]`` of A reduced: the multipliers of L below the diagonal, U on
+    and above it.  ``sign`` is the sign of the row order, or 0 when a pivot
+    column is zero (A is singular; ``lu`` is only partly reduced).
+    ``unit_upper`` marks a U known to be the identity, which leaves a solve
+    with the forward substitution alone.  Exact factors are integer Bareiss
+    arrays of the rows of A times ``scales``, the lcm of each row's
+    denominators: L is each step's column, not divided by its pivot, and the
+    last pivot is det(P·diag(scales)·A).  Float factors have no scales."""
 
     lu: Sequence[Sequence[Coeff]]
     order: Sequence[int]
     sign: int
     unit_upper: bool = False
+    scales: Sequence[int] = ()
 
 
 def _eliminate(rows: Sequence[Sequence[Coeff]]) -> _Factors:
-    """Factor a square matrix by Gaussian elimination with partial pivoting.
-    An int pivot becomes a Fraction, as ints are exact and int / int is a
-    float."""
+    """Factor a square matrix by Gaussian elimination: with partial pivoting
+    when it has a float entry, else fraction-free on its scaled int rows,
+    where any nonzero pivot gives the same rationals and the first is taken."""
     n = len(rows)
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     order = list(range(n))
-    sign = 1
+    sign, prev, scales = 1, 1, ()
+    exact = not any(isinstance(v, float) for r in a for v in r)
+    if exact:
+        scales = [math.lcm(*(v.denominator for v in r)) for r in a]
+        a = [[v.numerator * (s // v.denominator) for v in r] for s, r in zip(scales, a)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            return _Factors(a, order, 0)
+        if exact:
+            pivot = next((r for r in range(col, n) if a[r][col]), col)
+        else:
+            pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:  # det is 0, of rows[0][0]'s type if column 0 is zero
+            return _Factors(a, order, 0, scales=scales) if col else _Factors(rows, order, 0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             order[col], order[pivot] = order[pivot], order[col]
             sign = -sign
-        if isinstance(a[col][col], int):
-            a[col][col] = Fraction(a[col][col])
         head, tail = a[col][col], a[col][col + 1 :]
         for row in a[col + 1 :]:
-            f = row[col] = row[col] / head
-            row[col + 1 :] = [v - f * w for v, w in zip(row[col + 1 :], tail)]
-    return _Factors(a, order, sign)
+            if exact:  # Bareiss: the division by the previous pivot is exact
+                f = row[col]
+                row[col + 1 :] = [(v * head - f * w) // prev for v, w in zip(row[col + 1 :], tail)]
+            else:
+                f = row[col] = row[col] / head
+                row[col + 1 :] = [v - f * w for v, w in zip(row[col + 1 :], tail)]
+        prev = head
+    return _Factors(a, order, sign, scales=scales)
 
 
 def _det(f: _Factors) -> Coeff:
+    if f.scales:
+        return Fraction(f.sign * f.lu[-1][-1], math.prod(f.scales))
     if f.sign == 0:
         return f.lu[0][0] * 0  # zero in the right backend
     return f.sign * math.prod(row[i] for i, row in enumerate(f.lu))
 
 
+def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> Tuple[list, int]:
+    """Solve A x = rhs from integer factors of A in ints: x_k = X_k / D, D > 0.
+    The right-hand side, times the row scales and the lcm m of its
+    denominators, goes through the elimination's recurrence and a
+    fraction-free back substitution: X_k is det(P·A') with column k replaced
+    by it, and D = det(P·A')·m, A' the scaled matrix."""
+    lu, n, scales = f.lu, len(f.lu), f.scales
+    m = math.lcm(*(v.denominator for v in rhs))
+    b = [scales[i] * rhs[i].numerator * (m // rhs[i].denominator) for i in f.order]
+    prev = 1
+    for k in range(n - 1):
+        head, bk = lu[k][k], b[k]
+        b[k + 1 :] = [(v * head - lu[i][k] * bk) // prev for i, v in enumerate(b[k + 1 :], k + 1)]
+        prev = head
+    last = lu[-1][-1]
+    for i in range(n - 1, -1, -1):
+        b[i] = (last * b[i] - sum(map(operator.mul, lu[i][i + 1 :], b[i + 1 :]))) // lu[i][i]
+    return (b, last * m) if last > 0 else ([-v for v in b], -last * m)
+
+
 def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
-    """Solve A x = rhs from the factors of A: L z = P·rhs forward, then
-    U x = z backward.  Each entry sees the subtractions, in the same order,
-    that eliminating the augmented matrix [A | rhs] would apply to it."""
+    """Solve A x = rhs from the factors of A: exact ones by :func:`_cramer`,
+    others by L z = P·rhs forward, then U x = z backward, where each entry
+    sees the subtractions, in the same order, that eliminating the augmented
+    matrix [A | rhs] would apply to it."""
     if not f.sign:
         raise DegenerateSubspaceError("singular linear system")
+    if f.scales:
+        nums, den = _cramer(f, rhs)
+        return [Fraction(v, den) for v in nums]
     lu, n = f.lu, len(f.lu)
     x = [rhs[i] for i in f.order]
     for i in range(1, n):
@@ -114,10 +158,9 @@ def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
 
 
 def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
-    """Determinant by Gaussian elimination with partial pivoting.
-
-    Works for Fraction and float entries alike (exact for Fractions and
-    ints)."""
+    """Determinant by Gaussian elimination: exact, on ints, for a matrix of
+    ints and Fractions; with partial pivoting for a matrix with a float
+    entry."""
     return _det(_eliminate(rows))
 
 
@@ -236,15 +279,33 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
         rhs = [g(xi, y, sub.space) for xi in sub.basis]
     else:
         rhs = [g_x(y) for g_x in data._maps]
-    coeffs = _substitute(data._factors, rhs)
-    # y_S in one pass: each coordinate adds its products c_k * x_k(i) in
-    # basis order, as successive x.add(x_k.scale(c_k)) would
-    acc = {}
-    for c, xk in zip(coeffs, sub.basis):
-        if c:
-            for i, v in xk.items():
-                acc[i] = acc[i] + c * v if i in acc else c * v
-    projected = SparseVector._checked(sorted(acc.items()), sub.basis[0].backend)
+    factors = data._factors
+    if factors.scales:
+        # c_k = X_k / D; y_S(i) = sum_k X_k * x_k(i) / D is kept as one
+        # running int pair (p, q), y_S(i) = p / (q * D): one Fraction each
+        nums, den = _cramer(factors, rhs)
+        coeffs = [Fraction(n, den) for n in nums]
+        acc = {}
+        for n, xk in zip(nums, sub.basis):
+            if n:
+                for i, v in xk.items():
+                    p, q = n * v.numerator, v.denominator
+                    if i in acc:
+                        P, Q = acc[i]
+                        p, q = (p + P, q) if q == Q else (p * Q + P * q, q * Q)
+                    acc[i] = (p, q)
+        entries = [(i, Fraction(p, q * den)) for i, (p, q) in acc.items()]
+    else:
+        coeffs = _substitute(factors, rhs)
+        # y_S in one pass: each coordinate adds its products c_k * x_k(i) in
+        # basis order, as successive x.add(x_k.scale(c_k)) would
+        acc = {}
+        for c, xk in zip(coeffs, sub.basis):
+            if c:
+                for i, v in xk.items():
+                    acc[i] = acc[i] + c * v if i in acc else c * v
+        entries = acc.items()
+    projected = SparseVector._checked(sorted(entries), sub.basis[0].backend)
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 

@@ -419,6 +419,28 @@ def test_angles_whose_squared_norms_overflow_raise_numerical_range_error():
         lambda_functional(big, SparseVector({2: 1.0}), space)
 
 
+@pytest.mark.parametrize("p", [2, 1.5, 1])
+def test_float_angles_whose_squared_norms_multiply_beyond_the_float_range_raise(p):
+    # each squared norm is finite, their product is not: no NaN cos^2
+    big = SparseVector({1: 1e150})
+    with pytest.raises(NumericalRangeError):
+        vector_angle(big, big, LpSpace(p))
+    with pytest.raises(NumericalRangeError):
+        angle_line_subspace(big, Subspace([big], LpSpace(p)))
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**200), Fraction(10**170)], ids=["tiny", "huge"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_vector_angle_at_any_magnitude(scale, sign):
+    # |x|^2 |y|^2 = 2 scale^4 leaves the float range; cos^2 = 1/2 exactly
+    x = SparseVector({1: scale, 2: scale})
+    y = SparseVector({1: sign * scale})
+    res = vector_angle(x, y, LpSpace(2))
+    assert res.cos_sq == Fraction(1, 2)
+    assert res.cos == sign * math.sqrt(0.5)
+    assert res.angle_rad == pytest.approx(math.pi / 4 if sign > 0 else 3 * math.pi / 4)
+
+
 
 def _span(*rows, space=L2_FLOAT):
     return Subspace([sv(list(r)) for r in rows], space)

@@ -1,11 +1,12 @@
 """Exact results of the benchmark workloads, pinned.
 
-One checked pass of each workload at seed 1 runs through ``bench/run.py``'s
-``set_up`` and ``run_pass``, imported as they are.  Every task must pass its
-check, and the digest of the exact tasks' results must equal the one below,
-so a kernel change that alters any exact result fails here, even where the
-task's own check would accept the new value.  Each pass runs in a fresh
-interpreter because ``set_up`` imports gangle afresh from ``src/``."""
+One checked pass of each workload at seeds 1, 2 and 3 runs through
+``bench/run.py``'s ``set_up`` and ``run_pass``, imported as they are.  Every
+task must pass its check, and the digest of the exact tasks' results must
+equal the one below, so a kernel change that alters any exact result fails
+here, even where the task's own check would accept the new value.  Each pass
+runs in a fresh interpreter because ``set_up`` imports gangle afresh from
+``src/``."""
 
 import json
 import subprocess
@@ -17,9 +18,15 @@ import pytest
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "deep-basis": "c7a03607f684b6680f0144a56445a21bbe20bc3a46df2d9a72c575f852379ed7",
-    "wide-sparse": "316564cb3d50abbcc8334551919e4084cfeb6b1d36e11b33f1736a0ddb4b94b1",
-    "cli-replay": "ed609ebcab389d596a46153fcb21c4f03e63696f661bc43af4ac4ce6e0ef0e12",
+    ("deep-basis", 1): "c7a03607f684b6680f0144a56445a21bbe20bc3a46df2d9a72c575f852379ed7",
+    ("deep-basis", 2): "21dee13a6b62a71380d58a7f902f9589c8506c40f682317910147df694b53d53",
+    ("deep-basis", 3): "30724cbcff09a0976e1b7a994928fb26f4422f87c2356adc91b68be733b73f5f",
+    ("wide-sparse", 1): "316564cb3d50abbcc8334551919e4084cfeb6b1d36e11b33f1736a0ddb4b94b1",
+    ("wide-sparse", 2): "7ac60f2c74e6e6192f2166c6b0da43e59a59dc48bbf951e8c8643dee04711271",
+    ("wide-sparse", 3): "1fcff102eb044e9ffae26e42e4f7ebba3e55dced020d323ed2f16fa98b827e93",
+    ("cli-replay", 1): "ed609ebcab389d596a46153fcb21c4f03e63696f661bc43af4ac4ce6e0ef0e12",
+    ("cli-replay", 2): "993d42dedf2d5dae23fdc70d3de0c57d6c6021d4d1f0955ac97d7f4b901f11d4",
+    ("cli-replay", 3): "59e56ce2a999851413d68f57758d0acd4fc98bd68e6bce4941a5b5aef26dd9ea",
 }
 
 ONE_PASS = """
@@ -28,16 +35,20 @@ from pathlib import Path
 sys.path.insert(0, "bench")
 import run
 with tempfile.TemporaryDirectory() as workdir:
-    G, deck = run.set_up(sys.argv[1], 1, Path(workdir))
+    G, deck = run.set_up(sys.argv[1], int(sys.argv[2]), Path(workdir))
     result = run.run_pass(G, deck)
 print(json.dumps({"failed": result.failed, "digest": result.digest}))
 """
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_one_pass_gives_the_pinned_exact_digest(workload):
+@pytest.mark.parametrize(
+    "workload,seed",
+    # seed 1 keeps the bare workload name as its id
+    [pytest.param(w, s, id=w if s == 1 else f"{w}-seed{s}") for w, s in sorted(DIGESTS)],
+)
+def test_one_pass_gives_the_pinned_exact_digest(workload, seed):
     proc = subprocess.run(
-        [sys.executable, "-c", ONE_PASS, workload],
+        [sys.executable, "-c", ONE_PASS, workload, str(seed)],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,
@@ -46,4 +57,4 @@ def test_one_pass_gives_the_pinned_exact_digest(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0, proc.stderr
-    assert result["digest"] == DIGESTS[workload]
+    assert result["digest"] == DIGESTS[workload, seed]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gangle import (
     DegenerateSubspaceError,
@@ -107,8 +107,36 @@ def systems(draw, entries):
     return rows, rhss
 
 
+def _combined(draw, rows, weights):
+    """``rows`` with one row replaced by a combination of the others drawn
+    from ``weights``: a singular matrix, or a dependent basis."""
+    r = draw(st.integers(0, len(rows) - 1))
+    ws = draw(st.lists(weights, min_size=len(rows), max_size=len(rows)))
+    combination = [
+        sum(w * row[c] for k, (w, row) in enumerate(zip(ws, rows)) if k != r)
+        for c in range(len(rows[0]))
+    ]
+    return rows[:r] + [combination] + rows[r + 1 :]
+
+
+@st.composite
+def wide_exact_systems(draw):
+    """Up to 8-by-8, all ints or Fractions of mixed denominators, and half
+    of them singular: one row a rational (or, for ints, integer) combination
+    of the others, so the type of a zero determinant is checked too."""
+    ints = draw(st.booleans())
+    entries = st.integers(-9, 9) if ints else st.fractions(-9, 9, max_denominator=12)
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        weights = st.integers(-3, 3) if ints else st.fractions(-3, 3, max_denominator=5)
+        rows = _combined(draw, rows, weights)
+    rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    return rows, rhss
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(systems(FLOATS), systems(EXACTS)))
+@given(st.one_of(systems(FLOATS), systems(EXACTS), wide_exact_systems()))
 def test_one_factorization_solves_like_the_augmented_elimination(system):
     rows, rhss = system
     factors = _eliminate(rows)
@@ -288,6 +316,35 @@ def test_bordered_determinant_cross_check():
             V = rand_subspace(rng, "exact", rng.randint(1, 3), space)
             y = rand_vector(rng, "exact", nonzero=False)
             assert project_bordered(y, V) == project(y, V).projected
+
+
+@st.composite
+def exact_projections(draw):
+    """An exact basis of 1 to 3 vectors of mixed denominators, sometimes with
+    one vector a rational combination of the others, and a vector y."""
+    entries = st.fractions(-4, 4, max_denominator=12)
+    n = draw(st.integers(1, 3))
+    dense = st.lists(entries, min_size=4, max_size=4)
+    rows = draw(st.lists(dense, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows = _combined(draw, rows, st.fractions(-3, 3, max_denominator=5))
+    basis = [sv(r) for r in rows]
+    assume(not any(v.is_zero for v in basis))
+    return Subspace(basis, LpSpace(draw(st.sampled_from([1, 2])))), sv(draw(dense))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_projections())
+def test_exact_project_matches_the_bordered_determinant(case):
+    V, y = case
+
+    def projected(solver):
+        try:
+            return solver(y, V)
+        except DegenerateSubspaceError:
+            return "degenerate"
+
+    assert projected(lambda y, V: project(y, V).projected) == projected(project_bordered)
 
 
 def test_projection_basis_invariance_holds_for_p2():

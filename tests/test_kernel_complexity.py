@@ -20,7 +20,11 @@ The exact kernels sum int numerators over shared denominators: on the
 nnz-4096 exact pair, g (p = 1, 2), the 1-norm, the squared 2-norm and l1
 ``g_from_norm`` each build a few Fraction objects, not one or more per
 entry.  ``project`` builds y_S in one pass: two vectors per call, y_S and
-the residual."""
+the residual.
+
+Exact Gram algebra is fraction-free: eliminating an integer d-by-d matrix
+builds no Fraction, its determinant one and a solve d, one per unknown, and
+``project`` assembles y_S with one Fraction per coordinate."""
 
 import random
 import sys
@@ -339,3 +343,43 @@ def test_explicit_sum_takes_t_times_t_plus_one_over_two_g_calls(g_calls, backend
         "angles": t * (t + 1) // 2,
     }
     assert g_calls["prepared"] == _orthonormalize_preparations(t) + t
+
+
+def _int_matrix(d):
+    """A nonsingular d-by-d int matrix: small entries, dominant diagonal."""
+    rng = random.Random(d)
+    return [[rng.randint(-9, 9) + (50 if i == k else 0) for k in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_exact_elimination_determinant_and_solve_build_o_of_d_fractions(fractions_built, d):
+    gram_module = sys.modules["gangle.gram"]
+    factors = gram_module._eliminate(_int_matrix(d))
+    assert fractions_built[0] == 0
+    gram_module._det(factors)
+    assert fractions_built[0] == 1
+    fractions_built[0] = 0
+    gram_module._substitute(factors, list(range(1, d + 1)))
+    assert fractions_built[0] == d
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built, d):
+    """Of the Fractions ``project`` builds, those of its right-hand side, its
+    solve and its residual are counted on their own; the rest assemble y_S."""
+    gram_module = sys.modules["gangle.gram"]
+    V = Subspace(_triangular_basis(d, "exact"), LpSpace(1))
+    data = V.gram()
+    y = _triangular_basis(d + 3, "exact")[0]
+
+    def built(compute):
+        fractions_built[0] = 0
+        value = compute()
+        return value, fractions_built[0]
+
+    rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
+    _, solve_count = built(lambda: gram_module._substitute(data._factors, rhs))
+    proj, project_count = built(lambda: project(y, V))
+    _, residual_count = built(lambda: y.sub(proj.projected))
+    assert solve_count == d
+    assert project_count - rhs_count - solve_count - residual_count == len(proj.projected.items())
