@@ -143,14 +143,32 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
-    exact = join_backends(x.backend, y.backend) != FLOAT
+    backend = join_backends(x.backend, y.backend)
+    exact = backend != FLOAT
+    # x + t*y in one pass per step: the index-sorted entries of x and of y
+    # off supp x are merged once, keeping x's own entry tuples, and a step
+    # replaces only the entries on supp y, at positions ks, by a + t*b (t*b
+    # off supp x), the values and the overflow check of x.add(y.scale(t)).
+    # Parallel lists, and no dict kept over the steps, hold the peak memory
+    # of a step to that of the vector route.
+    xs, ys = dict(x.items()), dict(y.items())
+    base = sorted(x.items() + tuple(e for e in y.items() if e[0] not in xs))
+    ks = [k for k, (i, _) in enumerate(base) if i in ys]
+    xa = [xs.get(i) for i, _ in y.items()]
+    del xs, ys
+
+    def at(t):
+        entries = base.copy()
+        for k, (i, b), a in zip(ks, y.items(), xa):
+            entries[k] = (i, t * b if a is None else a + t * b)
+        return SparseVector._checked(entries, backend)
 
     def one_sided(sign: int):
         prev = None
         q = None
         for k in _ORACLE_K_RANGE:
             t = (Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k)
-            q = (norm(x.add(y.scale(t)), space) - n0) / t
+            q = (norm(at(t), space) - n0) / t
             if prev is not None and abs(q - prev) < tol:
                 return q, abs(t)
             prev = q

@@ -6,12 +6,13 @@ bit for bit, the projection as the literal cofactor expansion of the bordered de
 straightforward forms of g and float tau that the linear-time kernels must
 reproduce exactly, float l1 norms and g by sum(abs(v)) and sign negation that
 the general lp formula must reproduce at p = 1, l1 tau and g on the vectors
-x + t*y that both tau routes must reproduce, the exact sums and norms on Fraction objects that the integer
-kernels must reproduce, the projection assembled by successive
-vector additions that the one-pass assembly must reproduce bit for bit, left
-g-orthonormalization by a fresh projection per step that the incremental one
-must reproduce, and the paper's explicit sum for cos^2 as a literal
-multi-index sum."""
+x + t*y that both tau routes must reproduce, oracle tau on the vectors
+x + t*y that the one-pass step vectors must reproduce, the exact sums and
+norms on Fraction objects that the integer kernels must reproduce, the
+projection assembled by successive vector additions that the one-pass
+assembly must reproduce bit for bit, left g-orthonormalization by a fresh
+projection per step that the incremental one must reproduce, and the paper's
+explicit sum for cos^2 as a literal multi-index sum."""
 
 import math
 from fractions import Fraction
@@ -24,6 +25,7 @@ from gangle import (
     BackendError,
     DegenerateSubspaceError,
     DependenceError,
+    EstimationFailureError,
     LpSpace,
     NumericalRangeError,
     SparseVector,
@@ -38,7 +40,7 @@ from gangle import (
     sgn,
 )
 from gangle.gram import _eliminate, _substitute, det
-from gangle.semi_inner import _tau_central
+from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _tau_central
 from gangle.vectors import exact_sqrt
 
 MAX_INDEX = 6
@@ -299,6 +301,32 @@ def tau_float_by_vectors(x, y, p):
     vector ``x.add(y.scale(t))`` at every step."""
     p = float(p)
     return _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(lp_norm(y, p)))
+
+
+def tau_oracle_by_vectors(x, y, space):
+    """Oracle tau with |x + t*y| evaluated on the vector ``x.add(y.scale(t))``
+    at every step, the route the one-pass step vectors replace, with the
+    library's step schedule, stopping rule and errors."""
+    n0 = norm(x, space)
+    tol = _ORACLE_REL_TOL * max(float(norm(y, space)), 1e-300)
+    exact = "float" not in (x.backend, y.backend)
+
+    def one_sided(sign):
+        prev = q = None
+        for k in _ORACLE_K_RANGE:
+            t = Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k
+            q = (norm(x.add(y.scale(t)), space) - n0) / t
+            if prev is not None and abs(q - prev) < tol:
+                return q, abs(t)
+            prev = q
+        raise EstimationFailureError(
+            f"one-sided quotient for norm oracle {space.name!r} did not stabilize to {tol:g}",
+            last_two=(prev, q),
+        )
+
+    plus, step_p = one_sided(+1)
+    minus, step_m = one_sided(-1)
+    return TauPair(plus, minus, max(step_p, step_m))
 
 
 def left_orthonormalize_by_projection(basis, space):

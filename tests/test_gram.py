@@ -514,6 +514,35 @@ def test_orthonormalize_equals_projection_per_step_exactly(backend, p):
         )
 
 
+def _deep_l1_bases(rng):
+    """Exact bases of d = 8, 12 and 16 vectors of 8 to 32 entries in 4d
+    coordinates, up to 64, with denominators 1 to 4, so that the int-pair
+    assembly of y_S adds terms over different denominators; and a basis of
+    16 whose last vector is a combination of two before it."""
+
+    def vec(width):
+        return SparseVector(
+            (i, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+            for i in rng.sample(range(1, width + 1), rng.randint(8, min(32, width)))
+        )
+
+    for d in (8, 12, 16):
+        yield [vec(4 * d) for _ in range(d)]
+    basis = [vec(64) for _ in range(15)]
+    yield basis + [basis[3].add(basis[9].scale(Fraction(-2, 3)))]
+
+
+def test_orthonormalize_equals_projection_per_step_exactly_at_deep_basis_sizes():
+    outcomes = [
+        (_outcome(left_orthonormalize, basis, L1), _outcome(left_orthonormalize_by_projection, basis, L1))
+        for basis in _deep_l1_bases(random.Random("incremental-deep-l1"))
+    ]
+    assert [len(ours) for ours, _ in outcomes[:3]] == [8, 12, 16]
+    assert outcomes[3][0] == (DependenceError, "vector 16 lies in the span of its predecessors")
+    for ours, ref in outcomes:
+        assert ours == ref
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_orthonormalize_agrees_with_projection_per_step_in_float(p):
     rng = random.Random(f"incremental-float-{p}")

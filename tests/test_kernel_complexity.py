@@ -24,7 +24,9 @@ the residual.
 
 Exact Gram algebra is fraction-free: eliminating an integer d-by-d matrix
 builds no Fraction, its determinant one and a solve d, one per unknown, and
-``project`` assembles y_S with one Fraction per coordinate."""
+``project`` assembles y_S with one Fraction per coordinate, onto eliminated
+Gram data as onto the unit lower-triangular Gram data of a left
+g-orthonormal basis."""
 
 import random
 import sys
@@ -38,6 +40,7 @@ from gangle import (
     Subspace,
     angle_plane_subspace,
     cos_sq_explicit_sum,
+    g,
     g_explicit,
     g_from_norm,
     gram,
@@ -363,13 +366,25 @@ def test_exact_elimination_determinant_and_solve_build_o_of_d_fractions(fraction
     assert fractions_built[0] == d
 
 
+def _orthonormal_subspace(d):
+    """The subspace of a left g-orthonormal exact l1 basis of d vectors with
+    its unit lower-triangular Gram data, as ``left_orthonormalize`` projects
+    onto it: no maps, and a solve by forward substitution."""
+    gram_module = sys.modules["gangle.gram"]
+    starred = left_orthonormalize(_triangular_basis(d, "exact"), LpSpace(1))
+    V = Subspace(starred, LpSpace(1))
+    rows = [[g(xk, xj, V.space) for xj in starred[:k]] for k, xk in enumerate(starred)]
+    V._gram = gram_module._unit_lower_gram(rows, "exact")
+    return V
+
+
 @pytest.mark.parametrize("d", [4, 8, 16])
 def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built, d):
     """Of the Fractions ``project`` builds, those of its right-hand side, its
-    solve and its residual are counted on their own; the rest assemble y_S."""
+    solve and its residual are counted on their own; the rest assemble y_S,
+    onto eliminated Gram data as onto the starred basis of a left
+    g-orthonormalization."""
     gram_module = sys.modules["gangle.gram"]
-    V = Subspace(_triangular_basis(d, "exact"), LpSpace(1))
-    data = V.gram()
     y = _triangular_basis(d + 3, "exact")[0]
 
     def built(compute):
@@ -377,9 +392,15 @@ def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built
         value = compute()
         return value, fractions_built[0]
 
-    rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
-    _, solve_count = built(lambda: gram_module._substitute(data._factors, rhs))
-    proj, project_count = built(lambda: project(y, V))
-    _, residual_count = built(lambda: y.sub(proj.projected))
-    assert solve_count == d
-    assert project_count - rhs_count - solve_count - residual_count == len(proj.projected.items())
+    for V in (Subspace(_triangular_basis(d, "exact"), LpSpace(1)), _orthonormal_subspace(d)):
+        data = V.gram()
+        if data._maps is None:
+            rhs, rhs_count = built(lambda: [g(xi, y, V.space) for xi in V.basis])
+        else:
+            rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
+        _, solve_count = built(lambda: gram_module._substitute(data._factors, rhs))
+        proj, project_count = built(lambda: project(y, V))
+        _, residual_count = built(lambda: y.sub(proj.projected))
+        if data._factors.scales:
+            assert solve_count == d
+        assert project_count - rhs_count - solve_count - residual_count == len(proj.projected.items())

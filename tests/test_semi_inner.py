@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gangle import (
     BackendError,
     EstimationFailureError,
+    GAngleError,
     LpSpace,
     NumericalRangeError,
     OracleSpace,
@@ -37,6 +39,7 @@ from support import (
     rand_vector,
     tau_float_by_vectors,
     tau_l1_by_vectors,
+    tau_oracle_by_vectors,
 )
 
 sv = SparseVector.from_dense
@@ -108,6 +111,47 @@ def test_tau_oracle_nonconvergent_reports_estimates():
         tau(sv([1.0]), sv([1.0]), noisy)
     assert exc.value.last_two is not None
     assert len(exc.value.last_two) == 2
+
+
+ORACLES = (
+    MAX_NORM,
+    OracleSpace(lambda v: sum(abs(c) for _, c in v), "taxicab"),
+    OracleSpace(lambda v: sum(c ** 4 for _, c in v) ** 0.25, "l4"),
+)
+
+
+def _tau_outcome(route, x, y, space):
+    try:
+        return repr(route(x, y, space))
+    except (GAngleError, ArithmeticError) as exc:  # by type, message and last estimates
+        return type(exc), str(exc), repr(getattr(exc, "last_two", None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_oracle_tau_equals_the_vector_route_across_magnitudes(data):
+    exact = data.draw(st.booleans(), "exact")
+    values = st.builds(
+        (lambda m, e: m * Fraction(10) ** e) if exact else (lambda m, e: m * 10.0 ** e),
+        st.integers(-99, 99).filter(bool),
+        st.integers(-300, 300),
+    )
+    vectors = st.dictionaries(st.integers(1, 8), values, min_size=1, max_size=6).map(SparseVector)
+    x, y = data.draw(vectors, "x"), data.draw(vectors, "y")
+    space = data.draw(st.sampled_from(ORACLES), "space")
+    assert _tau_outcome(tau, x, y, space) == _tau_outcome(tau_oracle_by_vectors, x, y, space)
+
+
+def test_oracle_tau_raises_as_the_vector_route():
+    root = OracleSpace(lambda v: sum(abs(c) ** 0.5 for _, c in v), "root")  # q(t) = t^-0.5
+    cases = [  # x + t*y overflows at the first step; the quotients diverge
+        (SparseVector({1: sys.float_info.max}), SparseVector({1: 1e308}), ORACLES[1], NumericalRangeError),
+        (SparseVector({1: 1.0}), SparseVector({2: 1.0}), root, EstimationFailureError),
+    ]
+    for x, y, space, error in cases:
+        ref = _tau_outcome(tau_oracle_by_vectors, x, y, space)
+        assert ref[0] is error
+        assert _tau_outcome(tau, x, y, space) == ref
 
 
 def test_float_tau_that_overflows_raises_instead_of_returning_nan():
