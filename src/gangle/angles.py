@@ -219,6 +219,8 @@ def angle_plane_subspace(U: Subspace, V: Subspace) -> AngleResult:
         raise ValueError("U must be spanned by exactly two vectors")
     if V.dim < 2:
         raise ValueError("V must have dimension at least 2")
+    if U.space != V.space:
+        raise ValueError("U and V must lie in the same space")
     space = V.space
     u1, u2 = U.basis
     base_sq = lambda_functional(u1, u2, space).value_sq

@@ -137,17 +137,22 @@ def load_problem(path: str) -> Problem:
     else:
         raise ProblemFileError("field 'p' must be a number >= 1 or 'oracle:<name>'")
 
+    fields = {f: {} if data.get(f) is None else data[f] for f in ("vectors", "subspaces")}
+    for f, value in fields.items():
+        if not isinstance(value, dict):
+            raise ProblemFileError(f"field {f!r} must be an object of named entries")
+
     vectors = {}
-    for name, spec in (data.get("vectors") or {}).items():
+    for name, spec in fields["vectors"].items():
         vectors[name] = _parse_vector(name, spec, mode)
 
     subspaces = {}
-    for name, members in (data.get("subspaces") or {}).items():
+    for name, members in fields["subspaces"].items():
         if not isinstance(members, list) or not members:
             raise ProblemFileError(f"subspace {name!r} must list vector names")
         basis = []
         for member in members:
-            if member not in vectors:
+            if not isinstance(member, str) or member not in vectors:
                 raise ProblemFileError(
                     f"subspace {name!r} references undefined vector {member!r}"
                 )

@@ -13,10 +13,9 @@ Gram data keeps them with the maps y -> g(x_i, y) its rows came from, so a
 projection onto a subspace whose Gram data is built prepares no basis vector.
 Exact factors are integer Bareiss arrays with row scales: elimination and
 solves run on ints, and only the determinant, each coefficient and each
-coordinate of y_S become a Fraction.  Every exact projection assembles y_S
-on int pairs, one Fraction per coordinate, also onto the unit
-lower-triangular Gram data of a left g-orthonormalization, whose forward
-substitution stays on Fraction objects.
+coordinate of y_S become a Fraction.  Every exact projection, onto any Gram
+data, sums y_S on ints over the lcm of its coefficients' denominators, one
+Fraction per coordinate.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -114,12 +113,13 @@ def _det(f: _Factors) -> Coeff:
     return f.sign * math.prod(row[i] for i, row in enumerate(f.lu))
 
 
-def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> Tuple[list, int]:
-    """Solve A x = rhs from integer factors of A in ints: x_k = X_k / D, D > 0.
-    The right-hand side, times the row scales and the lcm m of its
-    denominators, goes through the elimination's recurrence and a
+def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> list:
+    """Solve A x = rhs from integer factors of A in ints: x_k = X_k / D, one
+    Fraction each.  The right-hand side, times the row scales and the lcm m
+    of its denominators, goes through the elimination's recurrence and a
     fraction-free back substitution: X_k is det(P·A') with column k replaced
-    by it, and D = det(P·A')·m, A' the scaled matrix."""
+    by it, and D = det(P·A')·m, A' the scaled matrix.  :func:`project` sums
+    y_S from these as from any exact coefficients."""
     lu, n, scales = f.lu, len(f.lu), f.scales
     m = math.lcm(*(v.denominator for v in rhs))
     b = [scales[i] * rhs[i].numerator * (m // rhs[i].denominator) for i in f.order]
@@ -131,7 +131,7 @@ def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> Tuple[list, int]:
     last = lu[-1][-1]
     for i in range(n - 1, -1, -1):
         b[i] = (last * b[i] - sum(map(operator.mul, lu[i][i + 1 :], b[i + 1 :]))) // lu[i][i]
-    return (b, last * m) if last > 0 else ([-v for v in b], -last * m)
+    return [Fraction(v, last * m) for v in b]
 
 
 def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
@@ -142,8 +142,7 @@ def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
     if not f.sign:
         raise DegenerateSubspaceError("singular linear system")
     if f.scales:
-        nums, den = _cramer(f, rhs)
-        return [Fraction(v, den) for v in nums]
+        return _cramer(f, rhs)
     lu, n = f.lu, len(f.lu)
     x = [rhs[i] for i in f.order]
     for i in range(1, n):
@@ -274,11 +273,10 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     preparation and O(d^2) substitution.  Gram data filled in from known
     entries has no maps, and its right-hand side calls g.
 
-    In exact mode y_S is summed on int pairs, one Fraction per coordinate:
-    onto eliminated data from the Cramer numerators X_k over D, onto unit
-    lower-triangular data from each coefficient's numerator and denominator
-    times the basis entry's.  Float coefficients add their products
-    c_k * x_k(i) in basis order, with the bits of successive adds."""
+    In exact mode y_S(i) = sum_k (c_k * D) * x_k(i) / D, D the lcm of the
+    coefficients' denominators, is summed on ints, one Fraction per
+    coordinate.  Float coefficients add their products c_k * x_k(i) in basis
+    order, with the bits of successive adds."""
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError(
@@ -288,17 +286,9 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
         rhs = [g(xi, y, sub.space) for xi in sub.basis]
     else:
         rhs = [g_x(y) for g_x in data._maps]
-    factors = data._factors
-    if factors.scales:  # c_k = X_k / D
-        nums, den = _cramer(factors, rhs)
-        coeffs = [Fraction(n, den) for n in nums]
-        weights = [(n, 1) for n in nums]
-    else:
-        coeffs = _substitute(factors, rhs)
-        den = 1
-        weights = None if isinstance(coeffs[0], float) else [(c.numerator, c.denominator) for c in coeffs]
+    coeffs = _substitute(data._factors, rhs)
     acc = {}
-    if weights is None:
+    if isinstance(coeffs[0], float):
         # y_S in one pass: each coordinate adds its products c_k * x_k(i) in
         # basis order, as successive x.add(x_k.scale(c_k)) would
         for c, xk in zip(coeffs, sub.basis):
@@ -307,13 +297,14 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
                     acc[i] = acc[i] + c * v if i in acc else c * v
         entries = acc.items()
     else:
-        # c_k = n_k / (e_k * D); y_S(i) = sum_k n_k * x_k(i) / (e_k * D) is
-        # kept as one running int pair (p, q), y_S(i) = p / (q * D): one
-        # Fraction each
-        for (n, e), xk in zip(weights, sub.basis):
-            if n:
+        # y_S(i) is kept as one running int pair (p, q), y_S(i) = p / (q * D),
+        # q from the basis entries' denominators alone: one Fraction each
+        den = math.lcm(*(c.denominator for c in coeffs))
+        for c, xk in zip(coeffs, sub.basis):
+            if c:
+                n = c.numerator * (den // c.denominator)
                 for i, v in xk.items():
-                    p, q = n * v.numerator, e * v.denominator
+                    p, q = n * v.numerator, v.denominator
                     if i in acc:
                         P, Q = acc[i]
                         p, q = (p + P, q) if q == Q else (p * Q + P * q, q * Q)
@@ -335,10 +326,9 @@ def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
     substitution solves the same triangular system without a swap.
 
     In exact mode the forward substitution runs on Fraction objects, O(d^2)
-    per solve, and :func:`project` sums y_S from the coefficients'
-    numerators and denominators on ints.  A fraction-free substitution over
-    one common denominator was measured slower: that denominator grows as
-    the product of the row lcms."""
+    per solve, and :func:`project` sums y_S as for eliminated data.  Over one
+    common denominator a fraction-free substitution was measured slower: that
+    denominator grows as the product of the row lcms."""
     n = len(rows)
     zero = _zero(backend)
     one = zero + 1  # 1.0 or Fraction(1)

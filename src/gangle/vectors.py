@@ -283,13 +283,13 @@ ZERO = SparseVector()
 
 @dataclass(frozen=True)
 class LpSpace:
-    """The sequence space with norm (sum |xi|^p)^(1/p), p >= 1."""
+    """The sequence space with norm (sum |xi|^p)^(1/p), p a finite number >= 1."""
 
     p: Coeff
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p!r}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be a finite number >= 1, got {self.p!r}")
 
 
 @dataclass(frozen=True)

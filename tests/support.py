@@ -39,7 +39,7 @@ from gangle import (
     project,
     sgn,
 )
-from gangle.gram import _eliminate, _substitute, det
+from gangle.gram import _eliminate, _substitute, _unit_lower_gram, det
 from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _tau_central
 from gangle.vectors import exact_sqrt
 
@@ -205,6 +205,17 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
         term = sub.basis[j - 1].scale(det(minor))
         result = result.add(term.scale(-1) if j % 2 == 1 else term)
     return result.scale(Fraction(-1) / data.det)
+
+
+def starred_subspace(basis, space):
+    """The subspace of the left g-orthonormal basis of ``basis`` with its unit
+    lower-triangular Gram data, as ``left_orthonormalize`` projects onto it:
+    no maps, and a solve by forward substitution."""
+    starred = left_orthonormalize(basis, space)
+    sub = Subspace(starred, space)
+    rows = [[g(xk, xj, space) for xj in starred[:k]] for k, xk in enumerate(starred)]
+    sub._gram = _unit_lower_gram(rows, starred[0].backend)
+    return sub
 
 
 def project_by_successive_adds(coefficients, basis):

@@ -327,6 +327,14 @@ def test_plane_contained_in_subspace():
     assert angle_plane_subspace(U, V).cos_sq == 1
 
 
+def test_plane_vs_subspace_of_another_space_raises():
+    # in l1 alone this pair gives 36/175, which a U in l2 must not silently get
+    U = Subspace([sv([1, 1, 2, 3]), sv([2, 1, -3, 2])], LpSpace(2))
+    V = Subspace([sv([1]), sv([0, 1]), sv([0, 0, 1])], L1)
+    with pytest.raises(ValueError, match="same space"):
+        angle_plane_subspace(U, V)
+
+
 def test_plane_degenerate_u_raises():
     x = sv([1, 2])
     U = Subspace([x, x.scale(2)], L1)

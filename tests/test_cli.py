@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gangle import (
     BackendError,
@@ -126,6 +127,59 @@ def test_non_finite_p_is_input_error(tmp_path, p):
     path.write_text('{"p": %s, "mode": "float", "vectors": {"x": [1.0]}}' % p)
     proc = run_cli("g", "-i", str(path), "x", "x", expect=2)
     assert "p must be" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"p": 1, "vectors": [1, 2]},
+        {"p": 1, "vectors": {"a": [1]}, "subspaces": [["a"]]},
+        {"p": 1, "vectors": {"a": [1]}, "subspaces": {"S": [["a"]]}},
+    ],
+    ids=["vectors-array", "subspaces-array", "member-array"],
+)
+def test_misshapen_vectors_or_subspaces_are_input_errors(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(["gram", "-i", str(path), "S"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# Any JSON value; each field also draws, three times in four, values of the
+# shape a problem file gives it, so that drawn files get past p and mode.
+KEYS = st.sampled_from(["a", "b", "S"])
+NAMES = KEYS | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _mostly(shaped):
+    return st.sampled_from([shaped] * 3 + [JSON_VALUES]).flatmap(lambda s: s)
+
+
+COORDINATES = _mostly(st.integers(-3, 3) | st.sampled_from(["1/2", 0.5]))
+SPARSE_ENTRIES = st.tuples(_mostly(st.integers(1, 4)), COORDINATES).map(list)
+VECTOR_SPECS = st.lists(COORDINATES, max_size=3) | st.lists(_mostly(SPARSE_ENTRIES), max_size=3)
+PROBLEM_FIELDS = {
+    "p": _mostly(st.sampled_from([1, 2, 1.5, "oracle:max"])),
+    "mode": _mostly(st.sampled_from(["exact", "float"])),
+    "vectors": _mostly(st.dictionaries(KEYS, _mostly(VECTOR_SPECS), max_size=3)),
+    "subspaces": _mostly(st.dictionaries(KEYS, st.lists(_mostly(KEYS), max_size=3), max_size=2)),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=st.fixed_dictionaries(PROBLEM_FIELDS))
+def test_load_problem_returns_a_problem_or_raises_problem_file_error(tmp_path, document):
+    path = tmp_path / "drawn.json"
+    path.write_text(json.dumps(document))
+    try:
+        assert isinstance(cli.load_problem(str(path)), cli.Problem)
+    except ProblemFileError:
+        pass
 
 
 def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):

@@ -38,6 +38,7 @@ from support import (
     rand_subspace,
     rand_vector,
     solve_augmented,
+    starred_subspace,
     to_array,
 )
 
@@ -397,6 +398,8 @@ def assert_assembled_by_successive_adds(y, sub):
     scaled basis vectors one at a time gives with the same coefficients."""
     proj = project(y, sub)
     ref = project_by_successive_adds(proj.coefficients, sub.basis)
+    assert proj.projected == ref
+    assert [type(v) for _, v in proj.projected] == [type(v) for _, v in ref]
     assert repr(proj.projected.items()) == repr(ref.items())
     assert repr(proj.residual.items()) == repr(y.sub(ref).items())
     assert proj.projected.backend == ref.backend
@@ -414,13 +417,36 @@ FLOAT_VECTORS = st.dictionaries(st.integers(1, 6), WIDE_FLOATS, min_size=1, max_
 )
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+# exact entries n/d with denominators d up to 12, so that coefficients and
+# basis entries have mixed denominators
+EXACT_VECTORS = st.dictionaries(
+    st.integers(1, 6),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)),
+    min_size=1,
+    max_size=4,
+).map(SparseVector)
+
+
+@pytest.mark.parametrize(
+    "p, gram_data",
+    [
+        *(pytest.param(p, "float", id=str(p)) for p in (1.0, 1.5, 2.0)),
+        pytest.param(1, "eliminated", id="exact-1"),
+        pytest.param(2, "eliminated", id="exact-2"),
+        pytest.param(1, "unit-lower", id="exact-1-unit-lower"),
+    ],
+)
 @settings(max_examples=60, deadline=None)
-@given(basis=st.lists(FLOAT_VECTORS, min_size=1, max_size=4), y=FLOAT_VECTORS)
-def test_one_pass_assembly_equals_successive_adds(p, basis, y):
+@given(data=st.data())
+def test_one_pass_assembly_equals_successive_adds(p, gram_data, data):
+    vectors = FLOAT_VECTORS if gram_data == "float" else EXACT_VECTORS
+    basis = data.draw(st.lists(vectors, min_size=1, max_size=4), label="basis")
+    y = data.draw(vectors, label="y")
+    space = LpSpace(p)
     try:
-        assert_assembled_by_successive_adds(y, Subspace(basis, LpSpace(p)))
-    except (DegenerateSubspaceError, NumericalRangeError):
+        sub = starred_subspace(basis, space) if gram_data == "unit-lower" else Subspace(basis, space)
+        assert_assembled_by_successive_adds(y, sub)
+    except (DegenerateSubspaceError, DependenceError, NumericalRangeError):
         pass  # no coefficients to assemble with
 
 

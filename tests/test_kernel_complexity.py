@@ -52,6 +52,8 @@ from gangle import (
 )
 from gangle import angles
 
+from support import starred_subspace
+
 NNZ = 4096
 
 
@@ -366,18 +368,6 @@ def test_exact_elimination_determinant_and_solve_build_o_of_d_fractions(fraction
     assert fractions_built[0] == d
 
 
-def _orthonormal_subspace(d):
-    """The subspace of a left g-orthonormal exact l1 basis of d vectors with
-    its unit lower-triangular Gram data, as ``left_orthonormalize`` projects
-    onto it: no maps, and a solve by forward substitution."""
-    gram_module = sys.modules["gangle.gram"]
-    starred = left_orthonormalize(_triangular_basis(d, "exact"), LpSpace(1))
-    V = Subspace(starred, LpSpace(1))
-    rows = [[g(xk, xj, V.space) for xj in starred[:k]] for k, xk in enumerate(starred)]
-    V._gram = gram_module._unit_lower_gram(rows, "exact")
-    return V
-
-
 @pytest.mark.parametrize("d", [4, 8, 16])
 def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built, d):
     """Of the Fractions ``project`` builds, those of its right-hand side, its
@@ -392,7 +382,8 @@ def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built
         value = compute()
         return value, fractions_built[0]
 
-    for V in (Subspace(_triangular_basis(d, "exact"), LpSpace(1)), _orthonormal_subspace(d)):
+    basis = _triangular_basis(d, "exact")
+    for V in (Subspace(basis, LpSpace(1)), starred_subspace(basis, LpSpace(1))):
         data = V.gram()
         if data._maps is None:
             rhs, rhs_count = built(lambda: [g(xi, y, V.space) for xi in V.basis])

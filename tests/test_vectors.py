@@ -53,6 +53,13 @@ def test_backend_mixing_rejected():
         sv([1, 2]).scale(0.5)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_lp_space_rejects_a_non_finite_p(p):
+    # at p = inf the lp formulas would give |(0.5, 0.25)| = 1.0, not the max norm
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        LpSpace(p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_float_coefficients_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
