@@ -12,10 +12,10 @@ solve each right-hand side by forward and back substitution, O(n^2), and the
 Gram data keeps them with the maps y -> g(x_i, y) its rows came from, so a
 projection onto a subspace whose Gram data is built prepares no basis vector.
 Exact factors are integer Bareiss arrays with row scales: elimination and
-solves run on ints, and only the determinant, each coefficient and each
-coordinate of y_S become a Fraction.  Every exact projection, onto any Gram
-data, sums y_S on ints over the lcm of its coefficients' denominators, one
-Fraction per coordinate.
+solves run on ints, and only the determinant and each coefficient become a
+Fraction.  Every exact projection, onto any Gram data, sums y_S on the int
+numerators of the basis vectors over one common denominator, and y_S is
+kept in that int form: no Fraction per coordinate.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
 from .semi_inner import g, g_functional
-from .vectors import Coeff, LpSpace, SparseVector, Space, _zero, norm
+from .vectors import FLOAT, Coeff, LpSpace, SparseVector, Space, _zero, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -207,8 +207,12 @@ def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
         raise ValueError("basis must be nonempty")
     if any(v.is_zero for v in basis):
         raise ZeroVectorError("basis vectors must be nonzero")
-    maps = tuple(g_functional(xi, space) for xi in basis)
-    matrix = tuple(tuple(map(g_x, basis)) for g_x in maps)
+    # Tuples are built from lists throughout: tuple() of a list allocates the
+    # exact size and reuses CPython's tuple free lists, where tuple() of an
+    # iterator resizes its guess and leaves the freed tuple in the free list
+    # of another size, which only a full collection empties.
+    maps = tuple([g_functional(xi, space) for xi in basis])
+    matrix = tuple([tuple([g_x(v) for v in basis]) for g_x in maps])
     if any(row[i] == 0 for i, row in enumerate(matrix)):  # g(x, x) = |x|^2 underflowed
         raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
     return _gram_data(matrix, _eliminate(matrix), maps)
@@ -273,10 +277,11 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     preparation and O(d^2) substitution.  Gram data filled in from known
     entries has no maps, and its right-hand side calls g.
 
-    In exact mode y_S(i) = sum_k (c_k * D) * x_k(i) / D, D the lcm of the
-    coefficients' denominators, is summed on ints, one Fraction per
-    coordinate.  Float coefficients add their products c_k * x_k(i) in basis
-    order, with the bits of successive adds."""
+    In exact mode, with c_k = a_k / b_k and x_k's int numerators n_k(i) over
+    D_k, y_S(i) = sum_k W_k * n_k(i) / M with the int weights
+    W_k = a_k * M / (b_k * D_k), M the lcm of the b_k * D_k: one int per
+    coordinate and no Fraction.  Float coefficients add their products
+    c_k * x_k(i) in basis order, with the bits of successive adds."""
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError(
@@ -287,30 +292,21 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     else:
         rhs = [g_x(y) for g_x in data._maps]
     coeffs = _substitute(data._factors, rhs)
-    acc = {}
+    den = None
     if isinstance(coeffs[0], float):
-        # y_S in one pass: each coordinate adds its products c_k * x_k(i) in
-        # basis order, as successive x.add(x_k.scale(c_k)) would
-        for c, xk in zip(coeffs, sub.basis):
-            if c:
-                for i, v in xk.items():
-                    acc[i] = acc[i] + c * v if i in acc else c * v
-        entries = acc.items()
+        weights = [(c, xk._entries) for c, xk in zip(coeffs, sub.basis) if c]
     else:
-        # y_S(i) is kept as one running int pair (p, q), y_S(i) = p / (q * D),
-        # q from the basis entries' denominators alone: one Fraction each
-        den = math.lcm(*(c.denominator for c in coeffs))
-        for c, xk in zip(coeffs, sub.basis):
-            if c:
-                n = c.numerator * (den // c.denominator)
-                for i, v in xk.items():
-                    p, q = n * v.numerator, v.denominator
-                    if i in acc:
-                        P, Q = acc[i]
-                        p, q = (p + P, q) if q == Q else (p * Q + P * q, q * Q)
-                    acc[i] = (p, q)
-        entries = [(i, Fraction(p, q * den)) for i, (p, q) in acc.items()]
-    projected = SparseVector._checked(sorted(entries), sub.basis[0].backend)
+        terms = [(c.numerator, c.denominator * xk._den, xk._entries) for c, xk in zip(coeffs, sub.basis) if c]
+        den = math.lcm(*[d for _, d, _ in terms])
+        weights = [(a * (den // d), entries) for a, d, entries in terms]
+    # y_S in one pass: each coordinate adds its products w_k * x_k(i) in
+    # basis order, as successive x.add(x_k.scale(c_k)) would for floats
+    acc = {}
+    for w, entries in weights:
+        for i, v in entries:
+            acc[i] = acc[i] + w * v if i in acc else w * v
+    entries = sorted(acc.items())
+    projected = SparseVector._checked(entries, FLOAT) if den is None else SparseVector._exact(entries, den)
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 
@@ -326,15 +322,15 @@ def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
     substitution solves the same triangular system without a swap.
 
     In exact mode the forward substitution runs on Fraction objects, O(d^2)
-    per solve, and :func:`project` sums y_S as for eliminated data.  Over one
-    common denominator a fraction-free substitution was measured slower: that
-    denominator grows as the product of the row lcms."""
+    per solve, and :func:`project` sums y_S on ints as for eliminated data.
+    Over one common denominator a fraction-free substitution was measured
+    slower: that denominator grows as the product of the row lcms."""
     n = len(rows)
     zero = _zero(backend)
     one = zero + 1  # 1.0 or Fraction(1)
-    matrix = tuple(
+    matrix = tuple([
         tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
-    )
+    ])
     return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True))
 
 
@@ -351,7 +347,11 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     row has entries and another vector follows: (d - 1)^2 g-values and
     d(d - 1)/2 + d - 2 first-argument preparations for d >= 2 vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
-    there need not be additive in its second argument."""
+    there need not be additive in its second argument.
+
+    In exact mode the residual y_k and x_k* = y_k / |y_k| keep the int form
+    of exact vectors: the rescaling multiplies the numerators by one int and
+    divides by one gcd, with no Fraction per entry."""
     basis = tuple(basis)
     triangular = isinstance(space, LpSpace)
     out = []

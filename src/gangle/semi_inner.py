@@ -39,7 +39,6 @@ from .vectors import (
     OracleSpace,
     SparseVector,
     Space,
-    _exact_sum,
     join_backends,
     lp_norm,
     norm,
@@ -66,40 +65,26 @@ class TauPair:
     step_used: Coeff = 0
 
 
-def _tau_l1_exact(x: SparseVector, y: SparseVector) -> TauPair:
-    """:func:`tau` at p = 1 on int numerators and denominators: t* is the
-    least |a/b| / |c/e| by cross products, and |x + t*y|_1 at t = +-t* is
-    summed term by term over the union of the supports as in :func:`lp_norm`,
-    without building x + t*y."""
-    xs, ys = dict(x.items()), dict(y.items())
-    tn = td = 0
-    for i, xi in x:
-        yi = ys.get(i)
-        if yi is not None:
-            n = abs(xi.numerator) * yi.denominator
-            d = xi.denominator * abs(yi.numerator)
-            if not td or n * td < tn * d:
-                tn, td = n, d
-    tstar = Fraction(tn, 2 * td) if td else Fraction(1)
-    tn, td = tstar.numerator, tstar.denominator
-
-    def terms(sn):  # |x_i + (sn/td)*y_i| as (numerator, denominator)
-        for i, xi in x:
-            a, b = xi.numerator, xi.denominator
-            yi = ys.get(i)
-            if yi is None:
-                yield abs(a), b
-            else:
-                c, e = yi.numerator, yi.denominator
-                yield abs(a * td * e + sn * c * b), b * td * e
-        for i, yi in y:
-            if i not in xs:
-                yield abs(tn * yi.numerator), td * yi.denominator
-
-    n0 = lp_norm(x, 1)
-    plus = (_exact_sum(terms(tn)) - n0) / tstar
-    minus = (_exact_sum(terms(-tn)) - n0) / (-tstar)
-    return TauPair(plus, minus, 0)
+def _tau_l1_exact(x: SparseVector, y: SparseVector) -> tuple:
+    """:func:`tau` at p = 1 on the int numerators a_i of x over D_x and c_i
+    of y over D_y, as ints (plus, minus, den): tau+- = plus / den and
+    minus / den.  t* = tn / td is half the least |x_i / y_i| (1 when the
+    supports are disjoint), found by cross products.  At t = +-t*, with
+    u = td * D_y and v = tn * D_x, (|x + t*y|_1 - |x|_1) * D_x * td * D_y
+    sums |a*u +- c*v| - |a|*u over the common support and |c|*v off supp x,
+    so the quotient has the denominator D_x * D_y * tn."""
+    xs = dict(x._entries)
+    common = [(a, c) for i, c in y._entries if (a := xs.get(i)) is not None]
+    off = sum([abs(c) for i, c in y._entries if i not in xs])
+    rn, rd = 1, 0  # the least |a| / |c|, 1 / 0 before the first
+    for a, c in common:
+        if abs(a) * rd < rn * abs(c):
+            rn, rd = abs(a), abs(c)
+    tn, td = (rn * y._den, 2 * rd * x._den) if rd else (1, 1)
+    u, v = td * y._den, tn * x._den
+    plus = sum([abs(a * u + c * v) - abs(a) * u for a, c in common]) + off * v
+    minus = sum([abs(a) * u - abs(a * u - c * v) for a, c in common]) - off * v
+    return plus, minus, x._den * y._den * tn
 
 
 def _tau_central(f, scale: float) -> tuple:
@@ -151,15 +136,17 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     # off supp x), the values and the overflow check of x.add(y.scale(t)).
     # Parallel lists, and no dict kept over the steps, hold the peak memory
     # of a step to that of the vector route.
-    xs, ys = dict(x.items()), dict(y.items())
-    base = sorted(x.items() + tuple(e for e in y.items() if e[0] not in xs))
+    # Exact entries are the Fractions of one items() call each.
+    x_items, y_items = x.items(), y.items()
+    xs, ys = dict(x_items), dict(y_items)
+    base = sorted(x_items + tuple(e for e in y_items if e[0] not in xs))
     ks = [k for k, (i, _) in enumerate(base) if i in ys]
-    xa = [xs.get(i) for i, _ in y.items()]
-    del xs, ys
+    xa = [xs.get(i) for i, _ in y_items]
+    del xs, ys, x_items
 
     def at(t):
         entries = base.copy()
-        for k, (i, b), a in zip(ks, y.items(), xa):
+        for k, (i, b), a in zip(ks, y_items, xa):
             entries[k] = (i, t * b if a is None else a + t * b)
         return SparseVector._checked(entries, backend)
 
@@ -195,7 +182,8 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
         return _tau_oracle(x, y, space)
     if x.backend == EXACT:
         if space.p == 1:
-            return _tau_l1_exact(x, y)
+            plus, minus, den = _tau_l1_exact(x, y)
+            return TauPair(Fraction(plus, den), Fraction(minus, den), 0)
         raise BackendError(
             f"difference quotients for p={space.p} require float mode "
             "(the norm is not piecewise linear)"
@@ -234,6 +222,10 @@ def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
     """g by its definition: half the norm of x times (tau+ + tau-)."""
     if x.is_zero:
         return _zero(y.backend)
+    if isinstance(space, LpSpace) and space.p == 1 and join_backends(x.backend, y.backend) == EXACT:
+        # |x|_1 / 2 * (tau+ + tau-) on the ints of the exact l1 quotients
+        plus, minus, den = _tau_l1_exact(x, y)
+        return Fraction((plus + minus) * sum([abs(n) for _, n in x._entries]), 2 * den * x._den)
     pair = tau(x, y, space)
     value = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
     if isinstance(value, float) and not math.isfinite(value):
@@ -246,8 +238,7 @@ def g_functional(x: SparseVector, space: Space):
     an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (x's entries,
     and no norm, at p = 2).  A call sums y's entries on x's support in index
     order, rounding as one :func:`g_explicit` call does; in exact mode it sums
-    the products as int numerators over int denominators and builds one
-    Fraction for the sum.
+    the products of the int numerators and builds one Fraction, g(x, y).
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -256,17 +247,27 @@ def g_functional(x: SparseVector, space: Space):
         return lambda y: g_from_norm(x, y, space)
     if x.is_zero:
         return lambda y: _zero(y.backend)
-    p, zero = space.p, _zero(x.backend)
-    exact = x.backend == EXACT
-    if exact:  # weights as (numerator, denominator): (+-1, 1) at p = 1, x_i at p = 2
+    p = space.p
+    if x.backend == EXACT:
+        # g(x, y) = factor * sum(w_i * c_i) / (D_x * D_y) over y's numerators
+        # c_i: the weights are x's numerators at p = 2 and +-1 at p = 1, where
+        # the factor is D_x * |x|_1, the sum of |x's numerators|
         if p == 2:
-            factor, weights = None, {i: (v.numerator, v.denominator) for i, v in x}
+            factor, weights = 1, dict(x._entries)
         elif p == 1:
-            signs = ((-1, 1), (1, 1))
-            factor, weights = lp_norm(x, 1), {i: signs[v.numerator > 0] for i, v in x}
+            factor = sum([abs(n) for _, n in x._entries])
+            weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
         else:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
-    elif p == 2:
+        den = x._den
+
+        def g_x(y: SparseVector) -> Coeff:
+            join_backends(EXACT, y.backend)
+            s = sum([w * c for i, c in y._entries if (w := weights.get(i)) is not None])
+            return Fraction(factor * s, den * y._den)
+
+        return g_x
+    if p == 2:
         factor, weights = None, dict(x.items())
     else:  # also at p = 1, where |x|^1.0 = |x| and |xi|^0.0 * sgn(xi) = +-1.0
         p = float(p)
@@ -279,17 +280,10 @@ def g_functional(x: SparseVector, space: Space):
         weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x}
 
     def g_x(y: SparseVector) -> Coeff:
-        join_backends(x.backend, y.backend)
-        if exact:
-            s = _exact_sum(
-                (w[0] * v.numerator, w[1] * v.denominator)
-                for i, v in y.items()
-                if (w := weights.get(i)) is not None
-            )
-        else:
-            s = sum((weights[i] * v for i, v in y.items() if i in weights), zero)
+        join_backends(FLOAT, y.backend)
+        s = sum((weights[i] * v for i, v in y.items() if i in weights), 0.0)
         value = s if factor is None else factor * s
-        if isinstance(value, float) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise NumericalRangeError("g(x, y) overflows the float range")
         return value
 

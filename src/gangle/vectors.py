@@ -2,8 +2,11 @@
 
 Coordinates are indexed from 1 upward.  Two scalar backends exist:
 
-* exact  -- coefficients are ``fractions.Fraction`` (``int`` inputs are
-  promoted); arithmetic is exact and unbounded.
+* exact  -- coefficients are rationals, given as ``int`` or
+  ``fractions.Fraction`` and read back as ``Fraction``; arithmetic is exact
+  and unbounded.  A vector stores int numerators over one int denominator,
+  not one Fraction per coordinate, and the exact kernels (norms, g, l1 tau,
+  vector arithmetic, projection) run on those ints.
 * float  -- coefficients are ``float``.
 
 A vector is homogeneous in one backend.  Combining an exact vector with a
@@ -14,6 +17,7 @@ float vector (or a float scalar with an exact vector) raises
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -63,14 +67,18 @@ def sgn(t) -> int:
 
 
 class SparseVector:
-    """Immutable finitely supported sequence, stored as (index, value) pairs.
+    """Immutable finitely supported sequence, stored as index-sorted pairs.
 
-    Zero coefficients are dropped on construction, indices are kept sorted,
-    and all stored values share one backend.  Float coefficients must be
-    finite.
+    Zero coefficients are dropped on construction and all stored values
+    share one backend.  A float vector stores (index, float) pairs, all
+    finite.  An exact vector stores (index, int numerator) pairs over one
+    positive int denominator D in lowest terms, gcd(D, n_1, ..., n_k) = 1,
+    so equal vectors store equal ints; its ``Fraction`` coefficients are
+    built only when asked for (``items``, ``get``, iteration, ``to_dense``)
+    and are not kept.  The exact kernels read the ints directly.
     """
 
-    __slots__ = ("_entries", "_backend")
+    __slots__ = ("_entries", "_den", "_backend")
 
     def __init__(self, entries: Union[Mapping[int, Coeff], Iterable[Tuple[int, Coeff]]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -96,23 +104,48 @@ class SparseVector:
         if saw_float and saw_exact:
             raise BackendError("vector mixes float and Fraction coefficients")
         if saw_float:
-            backend = FLOAT
-            raw = {i: float(v) for i, v in raw.items()}
+            self._store(sorted((i, float(v)) for i, v in raw.items()), FLOAT)
         else:
-            backend = EXACT if raw else None
-            raw = {i: Fraction(v) for i, v in raw.items()}
-        self._entries = tuple(sorted((i, v) for i, v in raw.items() if v != 0))
+            self._store(sorted(raw.items()), EXACT)
+
+    def _store(self, entries, backend) -> None:
+        """Keep index-sorted (index, value) pairs whose values are of
+        ``backend``, without the zeros (also floats that underflowed to 0.0).
+        Exact values (ints and Fractions) are kept as numerators over the lcm
+        of their denominators, which is in lowest terms already."""
+        den = 1
+        if backend == EXACT:  # a zero has the denominator 1
+            den = math.lcm(*[v.denominator for _, v in entries])
+            entries = [(i, v.numerator * (den // v.denominator)) for i, v in entries]
+        self._entries = tuple([e for e in entries if e[1]])
+        self._den = den
         self._backend = backend if self._entries else None
 
     @classmethod
     def _trusted(cls, entries, backend) -> "SparseVector":
         """Build from index-sorted (index, value) pairs whose values are
         already of ``backend``, skipping the validation and sorting of
-        ``__init__``; zeros (also floats that underflowed to 0.0) are still
-        dropped.  The arithmetic methods build their results here."""
+        ``__init__``."""
         vec = cls.__new__(cls)
-        vec._entries = tuple([e for e in entries if e[1] != 0])
-        vec._backend = backend if vec._entries else None
+        vec._store(entries, backend)
+        return vec
+
+    @classmethod
+    def _exact(cls, entries, den: int) -> "SparseVector":
+        """Build an exact vector from index-sorted (index, int numerator)
+        pairs over the int ``den`` > 0: zeros are dropped, and the numerators
+        and ``den`` are divided by their gcd.  The exact arithmetic builds
+        its results here."""
+        entries = [e for e in entries if e[1]]
+        if den != 1:
+            common = math.gcd(den, *map(operator.itemgetter(1), entries))
+            if common != 1:
+                den //= common
+                entries = [(i, n // common) for i, n in entries]
+        vec = cls.__new__(cls)
+        vec._entries = tuple(entries)
+        vec._den = den
+        vec._backend = EXACT if entries else None
         return vec
 
     @classmethod
@@ -149,38 +182,46 @@ class SparseVector:
 
     @property
     def support(self) -> Tuple[int, ...]:
-        return tuple(i for i, _ in self._entries)
+        return tuple([i for i, _ in self._entries])  # exact-size, as in gram.gram
 
     @property
     def max_index(self) -> int:
         return self._entries[-1][0] if self._entries else 0
 
     def items(self) -> Tuple[Tuple[int, Coeff], ...]:
-        return self._entries
+        """The (index, value) pairs in index order; exact values are
+        Fractions built by this call."""
+        if self._backend != EXACT:
+            return self._entries
+        den = self._den
+        return tuple([(i, Fraction(n, den)) for i, n in self._entries])
 
     def get(self, idx: int) -> Coeff:
-        """Coefficient at ``idx`` (0 when absent), by a linear scan: an
-        inspection helper, not for loops over the entries."""
-        for i, v in self._entries:
-            if i == idx:
-                return v
-            if i > idx:
-                break
-        return 0
+        """Coefficient at ``idx`` (0 when absent), found by binary search over
+        the sorted indices, O(log nnz)."""
+        entries = self._entries
+        k = bisect.bisect_left(entries, (idx,))  # (idx,) sorts before (idx, v)
+        if k == len(entries) or entries[k][0] != idx:
+            return 0
+        value = entries[k][1]
+        return Fraction(value, self._den) if self._backend == EXACT else value
 
     def to_dense(self, length: int = 0) -> list:
         n = max(length, self.max_index)
         out = [0] * n
-        for i, v in self._entries:
+        for i, v in self.items():
             out[i - 1] = v
         return out
 
     def to_float(self) -> "SparseVector":
         """Copy of this vector in the float backend; a coefficient beyond the
-        float range raises :class:`~gangle.errors.NumericalRangeError`."""
+        float range raises :class:`~gangle.errors.NumericalRangeError`.  An
+        int quotient n / D is correctly rounded, as ``float(Fraction(n, D))``
+        is, and a float divided by the denominator 1 keeps its bits."""
+        den = self._den
         try:
-            return SparseVector._trusted([(i, float(v)) for i, v in self._entries], FLOAT)
-        except OverflowError:  # float() of a Fraction beyond the float range
+            return SparseVector._trusted([(i, v / den) for i, v in self._entries], FLOAT)
+        except OverflowError:  # n / D beyond the float range
             raise NumericalRangeError("a coefficient of this vector is beyond the float range") from None
 
     # -- arithmetic ---------------------------------------------------------
@@ -191,27 +232,42 @@ class SparseVector:
         if self.is_zero or a == 0:
             return ZERO
         backend = join_backends(self._backend, None if isinstance(a, int) else _backend_of(a))
-        if backend == FLOAT:
-            try:
-                a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
-            except OverflowError:  # an int scalar beyond the float range
-                raise NumericalRangeError("the scalar overflows the float range") from None
+        if backend == EXACT:
+            n = a.numerator
+            return SparseVector._exact([(i, n * v) for i, v in self._entries], self._den * a.denominator)
+        try:
+            a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
+        except OverflowError:  # an int scalar beyond the float range
+            raise NumericalRangeError("the scalar overflows the float range") from None
         entries = [(i, a * v) for i, v in self._entries]
-        if backend == FLOAT and abs(a) > 1:  # finite entries times |a| <= 1 stay finite
+        if abs(a) > 1:  # finite entries times |a| <= 1 stay finite
             return SparseVector._checked(entries, backend)
         return SparseVector._trusted(entries, backend)
 
     def add(self, other: "SparseVector") -> "SparseVector":
         """Sum of two vectors; a float entry beyond the float range raises
         :class:`~gangle.errors.NumericalRangeError`."""
-        backend = join_backends(self._backend, other._backend)
-        return SparseVector._checked(_merge(self._entries, other._entries, False), backend)
+        return self._combine(other, False)
 
     def sub(self, other: "SparseVector") -> "SparseVector":
         """Difference of two vectors; a float entry beyond the float range
         raises :class:`~gangle.errors.NumericalRangeError`."""
+        return self._combine(other, True)
+
+    def _combine(self, other: "SparseVector", subtract: bool) -> "SparseVector":
+        """self + other, or self - other, by one sorted merge: exact
+        numerators over the lcm of the two denominators, then one gcd."""
         backend = join_backends(self._backend, other._backend)
-        return SparseVector._checked(_merge(self._entries, other._entries, True), backend)
+        if backend != EXACT:
+            return SparseVector._checked(_merge(self._entries, other._entries, subtract), backend)
+        den = math.lcm(self._den, other._den)
+        return SparseVector._exact(_merge(self._over(den), other._over(den), subtract), den)
+
+    def _over(self, den: int):
+        """The int entries of an exact vector over ``den``, a multiple of its
+        denominator."""
+        f = den // self._den
+        return self._entries if f == 1 else [(i, n * f) for i, n in self._entries]
 
     __add__ = add
     __sub__ = sub
@@ -222,24 +278,27 @@ class SparseVector:
     # -- protocol glue ------------------------------------------------------
 
     def __iter__(self) -> Iterator[Tuple[int, Coeff]]:
-        return iter(self._entries)
+        return iter(self.items())
 
     def __eq__(self, other) -> bool:
+        """Equal values at equal indices, across backends too (1.0 == 1)."""
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self._entries == other._entries
+        if self._backend == other._backend:
+            return self._den == other._den and self._entries == other._entries
+        return self.items() == other.items()
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.items())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{i}: {v!r}" for i, v in self._entries)
+        body = ", ".join(f"{i}: {v!r}" for i, v in self.items())
         return f"SparseVector({{{body}}})"
 
 
 def _merge(a, b, subtract: bool) -> list:
-    """Entries of a + b (or a - b) for two index-sorted entry tuples, by one
-    sorted merge.  Zero results are left for the caller to drop."""
+    """Entries of a + b (or a - b) for two index-sorted entry sequences, by
+    one sorted merge.  Zero results are left for the caller to drop."""
     op = operator.sub if subtract else operator.add
     out = []
     append = out.append
@@ -261,18 +320,6 @@ def _merge(a, b, subtract: bool) -> list:
     out.extend(a[i:])
     out.extend([(k, -v) for k, v in b[j:]] if subtract else b[j:])
     return out
-
-
-def _exact_sum(pairs) -> Fraction:
-    """Sum of the fractions n/d given as (n, d) int pairs, d > 0, in ints:
-    numerators over one denominator are added, the sums are brought to the
-    least common multiple of the distinct denominators, and one Fraction,
-    the reduced result, is built per call instead of one per term."""
-    by_den = {}
-    for n, d in pairs:
-        by_den[d] = by_den.get(d, 0) + n
-    den = math.lcm(*by_den)
-    return Fraction(sum([n * (den // d) for d, n in by_den.items()]), den)
 
 
 ZERO = SparseVector()
@@ -324,17 +371,18 @@ def lp_norm(x: SparseVector, p) -> Coeff:
     :class:`~gangle.errors.NumericalRangeError`."""
     if x.is_zero:
         return _zero(x.backend)
-    if x.backend == EXACT:
+    if x.backend == EXACT:  # sums of the int numerators over the denominator D
         if p == 1:
-            return _exact_sum((abs(v.numerator), v.denominator) for _, v in x)
+            return Fraction(sum([abs(n) for _, n in x._entries]), x._den)
         if p == 2:
-            root = exact_sqrt(_exact_sum((v.numerator ** 2, v.denominator ** 2) for _, v in x))
-            if root is None:
+            s = sum([n * n for _, n in x._entries])
+            root = math.isqrt(s)  # |x|_2 = sqrt(s) / D is rational iff s is a square
+            if root * root != s:
                 raise BackendError(
                     "the 2-norm of this vector is irrational; use float mode "
                     "or norm_sq for the exact squared norm"
                 )
-            return root
+            return Fraction(root, x._den)
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     p = float(p)
     if p == 2:
@@ -368,7 +416,7 @@ def norm_sq(x: SparseVector, space: Space) -> Coeff:
         value = norm(x, space)
         value = value * value
     elif space.p == 2 and x.backend == EXACT:
-        return _exact_sum((v.numerator ** 2, v.denominator ** 2) for _, v in x)
+        return Fraction(sum([n * n for _, n in x._entries]), x._den * x._den)
     else:
         try:
             value = lp_norm(x, space.p) ** 2

@@ -1,8 +1,9 @@
 """Complexity guards for the sparse kernels and the explicit sum that need
 no timing.
 
-``SparseVector.get`` is a linear scan, so a kernel that calls it once per
-entry is O(nnz^2).  On nnz-4096 vectors g, g_from_norm and tau must make no
+``SparseVector.get`` finds an entry by binary search, but a kernel that calls
+it once per entry still does a per-entry search and, in exact mode, builds a
+Fraction for it.  On nnz-4096 vectors g, g_from_norm and tau must make no
 ``get`` call at all, and float tau, at p = 1 as at p > 1, must evaluate
 |x + t*y| without building a vector.  The explicit cos^2 sum must take one determinant per
 coordinate, not one per multi-index.  Left g-orthonormalization of d
@@ -16,20 +17,25 @@ came from, with no preparation and no elimination, and left
 g-orthonormalization in lp eliminates nothing.  A regression fails here on
 any machine.
 
-The exact kernels sum int numerators over shared denominators: on the
-nnz-4096 exact pair, g (p = 1, 2), the 1-norm, the squared 2-norm and l1
-``g_from_norm`` each build a few Fraction objects, not one or more per
-entry.  ``project`` builds y_S in one pass: two vectors per call, y_S and
-the residual.
+An exact vector stores int numerators over one denominator, and the exact
+kernels read those ints: on the nnz-4096 exact pair, g (p = 1, 2), the
+1-norm, the squared 2-norm and l1 ``g_from_norm`` each build the one
+Fraction they return, and storing the vector takes less memory per entry
+than a Fraction would.  ``project`` builds y_S in one pass: two vectors per
+call, y_S and the residual.
 
 Exact Gram algebra is fraction-free: eliminating an integer d-by-d matrix
 builds no Fraction, its determinant one and a solve d, one per unknown, and
-``project`` assembles y_S with one Fraction per coordinate, onto eliminated
-Gram data as onto the unit lower-triangular Gram data of a left
-g-orthonormal basis."""
+``project`` assembles y_S and its residual on ints, with no Fraction per
+coordinate, onto eliminated Gram data as onto the unit lower-triangular
+Gram data of a left g-orthonormal basis.  So left g-orthonormalization
+builds a number of Fractions that depends on d alone: its g-values, the
+Fraction operations of its forward substitutions and a few per step."""
 
+import gc
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -91,21 +97,22 @@ def get_calls(monkeypatch):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts vectors built by ``__init__`` or by the trusted constructor."""
+    """Counts vectors built by ``__init__``, by the trusted constructor or by
+    the int constructor of exact arithmetic."""
     built = [0]
     init = SparseVector.__init__
-    trusted = SparseVector._trusted.__func__
 
     def counted_init(self, *args, **kwargs):
         built[0] += 1
         init(self, *args, **kwargs)
 
-    def counted_trusted(cls, *args):
-        built[0] += 1
-        return trusted(cls, *args)
-
     monkeypatch.setattr(SparseVector, "__init__", counted_init)
-    monkeypatch.setattr(SparseVector, "_trusted", classmethod(counted_trusted))
+    for name in ("_trusted", "_exact"):
+        def counted(cls, *args, _build=getattr(SparseVector, name).__func__):
+            built[0] += 1
+            return _build(cls, *args)
+
+        monkeypatch.setattr(SparseVector, name, classmethod(counted))
     return built
 
 
@@ -124,18 +131,36 @@ def fractions_built(monkeypatch):
     return built
 
 
-def test_the_counters_see_calls(get_calls, constructions, fractions_built):
+@pytest.fixture
+def fraction_reads(monkeypatch):
+    """Counts reads of a Fraction's ``numerator`` or ``denominator``."""
+    reads = [0]
+    for name in ("numerator", "denominator"):
+        def counted(a, _read=getattr(Fraction, name).fget):
+            reads[0] += 1
+            return _read(a)
+
+        monkeypatch.setattr(Fraction, name, property(counted))
+    return reads
+
+
+def test_the_counters_see_calls(get_calls, constructions, fractions_built, fraction_reads):
     x, y = PAIRS["float"]
     x.get(1)
     x.add(y)
     SparseVector({1: 1.0})
+    SparseVector({1: 1}).sub(SparseVector({2: 1}))
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert get_calls[0] == 1
-    assert constructions[0] == 2
+    assert constructions[0] == 5
     assert fractions_built[0] == 4
+    assert Fraction(1, 3).numerator + Fraction(1, 3).denominator == 4
+    assert fraction_reads[0] >= 2
 
 
-FRACTION_BOUND = 64  # 1 to 13 are built; one per entry would be 4096
+# each builds the one Fraction it returns and reads none; one per entry would
+# be 4096
+FRACTION_BOUND = 3
 
 
 @pytest.mark.parametrize(
@@ -149,10 +174,11 @@ FRACTION_BOUND = 64  # 1 to 13 are built; one per entry would be 4096
     ],
     ids=["g p=1", "g p=2", "lp_norm p=1", "norm_sq p=2", "g_from_norm p=1"],
 )
-def test_exact_kernels_build_few_fractions(fractions_built, kernel):
+def test_exact_kernels_build_few_fractions(fractions_built, fraction_reads, kernel):
     x, y = PAIRS["exact"]
     kernel(x, y)
     assert 0 < fractions_built[0] <= FRACTION_BOUND
+    assert fraction_reads[0] <= FRACTION_BOUND
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("exact", 2), ("float", 1.5)])
@@ -369,10 +395,10 @@ def test_exact_elimination_determinant_and_solve_build_o_of_d_fractions(fraction
 
 
 @pytest.mark.parametrize("d", [4, 8, 16])
-def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built, d):
-    """Of the Fractions ``project`` builds, those of its right-hand side, its
-    solve and its residual are counted on their own; the rest assemble y_S,
-    onto eliminated Gram data as onto the starred basis of a left
+def test_exact_project_builds_no_fraction_for_y_s(fractions_built, d):
+    """Of the Fractions ``project`` builds, those of its right-hand side and
+    its solve are counted on their own; y_S and the residual take none, onto
+    eliminated Gram data as onto the starred basis of a left
     g-orthonormalization."""
     gram_module = sys.modules["gangle.gram"]
     y = _triangular_basis(d + 3, "exact")[0]
@@ -394,4 +420,53 @@ def test_exact_project_builds_one_fraction_per_coordinate_of_y_s(fractions_built
         _, residual_count = built(lambda: y.sub(proj.projected))
         if data._factors.scales:
             assert solve_count == d
-        assert project_count - rhs_count - solve_count - residual_count == len(proj.projected.items())
+        assert len(proj.projected.support) > d
+        assert project_count == rhs_count + solve_count
+        assert residual_count == 0
+
+
+def _wide_basis(d, nnz):
+    """d exact vectors with nnz entries each, in 4 * nnz coordinates."""
+    rng = random.Random(d)
+    return [
+        SparseVector(
+            (i, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+            for i in rng.sample(range(1, 4 * nnz + 1), nnz)
+        )
+        for _ in range(d)
+    ]
+
+
+@pytest.mark.parametrize("nnz", [8, 512])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_exact_orthonormalize_builds_fractions_by_d_not_by_entry(fractions_built, d, nnz):
+    """The (d - 1)^2 g-values, the k(k - 1) Fraction operations of the
+    forward substitution at step k, and O(d) more per step (the norm, the
+    scale 1 / |y_k|, the unit Gram data and its determinant), at most
+    2d^2 + 8 in all: none per entry of a residual or a starred vector."""
+    basis = _wide_basis(d, nnz)
+    fractions_built[0] = 0
+    out = left_orthonormalize(basis, LpSpace(1))
+    assert len(out) == d and all(len(v.support) >= nnz for v in out)
+    assert fractions_built[0] <= (d - 1) ** 2 + sum(k * (k - 1) for k in range(d)) + 2 * d * d + 8
+
+
+BYTES_PER_ENTRY = 90  # about 82 for int numerators; 112 for Fraction values
+
+
+def test_exact_vector_stores_less_than_a_fraction_per_entry():
+    """Memory an nnz-4096 exact vector keeps once built from the values of
+    the exact pair.  ``gc.collect`` empties the tuple free list before and
+    after, so every tuple the vector keeps, and none it dropped, is traced."""
+    entries = list(PAIRS["exact"][0].items())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vec = SparseVector(entries)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(vec.support) == NNZ
+    assert kept <= BYTES_PER_ENTRY * NNZ

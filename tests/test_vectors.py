@@ -19,8 +19,6 @@ from gangle import (
     sgn,
 )
 
-from gangle.vectors import _exact_sum
-
 from support import exact_sum_by_fractions, rand_float_vector
 
 sv = SparseVector.from_dense
@@ -179,7 +177,7 @@ def test_arithmetic_edge_cases():
     assert SparseVector({1: 1e308, 2: -1e308}).scale(1.5).items() == ((1, 1.5e308), (2, -1.5e308))
 
 
-# -- exact sums on int numerators --------------------------------------------
+# -- the int form of exact vectors -------------------------------------------
 
 HUGE = 10 ** 60
 # numerators small or huge, of either sign; denominators from a set with
@@ -193,9 +191,19 @@ fraction_pairs = st.lists(
 )
 
 
+def exact_sum(pairs) -> Fraction:
+    """Sum of n/d over (n, d) int pairs by exact vector addition: every term
+    is coordinate 1 of a vector of its own, and each ``add`` merges int
+    numerators over the lcm of the two denominators."""
+    total = SparseVector()
+    for n, d in pairs:
+        total = total.add(SparseVector({1: Fraction(n, d)}))
+    return dict(total.items()).get(1, Fraction(0))
+
+
 @given(fraction_pairs)
 def test_exact_sum_equals_the_fraction_sum(pairs):
-    got, ref = _exact_sum(iter(pairs)), exact_sum_by_fractions(pairs)
+    got, ref = exact_sum(iter(pairs)), exact_sum_by_fractions(pairs)
     assert got == ref and type(got) is Fraction
 
 
@@ -210,8 +218,39 @@ def test_exact_sum_equals_the_fraction_sum(pairs):
     ],
 )
 def test_exact_sum_examples(pairs, value):
-    got = _exact_sum(pairs)
+    got = exact_sum(pairs)
     assert got == value and type(got) is Fraction
+
+
+exact_entries = st.dictionaries(
+    st.integers(1, 40),
+    st.builds(Fraction, st.one_of(st.integers(-9, 9), st.integers(-HUGE, HUGE)),
+              st.one_of(st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(1, HUGE))),
+    max_size=10,
+)
+
+
+@given(exact_entries, exact_entries)
+def test_exact_vectors_keep_int_numerators_over_one_reduced_denominator(xs, ys):
+    x, y = SparseVector(xs), SparseVector(ys)
+    nonzero = sorted((i, v) for i, v in xs.items() if v)
+    assert x.items() == tuple(nonzero)
+    assert all(type(i) is int and type(v) is Fraction for i, v in x.items())
+    for v in (x, y, x.add(y), x.sub(y), x.scale(Fraction(-3, 4))):
+        assert all(type(n) is int for _, n in v._entries)
+        assert v._den > 0 and math.gcd(v._den, *(n for _, n in v._entries)) == 1
+    assert x.add(y).sub(y) == x
+    one_by_one = sum((SparseVector({i: v}) for i, v in xs.items()), SparseVector())
+    assert one_by_one == x and hash(one_by_one) == hash(x)
+    assert all(x.get(i) == v for i, v in xs.items()) and x.get(41) == 0
+
+
+def test_equality_and_hash_across_backends_compare_values():
+    assert SparseVector({1: 1.0}) == SparseVector({1: 1})
+    assert hash(SparseVector({1: 1.0})) == hash(SparseVector({1: 1}))
+    assert SparseVector({1: 0.5, 3: 2.0}) == SparseVector({1: Fraction(1, 2), 3: 2})
+    assert SparseVector({1: 0.1}) != SparseVector({1: Fraction(1, 10)})
+    assert SparseVector() == SparseVector({2: 0.0}) == SparseVector({2: 0})
 
 
 def test_to_float_drops_underflow():
