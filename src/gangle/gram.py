@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
 from .semi_inner import g, g_functional
-from .vectors import FLOAT, Coeff, LpSpace, SparseVector, Space, _zero, norm
+from .vectors import Coeff, LpSpace, SparseVector, Space, _zero, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -299,14 +299,7 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
         terms = [(c.numerator, c.denominator * xk._den, xk._entries) for c, xk in zip(coeffs, sub.basis) if c]
         den = math.lcm(*[d for _, d, _ in terms])
         weights = [(a * (den // d), entries) for a, d, entries in terms]
-    # y_S in one pass: each coordinate adds its products w_k * x_k(i) in
-    # basis order, as successive x.add(x_k.scale(c_k)) would for floats
-    acc = {}
-    for w, entries in weights:
-        for i, v in entries:
-            acc[i] = acc[i] + w * v if i in acc else w * v
-    entries = sorted(acc.items())
-    projected = SparseVector._checked(entries, FLOAT) if den is None else SparseVector._exact(entries, den)
+    projected = SparseVector._combination(weights, den)
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 

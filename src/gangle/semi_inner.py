@@ -8,11 +8,12 @@ Two independent routes are provided:
   from difference quotients of ``t -> |x + t*y|``.
 
 :func:`g_functional` prepares the closed form's share of x (the factor
-``|x|^(2-p)`` and the weights) once and returns the map ``y -> g(x, y)``;
-:func:`g` and :func:`g_explicit` call it for a single y, and the Gram rows,
-left orthonormalization and the explicit sum reuse one map per first
-argument.  In float mode a norm, a value of g or a power or quotient inside
-float tau beyond the float range raises :class:`~gangle.errors.NumericalRangeError`.
+``|x|^(2-p)`` and the weights) once and returns the map ``y -> g(x, y)``,
+one for both backends; :func:`g` and :func:`g_explicit` call it for a
+single y, and the Gram rows, left orthonormalization and the explicit sum
+reuse one map per first argument.  In float mode a norm, a value of g or a
+power or quotient inside float tau beyond the float range raises
+:class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -33,7 +34,6 @@ from fractions import Fraction
 from .errors import BackendError, EstimationFailureError, NumericalRangeError, ZeroVectorError
 from .vectors import (
     EXACT,
-    FLOAT,
     Coeff,
     LpSpace,
     OracleSpace,
@@ -128,27 +128,28 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
-    backend = join_backends(x.backend, y.backend)
-    exact = backend != FLOAT
-    # x + t*y in one pass per step: the index-sorted entries of x and of y
-    # off supp x are merged once, keeping x's own entry tuples, and a step
-    # replaces only the entries on supp y, at positions ks, by a + t*b (t*b
-    # off supp x), the values and the overflow check of x.add(y.scale(t)).
-    # Parallel lists, and no dict kept over the steps, hold the peak memory
-    # of a step to that of the vector route.
-    # Exact entries are the Fractions of one items() call each.
-    x_items, y_items = x.items(), y.items()
-    xs, ys = dict(x_items), dict(y_items)
-    base = sorted(x_items + tuple(e for e in y_items if e[0] not in xs))
-    ks = [k for k, (i, _) in enumerate(base) if i in ys]
-    xa = [xs.get(i) for i, _ in y_items]
-    del xs, ys, x_items
+    exact = join_backends(x.backend, y.backend) == EXACT
+    if exact:  # no workload drives an exact oracle; the CLI rejects one
+        def at(t):
+            return x.add(y.scale(t))
+    else:
+        # Float x + t*y in one pass per step: the index-sorted entries of x
+        # and of y off supp x are merged once, keeping x's own entry tuples,
+        # and a step replaces only the entries on supp y, at positions ks, by
+        # a + t*b (t*b off supp x), the values and the overflow check of
+        # x.add(y.scale(t)).  Parallel lists, and no dict kept over the
+        # steps, hold the peak memory of a step to that of the vector route.
+        xs, ys = dict(x._entries), dict(y._entries)
+        base = sorted(x._entries + tuple(e for e in y._entries if e[0] not in xs))
+        ks = [k for k, (i, _) in enumerate(base) if i in ys]
+        xa = [xs.get(i) for i, _ in y._entries]
+        del xs, ys
 
-    def at(t):
-        entries = base.copy()
-        for k, (i, b), a in zip(ks, y_items, xa):
-            entries[k] = (i, t * b if a is None else a + t * b)
-        return SparseVector._checked(entries, backend)
+        def at(t):
+            entries = base.copy()
+            for k, (i, b), a in zip(ks, y._entries, xa):
+                entries[k] = (i, t * b if a is None else a + t * b)
+            return SparseVector._checked(entries)
 
     def one_sided(sign: int):
         prev = None
@@ -248,27 +249,17 @@ def g_functional(x: SparseVector, space: Space):
     if x.is_zero:
         return lambda y: _zero(y.backend)
     p = space.p
-    if x.backend == EXACT:
-        # g(x, y) = factor * sum(w_i * c_i) / (D_x * D_y) over y's numerators
-        # c_i: the weights are x's numerators at p = 2 and +-1 at p = 1, where
-        # the factor is D_x * |x|_1, the sum of |x's numerators|
-        if p == 2:
-            factor, weights = 1, dict(x._entries)
-        elif p == 1:
-            factor = sum([abs(n) for _, n in x._entries])
-            weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
-        else:
+    backend = x.backend
+    # g(x, y) = factor * sum(w_i * y_i) over y's entries on supp x, over
+    # D_x * D_y in exact mode, where y_i are y's int numerators
+    if p == 2:  # the weights are x's entries, and no norm is taken
+        factor, weights = (1 if backend == EXACT else 1.0), dict(x._entries)
+    elif backend == EXACT:
+        if p != 1:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
-        den = x._den
-
-        def g_x(y: SparseVector) -> Coeff:
-            join_backends(EXACT, y.backend)
-            s = sum([w * c for i, c in y._entries if (w := weights.get(i)) is not None])
-            return Fraction(factor * s, den * y._den)
-
-        return g_x
-    if p == 2:
-        factor, weights = None, dict(x.items())
+        # the factor is D_x * |x|_1, the sum of |x's numerators|
+        factor = sum([abs(n) for _, n in x._entries])
+        weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
     else:  # also at p = 1, where |x|^1.0 = |x| and |xi|^0.0 * sgn(xi) = +-1.0
         p = float(p)
         try:
@@ -277,12 +268,14 @@ def g_functional(x: SparseVector, space: Space):
             factor = 0.0
         if factor == 0.0:
             raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
-        weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x}
+        weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x._entries}
+    den = x._den
 
     def g_x(y: SparseVector) -> Coeff:
-        join_backends(FLOAT, y.backend)
-        s = sum((weights[i] * v for i, v in y.items() if i in weights), 0.0)
-        value = s if factor is None else factor * s
+        join_backends(backend, y.backend)
+        value = factor * sum([w * c for i, c in y._entries if (w := weights.get(i)) is not None])
+        if backend == EXACT:
+            return Fraction(value, den * y._den)
         if not math.isfinite(value):
             raise NumericalRangeError("g(x, y) overflows the float range")
         return value

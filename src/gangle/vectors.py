@@ -7,7 +7,11 @@ Coordinates are indexed from 1 upward.  Two scalar backends exist:
   and unbounded.  A vector stores int numerators over one int denominator,
   not one Fraction per coordinate, and the exact kernels (norms, g, l1 tau,
   vector arithmetic, projection) run on those ints.
-* float  -- coefficients are ``float``.
+* float  -- coefficients are ``float``, stored over the denominator 1.
+
+Arithmetic builds vectors by ``_exact`` (int numerators) or ``_checked``
+(floats, no inf or NaN), and forms ``add``, ``sub`` and ``project``'s y_S
+on one route, ``_combination``.
 
 A vector is homogeneous in one backend.  Combining an exact vector with a
 float vector (or a float scalar with an exact vector) raises
@@ -103,32 +107,16 @@ class SparseVector:
             raw[idx] = val
         if saw_float and saw_exact:
             raise BackendError("vector mixes float and Fraction coefficients")
+        # sorted first, so that the stored pairs are allocated in index order
+        den, entries = 1, sorted(raw.items())
         if saw_float:
-            self._store(sorted((i, float(v)) for i, v in raw.items()), FLOAT)
-        else:
-            self._store(sorted(raw.items()), EXACT)
-
-    def _store(self, entries, backend) -> None:
-        """Keep index-sorted (index, value) pairs whose values are of
-        ``backend``, without the zeros (also floats that underflowed to 0.0).
-        Exact values (ints and Fractions) are kept as numerators over the lcm
-        of their denominators, which is in lowest terms already."""
-        den = 1
-        if backend == EXACT:  # a zero has the denominator 1
+            entries = [(i, float(v)) for i, v in entries]
+        else:  # numerators over the lcm of the denominators, in lowest terms already
             den = math.lcm(*[v.denominator for _, v in entries])
             entries = [(i, v.numerator * (den // v.denominator)) for i, v in entries]
         self._entries = tuple([e for e in entries if e[1]])
         self._den = den
-        self._backend = backend if self._entries else None
-
-    @classmethod
-    def _trusted(cls, entries, backend) -> "SparseVector":
-        """Build from index-sorted (index, value) pairs whose values are
-        already of ``backend``, skipping the validation and sorting of
-        ``__init__``."""
-        vec = cls.__new__(cls)
-        vec._store(entries, backend)
-        return vec
+        self._backend = (FLOAT if saw_float else EXACT) if self._entries else None
 
     @classmethod
     def _exact(cls, entries, den: int) -> "SparseVector":
@@ -149,20 +137,44 @@ class SparseVector:
         return vec
 
     @classmethod
-    def _checked(cls, entries, backend) -> "SparseVector":
-        """:meth:`_trusted` for the result of float arithmetic, which may have
-        overflowed: an entry beyond the float range raises
-        :class:`~gangle.errors.NumericalRangeError`.  An infinite value makes
-        the sum of all values infinite or NaN, so the values are looked into
-        one by one only when their sum is not finite (finite values can
-        overflow the sum)."""
+    def _checked(cls, entries) -> "SparseVector":
+        """Build a float vector from index-sorted (index, float) pairs, the
+        result of float arithmetic: zeros (also values that underflowed to
+        0.0) are dropped, and an infinite or NaN value raises
+        :class:`~gangle.errors.NumericalRangeError`.  Such a value makes the
+        sum of all values infinite or NaN, so the values are looked into one
+        by one only when their sum is not finite (finite values can overflow
+        the sum).  Float arithmetic builds its results here."""
         if (
-            backend == FLOAT
-            and not math.isfinite(sum(map(operator.itemgetter(1), entries)))
+            not math.isfinite(sum(map(operator.itemgetter(1), entries)))
             and not all(math.isfinite(v) for _, v in entries)
         ):
-            raise NumericalRangeError("a coefficient of this vector overflows the float range")
-        return cls._trusted(entries, backend)
+            raise NumericalRangeError("a coefficient of this vector overflows the float range or is NaN")
+        vec = cls.__new__(cls)
+        vec._entries = tuple([e for e in entries if e[1]])
+        vec._den = 1
+        vec._backend = FLOAT if vec._entries else None
+        return vec
+
+    @classmethod
+    def _combination(cls, terms, den) -> "SparseVector":
+        """The vector sum(w_k * x_k) over (w_k, entries of x_k) terms, in one
+        pass: each coordinate adds its products w_k * x_k(i) in term order,
+        so float bits are those of successive adds (1 * v is v, and
+        a + (-1) * b is a - b).  Exact terms are int weights on int
+        numerators, and the sum is over the int ``den``; float terms have
+        ``den`` None."""
+        acc = {}
+        if terms:
+            w, entries = terms[0]
+            acc = dict(entries) if w == 1 else {i: w * v for i, v in entries}
+        for w, entries in terms[1:]:
+            get = acc.get
+            for i, v in entries:
+                a = get(i)
+                acc[i] = w * v if a is None else a + w * v
+        entries = sorted(acc.items())
+        return cls._checked(entries) if den is None else cls._exact(entries, den)
 
     @classmethod
     def from_dense(cls, values: Sequence[Coeff]) -> "SparseVector":
@@ -220,7 +232,7 @@ class SparseVector:
         is, and a float divided by the denominator 1 keeps its bits."""
         den = self._den
         try:
-            return SparseVector._trusted([(i, v / den) for i, v in self._entries], FLOAT)
+            return SparseVector._checked([(i, v / den) for i, v in self._entries])
         except OverflowError:  # n / D beyond the float range
             raise NumericalRangeError("a coefficient of this vector is beyond the float range") from None
 
@@ -239,35 +251,25 @@ class SparseVector:
             a = float(a)  # a float subclass (a numpy scalar) must not leak into the entries
         except OverflowError:  # an int scalar beyond the float range
             raise NumericalRangeError("the scalar overflows the float range") from None
-        entries = [(i, a * v) for i, v in self._entries]
-        if abs(a) > 1:  # finite entries times |a| <= 1 stay finite
-            return SparseVector._checked(entries, backend)
-        return SparseVector._trusted(entries, backend)
+        return SparseVector._checked([(i, a * v) for i, v in self._entries])
 
     def add(self, other: "SparseVector") -> "SparseVector":
         """Sum of two vectors; a float entry beyond the float range raises
         :class:`~gangle.errors.NumericalRangeError`."""
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     def sub(self, other: "SparseVector") -> "SparseVector":
         """Difference of two vectors; a float entry beyond the float range
         raises :class:`~gangle.errors.NumericalRangeError`."""
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
-    def _combine(self, other: "SparseVector", subtract: bool) -> "SparseVector":
-        """self + other, or self - other, by one sorted merge: exact
-        numerators over the lcm of the two denominators, then one gcd."""
+    def _combine(self, other: "SparseVector", sign: int) -> "SparseVector":
+        """self + sign * other by :meth:`_combination`: exact numerators over
+        the lcm of the two denominators, float values over their D = 1."""
         backend = join_backends(self._backend, other._backend)
-        if backend != EXACT:
-            return SparseVector._checked(_merge(self._entries, other._entries, subtract), backend)
         den = math.lcm(self._den, other._den)
-        return SparseVector._exact(_merge(self._over(den), other._over(den), subtract), den)
-
-    def _over(self, den: int):
-        """The int entries of an exact vector over ``den``, a multiple of its
-        denominator."""
-        f = den // self._den
-        return self._entries if f == 1 else [(i, n * f) for i, n in self._entries]
+        terms = [(den // self._den, self._entries), (sign * (den // other._den), other._entries)]
+        return SparseVector._combination(terms, None if backend == FLOAT else den)
 
     __add__ = add
     __sub__ = sub
@@ -296,32 +298,6 @@ class SparseVector:
         return f"SparseVector({{{body}}})"
 
 
-def _merge(a, b, subtract: bool) -> list:
-    """Entries of a + b (or a - b) for two index-sorted entry sequences, by
-    one sorted merge.  Zero results are left for the caller to drop."""
-    op = operator.sub if subtract else operator.add
-    out = []
-    append = out.append
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ia = a[i][0]
-        ib = b[j][0]
-        if ia < ib:
-            append(a[i])
-            i += 1
-        elif ib < ia:
-            append((ib, -b[j][1]) if subtract else b[j])
-            j += 1
-        else:
-            append((ia, op(a[i][1], b[j][1])))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend([(k, -v) for k, v in b[j:]] if subtract else b[j:])
-    return out
-
-
 ZERO = SparseVector()
 
 
@@ -335,7 +311,7 @@ class LpSpace:
     p: Coeff
 
     def __post_init__(self):
-        if not 1 <= self.p < math.inf:
+        if isinstance(self.p, bool) or not 1 <= self.p < math.inf:
             raise ValueError(f"p must be a finite number >= 1, got {self.p!r}")
 
 
@@ -402,8 +378,10 @@ def norm(x: SparseVector, space: Space) -> Coeff:
     if isinstance(space, LpSpace):
         return lp_norm(x, space.p)
     value = space.func(x)
-    if value < 0:
-        raise ValueError(f"norm oracle {space.name!r} returned a negative value")
+    if not value >= 0:  # also NaN
+        raise ValueError(f"norm oracle {space.name!r} returned a negative value or NaN")
+    if value == math.inf:
+        raise NumericalRangeError(f"norm oracle {space.name!r} returned inf")
     return value
 
 

@@ -1,7 +1,9 @@
 """Source hygiene that needs no linter: every name a package module imports
 is used in that module, every module-level definition is used somewhere in
-the package, exported or the console script, and ``__init__.py``, whose
-imports are the package's re-exports, lists exactly those in ``__all__``."""
+the package, exported or the console script, ``__init__.py``, whose
+imports are the package's re-exports, lists exactly those in ``__all__``,
+and only ``vectors.py`` sets the fields of a ``SparseVector``, so that
+``__init__``, ``_exact`` and ``_checked`` are the only ways to build one."""
 
 import ast
 import re
@@ -111,3 +113,47 @@ def test_every_module_level_definition_is_used():
     assert scripts  # the console script entry was found
     definers = {m: s for m, s in modules.items() if m != "__init__"}
     assert unused_definitions(definers, gangle.__all__, scripts) == []
+
+
+VECTOR_FIELDS = frozenset({"_entries", "_den", "_backend"})
+
+
+def vector_field_assignments(source):
+    """Line numbers of ``source`` that assign an attribute named like a
+    field of ``SparseVector``, by assignment, ``setattr`` or
+    ``object.__setattr__``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t for target in targets for t in ast.walk(target)]
+            if any(isinstance(t, ast.Attribute) and t.attr in VECTOR_FIELDS for t in targets):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            field = node.args[-2]
+            if (
+                name in ("setattr", "__setattr__")
+                and isinstance(field, ast.Constant)
+                and field.value in VECTOR_FIELDS
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_vector_field_assignments():
+    source = (
+        "v._entries = ()\n"
+        "a, b._den = 1, 2\n"
+        "v._backend += 'x'\n"
+        "setattr(v, '_den', 1)\n"
+        "object.__setattr__(v, '_entries', ())\n"
+        "data._factors = v._entries\n"
+        "object.__setattr__(data, '_maps', None)\n"
+    )
+    assert vector_field_assignments(source) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "vectors.py"])
+def test_only_vectors_sets_the_fields_of_a_vector(module):
+    assert vector_field_assignments((PACKAGE / module).read_text()) == []

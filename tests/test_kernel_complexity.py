@@ -97,7 +97,7 @@ def get_calls(monkeypatch):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts vectors built by ``__init__``, by the trusted constructor or by
+    """Counts vectors built by ``__init__``, by the float constructor or by
     the int constructor of exact arithmetic."""
     built = [0]
     init = SparseVector.__init__
@@ -107,7 +107,7 @@ def constructions(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseVector, "__init__", counted_init)
-    for name in ("_trusted", "_exact"):
+    for name in ("_checked", "_exact"):
         def counted(cls, *args, _build=getattr(SparseVector, name).__func__):
             built[0] += 1
             return _build(cls, *args)

@@ -58,6 +58,12 @@ def test_lp_space_rejects_a_non_finite_p(p):
         LpSpace(p)
 
 
+def test_lp_space_rejects_a_bool_p():
+    # True == 1 would pass the range check and give the l1 norm
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        LpSpace(True)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_float_coefficients_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -175,6 +181,13 @@ def test_arithmetic_edge_cases():
     wide = SparseVector({1: 1e308, 2: 1e308}).add(SparseVector({1: 5e307}))
     assert wide.items() == ((1, 1e308 + 5e307), (2, 1e308))
     assert SparseVector({1: 1e308, 2: -1e308}).scale(1.5).items() == ((1, 1.5e308), (2, -1.5e308))
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_scale_by_a_non_finite_scalar_raises_numerical_range_error(a):
+    # |nan| > 1 is False, so no shortcut for small scalars may skip the check
+    with pytest.raises(NumericalRangeError):
+        SparseVector({1: 1.0, 2: -2.0}).scale(a)
 
 
 # -- the int form of exact vectors -------------------------------------------
@@ -314,6 +327,21 @@ def test_norm_triangle_inequality(xs, ys, p):
 def test_oracle_axiom_check_accepts_a_norm():
     sup = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")
     check_norm_axioms(sup, random.Random(0))
+
+
+def test_an_oracle_norm_that_is_nan_negative_or_inf_raises():
+    x = SparseVector({1: 1.0})
+    for value in (math.nan, -1.0):
+        bad = OracleSpace(lambda v, value=value: value, "bad")
+        for f in (norm, norm_sq):
+            with pytest.raises(ValueError, match="negative value or NaN"):
+                f(x, bad)
+    infinite = OracleSpace(lambda v: math.inf, "inf")
+    for f in (norm, norm_sq):
+        with pytest.raises(NumericalRangeError):
+            f(x, infinite)
+    half = OracleSpace(lambda v: Fraction(3, 2), "exact")  # exact oracle values stay exact
+    assert norm(x, half) == Fraction(3, 2) and norm_sq(x, half) == Fraction(9, 4)
 
 
 def test_oracle_axiom_check_rejects_a_non_norm():
