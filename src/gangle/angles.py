@@ -184,31 +184,39 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     return (total * total if p == 1 else total) / nsu
 
 
+def _area_sq(x: SparseVector, y: SparseVector, space: Space, underflow_ok: bool = False):
+    """(value_sq, |x|^2 |y|^2) of :func:`lambda_functional`, with round-off
+    below 0 within slack of |x|^2 |y|^2 set to 0.  A float product of two
+    nonzero squared norms that overflows raises NumericalRangeError, and so
+    does one that underflows to 0 unless ``underflow_ok``."""
+    scale = norm_sq(x, space) * norm_sq(y, space)
+    gg = abs(g(x, y, space)) * abs(g(y, x, space))
+    if isinstance(scale, float) and not (x.is_zero or y.is_zero) and (scale or not underflow_ok):
+        _nonzero_square(scale)
+    value_sq = scale - gg
+    if value_sq < 0:
+        if isinstance(value_sq, float) and abs(value_sq) <= _CLAMP_SLACK * max(scale, 1e-300):
+            value_sq = 0.0
+        else:
+            raise ConsistencyError(f"squared area {value_sq} is negative beyond round-off slack")
+    return value_sq, scale
+
+
 def lambda_functional(x: SparseVector, y: SparseVector, space: Space) -> LambdaValue:
     """Area-like functional |x|^2 |y|^2 - |g(x,y)| |g(y,x)| under a root.
 
     Zero for linearly dependent pairs; symmetric; absolutely homogeneous in
     each slot; bounded by |x| |y|.  Fails the triangle inequality in general
-    normed spaces."""
-    nsx = norm_sq(x, space)
-    nsy = norm_sq(y, space)
-    gxy = g(x, y, space)
-    gyx = g(y, x, space)
-    value_sq = nsx * nsy - abs(gxy) * abs(gyx)
-    if value_sq < 0:
-        if isinstance(value_sq, float) and abs(value_sq) <= _CLAMP_SLACK * max(
-            float(nsx) * float(nsy), 1e-300
-        ):
-            value_sq = 0.0
-        else:
-            raise ConsistencyError(
-                f"squared area {value_sq} is negative beyond round-off slack"
-            )
-    if isinstance(value_sq, Fraction):
-        root = exact_sqrt(value_sq)
-        value = root if root is not None else math.sqrt(float(value_sq))
-    else:
-        value = math.sqrt(value_sq)
+    normed spaces; a float root out of the float range raises NumericalRangeError."""
+    value_sq, _ = _area_sq(x, y, space)
+    value = exact_sqrt(value_sq) if isinstance(value_sq, Fraction) else None
+    if value is None:
+        try:
+            value = math.sqrt(value_sq)
+        except OverflowError:  # an exact value_sq beyond the float range
+            value = 0.0
+        if value_sq and not value:
+            raise NumericalRangeError("the root of this squared area leaves the float range")
     return LambdaValue(value, value_sq)
 
 
@@ -223,16 +231,14 @@ def angle_plane_subspace(U: Subspace, V: Subspace) -> AngleResult:
         raise ValueError("U and V must lie in the same space")
     space = V.space
     u1, u2 = U.basis
-    base_sq = lambda_functional(u1, u2, space).value_sq
-    if isinstance(base_sq, float):
-        ns1, ns2 = float(norm_sq(u1, space)), float(norm_sq(u2, space))
-        _nonzero_square(ns1 * ns2)
-    if base_sq == 0 or (isinstance(base_sq, float) and base_sq <= _CLAMP_SLACK * ns1 * ns2):
+    base_sq, scale = _area_sq(u1, u2, space)
+    if base_sq == 0 or (isinstance(base_sq, float) and base_sq <= _CLAMP_SLACK * scale):
         raise DegenerateSubspaceError(
             "the spanning pair of U has zero area; the angle is undefined"
         )
     p1 = project(u1, V)
     p2 = project(u2, V)
-    lam_proj = lambda_functional(p1.projected, p2.projected, space)
-    cos_sq = _clamp_unit(lam_proj.value_sq / base_sq)
+    # a projected area that underflows is the float value of a tiny cos^2
+    proj_sq, _ = _area_sq(p1.projected, p2.projected, space, underflow_ok=True)
+    cos_sq = _clamp_unit(proj_sq / base_sq)
     return AngleResult(cos_sq, _subspace_angle(cos_sq), PATH_PLANE_LAMBDA)

@@ -277,11 +277,8 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     preparation and O(d^2) substitution.  Gram data filled in from known
     entries has no maps, and its right-hand side calls g.
 
-    In exact mode, with c_k = a_k / b_k and x_k's int numerators n_k(i) over
-    D_k, y_S(i) = sum_k W_k * n_k(i) / M with the int weights
-    W_k = a_k * M / (b_k * D_k), M the lcm of the b_k * D_k: one int per
-    coordinate and no Fraction.  Float coefficients add their products
-    c_k * x_k(i) in basis order, with the bits of successive adds."""
+    y_S = sum_k c_k * x_k over the nonzero c_k is one
+    ``SparseVector._combination``, as ``add`` and ``sub`` are."""
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError(
@@ -292,14 +289,7 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     else:
         rhs = [g_x(y) for g_x in data._maps]
     coeffs = _substitute(data._factors, rhs)
-    den = None
-    if isinstance(coeffs[0], float):
-        weights = [(c, xk._entries) for c, xk in zip(coeffs, sub.basis) if c]
-    else:
-        terms = [(c.numerator, c.denominator * xk._den, xk._entries) for c, xk in zip(coeffs, sub.basis) if c]
-        den = math.lcm(*[d for _, d, _ in terms])
-        weights = [(a * (den // d), entries) for a, d, entries in terms]
-    projected = SparseVector._combination(weights, den)
+    projected = SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 

@@ -10,8 +10,8 @@ Coordinates are indexed from 1 upward.  Two scalar backends exist:
 * float  -- coefficients are ``float``, stored over the denominator 1.
 
 Arithmetic builds vectors by ``_exact`` (int numerators) or ``_checked``
-(floats, no inf or NaN), and forms ``add``, ``sub`` and ``project``'s y_S
-on one route, ``_combination``.
+(floats, no inf or NaN); ``add``, ``sub`` and ``project``'s y_S are each
+one ``_combination`` of (coefficient, vector) terms.
 
 A vector is homogeneous in one backend.  Combining an exact vector with a
 float vector (or a float scalar with an exact vector) raises
@@ -22,6 +22,7 @@ float vector (or a float scalar with an exact vector) raises
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -110,7 +111,10 @@ class SparseVector:
         # sorted first, so that the stored pairs are allocated in index order
         den, entries = 1, sorted(raw.items())
         if saw_float:
-            entries = [(i, float(v)) for i, v in entries]
+            try:
+                entries = [(i, float(v)) for i, v in entries]
+            except OverflowError:  # an int coefficient beyond the float range
+                raise NumericalRangeError("an int coefficient overflows the float range") from None
         else:  # numerators over the lcm of the denominators, in lowest terms already
             den = math.lcm(*[v.denominator for _, v in entries])
             entries = [(i, v.numerator * (den // v.denominator)) for i, v in entries]
@@ -157,13 +161,20 @@ class SparseVector:
         return vec
 
     @classmethod
-    def _combination(cls, terms, den) -> "SparseVector":
-        """The vector sum(w_k * x_k) over (w_k, entries of x_k) terms, in one
-        pass: each coordinate adds its products w_k * x_k(i) in term order,
-        so float bits are those of successive adds (1 * v is v, and
-        a + (-1) * b is a - b).  Exact terms are int weights on int
-        numerators, and the sum is over the int ``den``; float terms have
-        ``den`` None."""
+    def _combination(cls, terms) -> "SparseVector":
+        """sum(c_k * x_k) over (c_k, x_k) terms, c_k != 0, in one pass: each
+        coordinate adds its products w_k * x_k(i) in term order.  Float terms
+        weigh by c_k, with the bits of successive adds (1 * v is v, and
+        a + (-1) * b is a - b).  Exact terms, c_k = a_k / b_k on x_k's int
+        numerators n_k(i) over D_k, weigh by the ints W_k = a_k * M / (b_k * D_k),
+        M the lcm of the b_k * D_k: y(i) = sum_k W_k * n_k(i) / M, no Fraction.
+        Exact and float vectors together raise BackendError."""
+        backend = functools.reduce(join_backends, [x._backend for _, x in terms], None)
+        if backend == FLOAT:
+            terms = [(c, x._entries) for c, x in terms]
+        else:
+            den = math.lcm(*[c.denominator * x._den for c, x in terms])
+            terms = [(c.numerator * den // (c.denominator * x._den), x._entries) for c, x in terms]
         acc = {}
         if terms:
             w, entries = terms[0]
@@ -174,7 +185,7 @@ class SparseVector:
                 a = get(i)
                 acc[i] = w * v if a is None else a + w * v
         entries = sorted(acc.items())
-        return cls._checked(entries) if den is None else cls._exact(entries, den)
+        return cls._checked(entries) if backend == FLOAT else cls._exact(entries, den)
 
     @classmethod
     def from_dense(cls, values: Sequence[Coeff]) -> "SparseVector":
@@ -256,20 +267,12 @@ class SparseVector:
     def add(self, other: "SparseVector") -> "SparseVector":
         """Sum of two vectors; a float entry beyond the float range raises
         :class:`~gangle.errors.NumericalRangeError`."""
-        return self._combine(other, 1)
+        return self._combination([(1, self), (1, other)])
 
     def sub(self, other: "SparseVector") -> "SparseVector":
         """Difference of two vectors; a float entry beyond the float range
         raises :class:`~gangle.errors.NumericalRangeError`."""
-        return self._combine(other, -1)
-
-    def _combine(self, other: "SparseVector", sign: int) -> "SparseVector":
-        """self + sign * other by :meth:`_combination`: exact numerators over
-        the lcm of the two denominators, float values over their D = 1."""
-        backend = join_backends(self._backend, other._backend)
-        den = math.lcm(self._den, other._den)
-        terms = [(den // self._den, self._entries), (sign * (den // other._den), other._entries)]
-        return SparseVector._combination(terms, None if backend == FLOAT else den)
+        return self._combination([(1, self), (-1, other)])
 
     __add__ = add
     __sub__ = sub

@@ -28,6 +28,7 @@ from gangle import (
     vector_angle,
 )
 from gangle.angles import _clamp_unit
+from gangle.vectors import exact_sqrt
 
 from support import (
     cos_sq_explicit_sum_by_multi_index,
@@ -449,6 +450,34 @@ def test_exact_vector_angle_at_any_magnitude(scale, sign):
     assert res.angle_rad == pytest.approx(math.pi / 4 if sign > 0 else 3 * math.pi / 4)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["huge", "tiny"])
+@pytest.mark.parametrize("p", [1, 2, 1.5])
+def test_float_lambda_whose_squared_norms_multiply_beyond_the_float_range_raises(scale, p):
+    # each squared norm is finite, their product is not: no NaN area, and no
+    # 0 area for an independent pair
+    x, y = sv([scale, 3 * scale]), sv([2 * scale, 0.0, scale])
+    with pytest.raises(NumericalRangeError):
+        lambda_functional(x, y, LpSpace(p))
+    assert lambda_functional(x, SparseVector(), LpSpace(p)).value_sq == 0
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**200), Fraction(1, 10**200)], ids=["huge", "tiny"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_exact_areas_beyond_the_float_range(scale, p):
+    # the squared areas grow by scale^4, beyond the float range either way
+    space = LpSpace(p)
+    x, y = SparseVector({1: 1, 2: 3}), SparseVector({1: 2, 3: 1})
+    assert exact_sqrt(lambda_functional(x, y, space).value_sq) is None
+    with pytest.raises(NumericalRangeError):  # the float root of an irrational area
+        lambda_functional(x.scale(scale), y.scale(scale), space)
+    e1, e2 = SparseVector({1: scale}), SparseVector({2: scale})
+    assert lambda_functional(e1, e2, space).value == scale * scale  # a rational root stays exact
+    # cos^2 is a ratio of exact squared areas, so it does not depend on the scale
+    V = Subspace([SparseVector({1: 1, 2: 1}), SparseVector({3: 1})], space)
+    unit = angle_plane_subspace(Subspace([x, y], space), V).cos_sq
+    assert angle_plane_subspace(Subspace([x.scale(scale), y.scale(scale)], space), V).cos_sq == unit
+
+
 
 def _span(*rows, space=L2_FLOAT):
     return Subspace([sv(list(r)) for r in rows], space)
@@ -474,11 +503,17 @@ TINY_U = sv([1e-200, 3e-200])  # |u|^2 = 1e-399 underflows; exact cos^2 onto (1,
         ),
         # a projection whose squared norm underflows gives a right angle, not an error
         (lambda: angle_line_subspace(sv([1e-170, 1.0]), _span((1.0,))).angle_rad, math.pi / 2),
+        (
+            lambda: angle_plane_subspace(
+                _span((1e-170, 1.0, 0.0), (0.0, 0.0, 1.0)), _span((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+            ).cos_sq,
+            0.0,
+        ),
         (lambda: left_orthonormalize([sv([1.0, 2.0]), sv([2.0, 4.0])], L2_FLOAT), DependenceError),
     ],
     ids=[
         "line-l2", "line-p1.5", "explicit-sum", "vector", "project", "orthonormalize", "plane",
-        "near-orthogonal-line", "dependent-pair",
+        "near-orthogonal-line", "near-orthogonal-plane", "dependent-pair",
     ],
 )
 def test_float_underflow_raises_numerical_range_error(compute, expected):

@@ -3,7 +3,9 @@ is used in that module, every module-level definition is used somewhere in
 the package, exported or the console script, ``__init__.py``, whose
 imports are the package's re-exports, lists exactly those in ``__all__``,
 and only ``vectors.py`` sets the fields of a ``SparseVector``, so that
-``__init__``, ``_exact`` and ``_checked`` are the only ways to build one."""
+``__init__``, ``_exact`` and ``_checked`` are the only ways to build one.
+Only ``vectors.py`` and the kernels of ``semi_inner.py`` read a vector's
+stored form, its int or float entries and its denominator."""
 
 import ast
 import re
@@ -157,3 +159,43 @@ def test_the_check_sees_vector_field_assignments():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "vectors.py"])
 def test_only_vectors_sets_the_fields_of_a_vector(module):
     assert vector_field_assignments((PACKAGE / module).read_text()) == []
+
+
+STORED_FORM = VECTOR_FIELDS - {"_backend"}
+
+
+def stored_form_reads(source):
+    """Line numbers of ``source`` that read an attribute named like the
+    entries or the denominator of a ``SparseVector``, directly or by
+    ``getattr``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in STORED_FORM:
+            lines.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in STORED_FORM
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_stored_form_reads():
+    source = (
+        "n = v._entries\n"
+        "f(x._den * y._den, [e for e in y._entries])\n"
+        "w = getattr(v, '_den', 1)\n"
+        "v._entries = ()\n"
+        "b = v._backend\n"
+        "m = data._factors\n"
+        "getattr(v, 'backend')\n"
+    )
+    assert stored_form_reads(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("vectors.py", "semi_inner.py")])
+def test_only_vectors_and_semi_inner_read_the_stored_form_of_a_vector(module):
+    assert stored_form_reads((PACKAGE / module).read_text()) == []

@@ -183,6 +183,13 @@ def test_arithmetic_edge_cases():
     assert SparseVector({1: 1e308, 2: -1e308}).scale(1.5).items() == ((1, 1.5e308), (2, -1.5e308))
 
 
+def test_an_int_beyond_the_float_range_in_a_float_vector_raises_numerical_range_error():
+    # the int is converted to a float, as scale(10 ** 400) on a float vector does
+    with pytest.raises(NumericalRangeError):
+        SparseVector({1: 10 ** 400, 2: 1.0})
+    assert SparseVector({1: 10 ** 300, 2: 1.0}).items() == ((1, 1e300), (2, 1.0))
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_scale_by_a_non_finite_scalar_raises_numerical_range_error(a):
     # |nan| > 1 is False, so no shortcut for small scalars may skip the check
