@@ -18,8 +18,21 @@ power or quotient inside float tau beyond the float range raises
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
 For p > 1 the norm is smooth away from 0 and the derivative is estimated by
-central differences with Richardson extrapolation (float only).  For norm
-oracles, one-sided quotients are driven to agreement over shrinking steps.
+central differences with Richardson extrapolation (float only), at steps
+scaled by a power of two within a factor 2 of |x| / |y| and kept below the
+least kink ``min |xi|/|yi|`` of the terms ``|xi + t*yi|^p``.  Float tau sums
+only the terms that change with ``t``: at p > 1 ``|x + t*y|^p`` is the sum
+of ``|xi|^p`` off supp y, taken once, plus ``|xi + t*yi|^p`` on the shared
+support (the terms ``|t*yi|^p`` off supp x are o(t) and left out), and each
+central difference ``|x + h*y| - |x - h*y|`` is taken from the per-term
+differences ``|xi + h*yi|^p - |xi - h*yi|^p``, each formed by ``log1p`` and
+``expm1`` from ``2*h*yi``, so no larger term absorbs the change of a smaller
+one; in l1 the quotient sums ``|xi + t*yi| - |xi|`` on supp y alone, so
+|x|_1 cannot absorb the step.  For norm oracles, one-sided quotients over
+shrinking steps stop when two successive quotients agree (a piecewise-linear
+norm, whose quotient is constant below its first kink) or when two
+successive Richardson steps ``2*q(t) - q(2t)`` agree (a smooth norm), which
+returns one Richardson step more.
 
 ``g(0, y)`` is taken to be 0 by convention, the limit of bi-homogeneity as
 the first argument is scaled to zero.
@@ -57,7 +70,11 @@ class TauPair:
     """Right and left derivatives of t -> |x + t*y| at t = 0.
 
     ``step_used`` is 0 when the value was obtained exactly (piecewise-linear
-    evaluation), otherwise the final finite-difference step.
+    evaluation), otherwise the final finite-difference step: for an lp space
+    the scaled central-difference step, a power of two at most
+    2^(e_x - e_y), where e_x and e_y are the binary exponents of |x| and
+    |y|, and below the least kink min |x_i|/|y_i|, and under a norm oracle
+    the larger of the two one-sided steps, 2^-k.
     """
 
     tau_plus: Coeff
@@ -87,13 +104,19 @@ def _tau_l1_exact(x: SparseVector, y: SparseVector) -> tuple:
     return plus, minus, x._den * y._den * tn
 
 
-def _tau_central(f, scale: float) -> tuple:
-    """Derivative of f at 0 by central differences + Richardson extrapolation.
+def _tau_central(delta, scale: float, unit: float) -> tuple:
+    """Derivative of f at 0 by central differences + Richardson extrapolation,
+    where ``delta(h)`` is f(h) - f(-h).
 
-    Halves the step until successive extrapolants stabilize; keeps the value
-    at the smallest successive gap so round-off growth past the optimum is
-    harmless.  Returns (value, step).  Raises EstimationFailureError when
-    no gap between successive extrapolants is finite (the norm overflowed)."""
+    The steps are h = unit * 2^-k, k = 4..45; ``unit`` is a power of two, so
+    each h is one and h*y_i is exact.  Halves the step until successive
+    extrapolants stabilize to 1e-13 * ``scale``; keeps the value at the
+    smallest successive gap so round-off growth past the optimum is
+    harmless, and stops after three rising gaps once k > 16, so ``unit``
+    must be on the scale over which f is smooth, and ``delta`` accurate to
+    round-off of f(h) - f(-h) itself, not of f.  Returns (value, step).
+    Raises EstimationFailureError when no gap between successive
+    extrapolants is finite (the norm overflowed)."""
     tol = 1e-13 * max(scale, 1e-300)
     prev_d = None
     prev_r = None
@@ -102,8 +125,8 @@ def _tau_central(f, scale: float) -> tuple:
     best_gap = float("inf")
     rising = 0
     for k in range(4, 46):
-        h = 2.0 ** -k
-        d = (f(h) - f(-h)) / (2.0 * h)
+        h = math.ldexp(unit, -k)
+        d = delta(h) / (2.0 * h)
         if prev_d is not None:
             r = (4.0 * d - prev_d) / 3.0
             if prev_r is not None:
@@ -125,6 +148,16 @@ def _tau_central(f, scale: float) -> tuple:
 
 
 def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair:
+    """:func:`tau` under a norm oracle, from the one-sided quotients
+    q(t) = (|x + t*y| - |x|) / t at t = +-2^-k, k = 10..40.  A side stops at
+    the first k where q(t) agrees with q(2t) to 1e-9 * |y| and returns q(t):
+    below the first kink of a piecewise-linear norm q is constant, so this
+    keeps its value and its two evaluations.  Else it stops where two
+    successive Richardson steps r(t) = 2*q(t) - q(2t) agree to the same
+    tolerance.  For a smooth norm q(t) = tau + c1*t + c2*t^2 + ..., so r(t)
+    = tau + O(t^2), and the side returns the next Richardson step,
+    (4*r(t) - r(2t)) / 3 = tau + O(t^3), at no further evaluation.  The
+    steps are not scaled to x."""
     n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
@@ -152,13 +185,18 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
             return SparseVector._checked(entries)
 
     def one_sided(sign: int):
-        prev = None
+        prev = prev_r = None
         q = None
         for k in _ORACLE_K_RANGE:
             t = (Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k)
             q = (norm(at(t), space) - n0) / t
-            if prev is not None and abs(q - prev) < tol:
-                return q, abs(t)
+            if prev is not None:
+                if abs(q - prev) < tol:
+                    return q, abs(t)
+                r = 2 * q - prev
+                if prev_r is not None and abs(r - prev_r) < tol:
+                    return (4 * r - prev_r) / 3, abs(t)
+                prev_r = r
             prev = q
         raise EstimationFailureError(
             f"one-sided quotient for norm oracle {space.name!r} did not "
@@ -190,32 +228,62 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
             "(the norm is not piecewise linear)"
         )
     p = float(space.p)
-    # |x + t*y| over index-ordered pairs (x_i, y_i), summed in the order and
-    # with the rounding of lp_norm(x.add(y.scale(t)), p), without the vectors.
-    xs = dict(x.items())
-    ys = dict(y.items())
-    pairs = [(xs.get(i, 0.0), ys.get(i, 0.0)) for i in sorted(xs.keys() | ys.keys())]
+    # Only the terms on supp y change with t: the pairs (a, b) = (x_i, y_i)
+    # there, in index order, and x's other entries, left in xs.
+    xs = dict(x._entries)
+    pairs = [(xs.pop(i, 0.0), b) for i, b in y._entries]
+    # No a + t*b changes sign for |t| < min |a|/|b| over the pairs with a != 0.
+    ratios = [abs(a) / abs(b) for a, b in pairs if a]
     if p == 1:
-        # Below t* = min |a|/|b| / 2 over the pairs with a != 0 != b no
-        # a + t*b changes sign, so the quotient is the one-sided derivative.
-        ratios = [abs(a) / abs(b) for a, b in pairs if a and b]
+        # Below t* = min |a|/|b| / 2 the quotient is the one-sided
+        # derivative.  Each |a + t*b| - |a| is then exact for a != 0
+        # (Sterbenz), and no |x|_1 enters the sum to absorb the step.
         tstar = min(ratios) / 2 if ratios else 1.0
         if tstar > 0:  # else the least ratio underflowed
-            n0 = lp_norm(x, 1)
-            plus, minus = ((sum(abs(a + t * b) for a, b in pairs) - n0) / t for t in (tstar, -tstar))
+            plus, minus = (sum([abs(a + t * b) - abs(a) for a, b in pairs]) / t for t in (tstar, -tstar))
             if math.isfinite(plus) and math.isfinite(minus):
                 return TauPair(plus, minus, 0)
         raise NumericalRangeError(f"l1 difference quotients at t* = {tstar!r} are beyond the float range")
-    if p == 2:
-        def f(t):
-            return math.sqrt(sum((v := a + t * b) * v for a, b in pairs))
-    else:
-        def f(t):
-            return sum(abs(a + t * b) ** p for a, b in pairs) ** (1.0 / p)
+    # At p > 1 a pair with a = 0 adds |t*b|^p to |x + t*y|^p: it leaves |x|
+    # and the derivative at 0 unchanged, but adds to the central differences
+    # an error of order h^p, which at p < 2 the Richardson steps, made for a
+    # series in h^2, do not remove.  These pairs are left out.
+    pairs = [(a, b) for a, b in pairs if a]
     try:
-        value, step = _tau_central(f, float(norm(y, space)))
-    except OverflowError:  # some |x_i + t*y_i|^p is beyond the float range
-        raise NumericalRangeError(f"|x + t*y| at p={p:g} overflows the float range") from None
+        # f(t)^p = off + S(t), with off = sum |x_i|^p off supp y summed once
+        # and S(t) = sum |a + t*b|^p.  For |h| below the least kink,
+        # min |a|/|b|, a + h*b has the sign of a - h*b, so that
+        # |a + h*b|^p - |a - h*b|^p = |a - h*b|^p * expm1(p * log1p(2*h*b / (a - h*b)))
+        # holds to a few roundings of itself, where subtracting the two
+        # powers loses the digits of |a|^p that h*b does not reach; and
+        # f(h) - f(-h) = f(-h) * expm1(log1p((S(h) - S(-h)) / f(-h)^p) / p),
+        # where neither off nor the larger terms absorb the change.
+        # (At p = 2 the squares are products, which overflow to inf, not
+        # OverflowError, and the estimate fails for want of a finite value.)
+        def powers(values):
+            return [v * v for v in values] if p == 2 else [abs(v) ** p for v in values]
+
+        off = math.fsum(powers(xs.values()))
+
+        def delta(h):
+            below = [a - h * b for a, b in pairs]
+            low = powers(below)
+            rise = sum([w * math.expm1(p * math.log1p(2.0 * h * b / v)) for w, v, (_, b) in zip(low, below, pairs)])
+            low = off + sum(low)
+            return low ** (1.0 / p) * math.expm1(math.log1p(rise / low) / p)
+
+        # The step unit is 2^(e_x - e_y), where e_x and e_y are the binary
+        # exponents of |x| = f(0) and |y|, capped at the power of two at or
+        # below the least kink.
+        ny = float(norm(y, space))
+        nx = (off + sum(powers([a for a, _ in pairs]))) ** (1.0 / p)
+        unit = math.ldexp(1.0, math.frexp(nx)[1] - math.frexp(ny)[1])
+        radius = min(ratios, default=math.inf)
+        if radius < unit:
+            unit = math.ldexp(1.0, math.frexp(radius)[1] - 1) if radius else 0.0
+        value, step = _tau_central(delta, ny, unit)
+    except (OverflowError, ZeroDivisionError, ValueError):  # a power, a ratio or a step beyond the float range
+        raise NumericalRangeError(f"|x + t*y| at p={p:g} or its step is beyond the float range") from None
     return TauPair(value, value, step)
 
 

@@ -7,7 +7,9 @@ straightforward forms of g and float tau that the linear-time kernels must
 reproduce exactly, float l1 norms and g by sum(abs(v)) and sign negation that
 the general lp formula must reproduce at p = 1, l1 tau and g on the vectors
 x + t*y that both tau routes must reproduce, oracle tau on the vectors
-x + t*y that the one-pass step vectors must reproduce, the exact sums and
+x + t*y that the one-pass step vectors must reproduce, the earlier tau routes
+(whole norms at unscaled steps, oracle quotients without Richardson steps)
+that the current ones must stay close to at ordinary magnitudes, the exact sums and
 norms on Fraction objects that the integer kernels must reproduce, the
 projection assembled by successive vector additions that the one-pass
 assembly must reproduce bit for bit, left g-orthonormalization by a fresh
@@ -270,15 +272,35 @@ def g_l1_by_signs(x, y):
     return value
 
 
-def tau_l1_by_vectors(x, y):
-    """l1 tau pair by its quotients at t = +-t* on the vectors x + t*y, with
-    t* = min |xi|/|yi| / 2 over the shared support, or 1 without one.  Exact
-    pairs are summed on Fraction objects; float pairs take ``l1_norm_by_abs``
-    and ``add``/``scale``, the vector route float tau replaces."""
-    n1 = (lambda v: lp_norm_by_fractions(v, 1)) if x.backend == "exact" else l1_norm_by_abs
+def _l1_tstar(x, y):
+    """t* = min |xi|/|yi| / 2 over the shared support, or 1 without one."""
     ys = dict(y.items())
     shared = [(xi, ys[i]) for i, xi in x if i in ys]
-    tstar = min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else 1
+    return min(abs(xi) / abs(yi) for xi, yi in shared) / 2 if shared else 1
+
+
+def tau_l1_by_vectors(x, y):
+    """l1 tau pair by its quotients at t = +-t* on the vectors x + t*y,
+    summing only the terms that change, |(x + t*y)_i| - |x_i| over supp y in
+    index order.  Exact pairs are summed on Fraction objects; float pairs
+    take ``add``/``scale``, the vector route float tau replaces."""
+    xs = dict(x.items())
+    tstar = _l1_tstar(x, y)
+
+    def quotient(t):
+        step = dict(x.add(y.scale(t)).items())
+        return sum(abs(step.get(i, 0)) - abs(xs.get(i, 0)) for i, _ in y) / t
+
+    return TauPair(quotient(tstar), quotient(-tstar), 0)
+
+
+def tau_l1_by_full_norms(x, y):
+    """l1 tau pair by the quotients (|x + t*y|_1 - |x|_1) / t at t = +-t*
+    over the whole vectors (``l1_norm_by_abs`` in float mode), where |x|_1
+    can absorb the step: the route float l1 tau took before it summed the
+    changed terms alone."""
+    n1 = (lambda v: lp_norm_by_fractions(v, 1)) if x.backend == "exact" else l1_norm_by_abs
+    tstar = _l1_tstar(x, y)
     n0 = n1(x)
     plus = (n1(x.add(y.scale(tstar))) - n0) / tstar
     minus = (n1(x.add(y.scale(-tstar))) - n0) / (-tstar)
@@ -308,27 +330,73 @@ def g_explicit_by_get(x, y, p):
 
 
 def tau_float_by_vectors(x, y, p):
-    """(value, step) of float tau at p > 1 with |x + t*y| evaluated on the
-    vector ``x.add(y.scale(t))`` at every step."""
+    """(value, step) of float tau at p > 1 with x - h*y and 2*h*y taken from
+    the vectors ``x.add(y.scale(-h))`` and ``y.scale(2 * h)`` at every step.
+    |x + t*y|^p is the sum of |x_i|^p off supp y, taken once by
+    ``math.fsum`` (x_i * x_i at p = 2), plus S(t) = sum |(x + t*y)_i|^p over the shared support
+    in index order (off supp x the term |t*y_i|^p is o(t) and left out).
+    Each |a + h*b|^p - |a - h*b|^p is |a - h*b|^p times
+    expm1(p * log1p(2*h*b / (a - h*b))), and |x + h*y| - |x - h*y| is
+    |x - h*y| * expm1(log1p((S(h) - S(-h)) / |x - h*y|^p) / p), at the
+    steps scaled by 2^(e_x - e_y), e_x and e_y the binary exponents of |x|
+    and |y|, capped at the power of two at or below min |x_i|/|y_i| over
+    the shared support."""
     p = float(p)
-    return _tau_central(lambda t: lp_norm(x.add(y.scale(t)), p), float(lp_norm(y, p)))
+    xs, ys = dict(x.items()), dict(y.items())
+    shared = [i for i in ys if i in xs]
+    power = (lambda v: v * v) if p == 2 else (lambda v: abs(v) ** p)
+    off = math.fsum([power(v) for i, v in xs.items() if i not in ys])
+
+    def delta(h):
+        below, twice = dict(x.add(y.scale(-h)).items()), dict(y.scale(2 * h).items())
+        powers = [power(below[i]) for i in shared]
+        rise = sum(w * math.expm1(p * math.log1p(twice[i] / below[i])) for w, i in zip(powers, shared))
+        low = off + sum(powers)
+        return low ** (1.0 / p) * math.expm1(math.log1p(rise / low) / p)
+
+    ny = float(lp_norm(y, p))
+    nx = (off + sum(power(xs[i]) for i in shared)) ** (1.0 / p)
+    unit = math.ldexp(1.0, math.frexp(nx)[1] - math.frexp(ny)[1])
+    radius = min((abs(xs[i]) / abs(ys[i]) for i in shared), default=math.inf)
+    if radius < unit:
+        unit = math.ldexp(1.0, math.frexp(radius)[1] - 1)
+    return _tau_central(delta, ny, unit)
 
 
-def tau_oracle_by_vectors(x, y, space):
+def tau_float_by_unscaled_steps(x, y, p):
+    """(value, step) of float tau at p > 1 from the whole norm
+    ``lp_norm(x.add(y.scale(t)), p)`` at the unscaled steps 2^-k: the route
+    float tau took before it summed the changed terms at scaled steps."""
+    p = float(p)
+
+    def f(t):
+        return lp_norm(x.add(y.scale(t)), p)
+
+    return _tau_central(lambda h: f(h) - f(-h), float(lp_norm(y, p)), 1.0)
+
+
+def tau_oracle_by_vectors(x, y, space, richardson=True):
     """Oracle tau with |x + t*y| evaluated on the vector ``x.add(y.scale(t))``
     at every step, the route the one-pass step vectors replace, with the
-    library's step schedule, stopping rule and errors."""
+    library's step schedule, stopping rules and errors; with
+    ``richardson=False`` only the first rule, agreeing successive quotients,
+    stops a side, as it did before the Richardson steps were added."""
     n0 = norm(x, space)
     tol = _ORACLE_REL_TOL * max(float(norm(y, space)), 1e-300)
     exact = "float" not in (x.backend, y.backend)
 
     def one_sided(sign):
-        prev = q = None
+        prev = prev_r = q = None
         for k in _ORACLE_K_RANGE:
             t = Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k
             q = (norm(x.add(y.scale(t)), space) - n0) / t
-            if prev is not None and abs(q - prev) < tol:
-                return q, abs(t)
+            if prev is not None:
+                if abs(q - prev) < tol:
+                    return q, abs(t)
+                r = 2 * q - prev
+                if richardson and prev_r is not None and abs(r - prev_r) < tol:
+                    return (4 * r - prev_r) / 3, abs(t)
+                prev_r = r
             prev = q
         raise EstimationFailureError(
             f"one-sided quotient for norm oracle {space.name!r} did not stabilize to {tol:g}",

@@ -24,9 +24,9 @@ DIGESTS = {
     ("wide-sparse", 1): "316564cb3d50abbcc8334551919e4084cfeb6b1d36e11b33f1736a0ddb4b94b1",
     ("wide-sparse", 2): "7ac60f2c74e6e6192f2166c6b0da43e59a59dc48bbf951e8c8643dee04711271",
     ("wide-sparse", 3): "1fcff102eb044e9ffae26e42e4f7ebba3e55dced020d323ed2f16fa98b827e93",
-    ("cli-replay", 1): "ed609ebcab389d596a46153fcb21c4f03e63696f661bc43af4ac4ce6e0ef0e12",
-    ("cli-replay", 2): "993d42dedf2d5dae23fdc70d3de0c57d6c6021d4d1f0955ac97d7f4b901f11d4",
-    ("cli-replay", 3): "59e56ce2a999851413d68f57758d0acd4fc98bd68e6bce4941a5b5aef26dd9ea",
+    ("cli-replay", 1): "bde9bbf7acaa0ddb191a70e787d205ae69b82569928c82e49ee8a2d12fcd9d59",
+    ("cli-replay", 2): "af8f4fd8c9bf517a2e2645a2bc1662817db309546e4c5d982ca05fd07f128b74",
+    ("cli-replay", 3): "df63bd061fd637cefbce7c7fad84f569ab4c6869cb2925efeb33c3bd589e00d7",
 }
 
 ONE_PASS = """

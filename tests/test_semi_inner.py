@@ -37,7 +37,9 @@ from support import (
     rand_exact_vector,
     rand_float_vector,
     rand_vector,
+    tau_float_by_unscaled_steps,
     tau_float_by_vectors,
+    tau_l1_by_full_norms,
     tau_l1_by_vectors,
     tau_oracle_by_vectors,
 )
@@ -337,6 +339,96 @@ def test_float_tau_equals_the_vector_route_exactly(p):
             value, step = tau_float_by_vectors(x, y, p)
             ref = TauPair(value, value, step)
         assert tau(x, y, LpSpace(p)) == ref, (x, y)
+
+
+def test_tau_stays_close_to_the_earlier_routes_at_ordinary_magnitudes():
+    """Summing the changed terms, taking central differences from per-term
+    differences at scaled steps, and the oracle's Richardson steps move tau
+    by round-off and truncation only.
+    On pairs with entries in [-5, 5]: within 1e-10 * |y|_1 of the quotients
+    of whole l1 norms, within 1e-8 * |y| of central differences of whole
+    norms at the steps 2^-k, and under an oracle equal to the quotient-
+    agreement route for a piecewise-linear norm and within 1e-4 * |y| of it
+    for the smooth l4 norm, where that route stops with an O(t) error."""
+    rng = random.Random(21)
+    for _ in range(200):
+        x = rand_float_vector(rng, max_index=12, max_terms=8)
+        y = rand_float_vector(rng, max_index=12, max_terms=8)
+        ref = tau_l1_by_full_norms(x, y)
+        pair = tau(x, y, L1)
+        bound = 1e-10 * lp_norm(y, 1)
+        assert abs(pair.tau_plus - ref.tau_plus) <= bound and abs(pair.tau_minus - ref.tau_minus) <= bound
+        for p in (1.5, 2.0, 3.0):
+            value, _ = tau_float_by_unscaled_steps(x, y, p)
+            assert abs(tau(x, y, LpSpace(p)).tau_plus - value) <= 1e-8 * lp_norm(y, p), (x, y, p)
+        for space in ORACLES:
+            pair, ref = tau(x, y, space), tau_oracle_by_vectors(x, y, space, richardson=False)
+            assert repr(pair) == repr(tau_oracle_by_vectors(x, y, space))
+            if space.name == "l4":
+                bound = 1e-4 * norm(y, space)
+                assert abs(pair.tau_plus - ref.tau_plus) <= bound and abs(pair.tau_minus - ref.tau_minus) <= bound
+            else:
+                assert pair == ref
+
+
+def test_float_l1_tau_is_not_absorbed_by_a_large_norm():
+    # |x|_1 = 1e20 + 1 absorbs x + t*y at t* = 0.5 when whole norms are summed
+    x, y = SparseVector({1: 1e20, 2: 1.0}), SparseVector({2: 1.0})
+    assert tau(x, y, L1) == TauPair(1.0, 1.0, 0)
+    assert g_from_norm(x, y, L1) == 1e20
+
+
+@pytest.mark.parametrize(
+    "x,y,p",
+    [
+        ({1: 1e100, 2: 1e100}, {1: 1.0}, 2),  # |x| absorbs every step 2^-k
+        ({1: 3e-6, 2: -2e-6}, {1: 1.0, 2: 1.0}, 2),  # the steps 2^-k stop before reaching |x|
+        ({1: 3e-6, 2: -2e-6}, {1: 1.0, 2: 1.0}, 3),
+        ({1: 3e-9, 2: -2e-9}, {1: 1.0, 2: 1.0}, 1.5),
+        # |x| / |y| = 1e6, but |x_2 + t*y_2|^p has its kink at t = -1
+        ({1: 1e6, 2: 1.0}, {2: 1.0}, 1.5),
+        ({1: 1e6, 2: 1.0}, {2: 1.0}, 2),
+        ({1: 1e6, 2: 1.0}, {2: 1.0}, 3),
+        ({1: 1e6, 2: 1.0}, {1: 1.0, 2: 1.0}, 1.5),
+    ],
+)
+def test_g_from_norm_holds_where_x_and_y_differ_in_magnitude(x, y, p):
+    x, y, space = SparseVector(x), SparseVector(y), LpSpace(p)
+    assert abs(g_from_norm(x, y, space) - g(x, y, space)) <= 1e-9 * norm(x, space) * norm(y, space)
+
+
+def test_g_from_norm_holds_where_entries_span_orders_of_magnitude():
+    """Entries m * 10^e, e in [-6, 6], within each vector: the step scale
+    |x| / |y| and the kinks at t = -x_i / y_i of the smaller pairs lie orders
+    of magnitude apart, and |x + t*y| is dominated by entries whose change
+    with t is far below its last bit."""
+    rng = random.Random(2021)
+    for _ in range(300):
+        x, y = (
+            SparseVector({i: rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(-6, 6)
+                          for i in rng.sample(range(1, 9), rng.randint(1, 6))})
+            for _ in range(2)
+        )
+        for p in (1.5, 2.0, 3.0):
+            space = LpSpace(p)
+            gap = g_from_norm(x, y, space) - g(x, y, space)
+            assert abs(gap) <= 1e-9 * norm(x, space) * norm(y, space), (x, y, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_g_from_norm_scales_with_its_first_argument(data):
+    """g is homogeneous in x and scaling by a power of two is exact in
+    floats, so g_from_norm(2^a x, y) is 2^a g_from_norm(x, y) up to
+    round-off: the central-difference steps follow the scale of x."""
+    entries = st.integers(-99, 99).filter(bool).map(float)
+    vectors = st.dictionaries(st.integers(1, 8), entries, min_size=1, max_size=6).map(SparseVector)
+    x, y = data.draw(vectors, "x"), data.draw(vectors, "y")
+    a = data.draw(st.integers(-200, 200), "a")
+    space = LpSpace(data.draw(st.sampled_from((1.5, 2.0, 3.0)), "p"))
+    factor = math.ldexp(1.0, a)
+    gap = g_from_norm(x.scale(factor), y, space) - factor * g_from_norm(x, y, space)
+    assert abs(gap) <= 1e-9 * factor * norm(x, space) * norm(y, space)
 
 
 @settings(max_examples=200, deadline=None)
