@@ -36,12 +36,13 @@ from .errors import (
     DegenerateSubspaceError,
     DependenceError,
     GAngleError,
+    NumericalRangeError,
     ProblemFileError,
     ZeroVectorError,
 )
 from .gram import Subspace, certifies_independence, left_orthonormalize, project
-from .semi_inner import g, g_from_norm, tau
-from .vectors import LpSpace, OracleSpace, Space, SparseVector
+from .semi_inner import g, tau
+from .vectors import LpSpace, OracleSpace, Space, SparseVector, norm
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -174,11 +175,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _scalar_out(value) -> dict:
-    """A scalar as both an exact fraction string (when exact) and a decimal."""
-    if isinstance(value, Fraction):
-        return {"exact": str(value), "decimal": float(value)}
-    return {"exact": None, "decimal": float(value)}
+def _scalar_out(value, field: str) -> dict:
+    """The scalar ``field`` as both an exact fraction string (when exact) and
+    a decimal.  An exact value beyond the float range has no decimal and
+    raises NumericalRangeError."""
+    try:
+        decimal = float(value)
+    except OverflowError:
+        raise NumericalRangeError(f"{field} is beyond the float range of its decimal form") from None
+    return {"exact": str(value) if isinstance(value, Fraction) else None, "decimal": decimal}
 
 
 def _vector_out(vec: SparseVector) -> dict:
@@ -201,6 +206,12 @@ def _get(mapping, kind, name):
 
 
 def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
+    """g(x, y), g(y, x) and the one-sided derivatives tau+- of t -> |x + t*y|
+    at 0, evaluated once, on x and y (on their float copies where exact
+    quotients are unavailable, exact p = 2).  In an lp space the report
+    also gives the distance between g(x, y) and the definition
+    |x| * (tau+ + tau-) / 2 from that pair: exact against exact on an exact
+    l1 file, where it is 0."""
     x = _get(problem.vectors, "vector", x_name)
     y = _get(problem.vectors, "vector", y_name)
     space = problem.space
@@ -210,17 +221,20 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
     try:
         pair = tau(x, y, space)
     except BackendError:
-        pair = tau(x.to_float(), y.to_float(), space)
+        x, y = x.to_float(), y.to_float()
+        pair = tau(x, y, space)
         warnings.append("tau computed in float mode (exact quotients unavailable)")
     delta = None
     if isinstance(space, LpSpace):
-        cross = g_from_norm(x.to_float(), y.to_float(), space)
-        delta = abs(float(gxy) - float(cross))
+        definition = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
+        if isinstance(definition, float) and not math.isfinite(definition):
+            raise NumericalRangeError("g(x, y) overflows the float range")
+        delta = float(abs(gxy - definition))
     outputs = {
-        "g_xy": _scalar_out(gxy),
-        "g_yx": _scalar_out(gyx),
-        "tau_plus": _scalar_out(pair.tau_plus),
-        "tau_minus": _scalar_out(pair.tau_minus),
+        "g_xy": _scalar_out(gxy, "g_xy"),
+        "g_yx": _scalar_out(gyx, "g_yx"),
+        "tau_plus": _scalar_out(pair.tau_plus, "tau_plus"),
+        "tau_minus": _scalar_out(pair.tau_minus, "tau_minus"),
         "definition_crosscheck_delta": delta,
     }
     return outputs, warnings, EXIT_OK
@@ -233,7 +247,7 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
     outputs = {}
     if U.dim == 1:
         result = angle_line_subspace(U.basis[0], V)
-        outputs["cos_sq_ratio"] = _scalar_out(result.cos_sq_ratio)
+        outputs["cos_sq_ratio"] = _scalar_out(result.cos_sq_ratio, "cos_sq_ratio")
         if result.ratio_gap is not None and result.ratio_gap > 1e-8:
             warnings.append(
                 f"projection formula and length-ratio disagree by {result.ratio_gap:.3g}"
@@ -244,7 +258,7 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
             except GAngleError as exc:
                 warnings.append(f"explicit sum unavailable ({type(exc).__name__}: {exc})")
             else:
-                outputs["explicit_sum_cos_sq"] = _scalar_out(explicit)
+                outputs["explicit_sum_cos_sq"] = _scalar_out(explicit, "explicit_sum_cos_sq")
                 gap = abs(float(explicit) - float(result.cos_sq_ratio))
                 if gap > 1e-8:
                     warnings.append(
@@ -262,7 +276,7 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
         )
     outputs.update(
         {
-            "cos_sq": _scalar_out(result.cos_sq),
+            "cos_sq": _scalar_out(result.cos_sq, "cos_sq"),
             "angle_rad": result.angle_rad,
             "angle_deg": math.degrees(result.angle_rad),
             "path": result.path,
@@ -275,9 +289,10 @@ def cmd_project(problem: Problem, y_name: str, s_name: str) -> tuple:
     y = _get(problem.vectors, "vector", y_name)
     S = _get(problem.subspaces, "subspace", s_name)
     pr = project(y, S)
-    residual_checks = [_scalar_out(g(xi, pr.residual, problem.space)) for xi in S.basis]
+    residual_checks = [_scalar_out(g(xi, pr.residual, problem.space), "residual_orthogonality")
+                       for xi in S.basis]
     outputs = {
-        "coefficients": [_scalar_out(c) for c in pr.coefficients],
+        "coefficients": [_scalar_out(c, "coefficients") for c in pr.coefficients],
         "projected": _vector_out(pr.projected),
         "residual": _vector_out(pr.residual),
         "residual_orthogonality": residual_checks,
@@ -296,8 +311,8 @@ def cmd_gram(problem: Problem, s_name: str) -> tuple:
     data = S.gram()
     independent = certifies_independence(data)
     outputs = {
-        "matrix": [[_scalar_out(e) for e in row] for row in data.matrix],
-        "det": _scalar_out(data.det),
+        "matrix": [[_scalar_out(e, "matrix") for e in row] for row in data.matrix],
+        "det": _scalar_out(data.det, "det"),
         "certifies_independence": independent,
     }
     if independent:

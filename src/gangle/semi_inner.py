@@ -19,8 +19,9 @@ For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
 For p > 1 the norm is smooth away from 0 and the derivative is estimated by
 central differences with Richardson extrapolation (float only), at steps
-scaled by a power of two within a factor 2 of |x| / |y| and kept below the
-least kink ``min |xi|/|yi|`` of the terms ``|xi + t*yi|^p``.  Float tau sums
+scaled by a power of two within a factor 2 of |x| / |y| (a largest entry
+stands in for a norm that underflows to 0) and kept below the least kink
+``min |xi|/|yi|`` of the terms ``|xi + t*yi|^p``.  Float tau sums
 only the terms that change with ``t``: at p > 1 ``|x + t*y|^p`` is the sum
 of ``|xi|^p`` off supp y, taken once, plus ``|xi + t*yi|^p`` on the shared
 support (the terms ``|t*yi|^p`` off supp x are o(t) and left out), and each
@@ -29,10 +30,10 @@ differences ``|xi + h*yi|^p - |xi - h*yi|^p``, each formed by ``log1p`` and
 ``expm1`` from ``2*h*yi``, so no larger term absorbs the change of a smaller
 one; in l1 the quotient sums ``|xi + t*yi| - |xi|`` on supp y alone, so
 |x|_1 cannot absorb the step.  For norm oracles, one-sided quotients over
-shrinking steps stop when two successive quotients agree (a piecewise-linear
-norm, whose quotient is constant below its first kink) or when two
-successive Richardson steps ``2*q(t) - q(2t)`` agree (a smooth norm), which
-returns one Richardson step more.
+shrinking steps, scaled by the same power of two, stop when two successive
+quotients agree (a piecewise-linear norm, whose quotient is constant below
+its first kink) or when two successive Richardson steps ``2*q(t) - q(2t)``
+agree (a smooth norm), which returns one Richardson step more.
 
 ``g(0, y)`` is taken to be 0 by convention, the limit of bi-homogeneity as
 the first argument is scaled to zero.
@@ -41,6 +42,7 @@ the first argument is scaled to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,10 +61,12 @@ from .vectors import (
     _zero,
 )
 
-# Stopping rule for the norm-oracle quotient schedule: steps 2^-k for
-# k = 10..40, stop when two successive quotients agree to 1e-9 * |y|.
+# Stopping rule for the norm-oracle quotient schedule: steps 2^(e_x - e_y - k)
+# for k = 10..40, stop when two successive quotients agree to 1e-9 * |y|.
 _ORACLE_K_RANGE = range(10, 41)
 _ORACLE_REL_TOL = 1e-9
+# Exponents e of the powers of two 2^e that are floats, subnormals included.
+_FLOAT_EXPONENTS = range(sys.float_info.min_exp - sys.float_info.mant_dig, sys.float_info.max_exp)
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,26 @@ class TauPair:
     evaluation), otherwise the final finite-difference step: for an lp space
     the scaled central-difference step, a power of two at most
     2^(e_x - e_y), where e_x and e_y are the binary exponents of |x| and
-    |y|, and below the least kink min |x_i|/|y_i|, and under a norm oracle
-    the larger of the two one-sided steps, 2^-k.
+    |y| (see :func:`_exponent`), and below the least kink min |x_i|/|y_i|,
+    and under a norm oracle the larger of the two one-sided steps,
+    2^(e_x - e_y - k).
     """
 
     tau_plus: Coeff
     tau_minus: Coeff
     step_used: Coeff = 0
+
+
+def _exponent(size, v: SparseVector) -> int:
+    """The binary exponent e, 2^(e-1) <= size < 2^e, of ``size``, a norm of
+    the nonzero vector v, exact for an exact norm of any magnitude.  Where
+    the norm underflowed to 0 it is that of v's largest |entry|, which lies
+    within a factor n^(1/p) below the lp norm of n entries."""
+    size = size or max(abs(c) for _, c in v)
+    if isinstance(size, float):
+        return math.frexp(size)[1]
+    e = size.numerator.bit_length() - size.denominator.bit_length()  # 2^(e-1) < size < 2^(e+1)
+    return e + 1 if size >= Fraction(2) ** e else e
 
 
 def _tau_l1_exact(x: SparseVector, y: SparseVector) -> tuple:
@@ -149,18 +166,24 @@ def _tau_central(delta, scale: float, unit: float) -> tuple:
 
 def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair:
     """:func:`tau` under a norm oracle, from the one-sided quotients
-    q(t) = (|x + t*y| - |x|) / t at t = +-2^-k, k = 10..40.  A side stops at
-    the first k where q(t) agrees with q(2t) to 1e-9 * |y| and returns q(t):
-    below the first kink of a piecewise-linear norm q is constant, so this
-    keeps its value and its two evaluations.  Else it stops where two
+    q(t) = (|x + t*y| - |x|) / t at t = +-2^(e_x - e_y - k), k = 10..40,
+    where e_x and e_y are the binary exponents of |x| and |y|
+    (:func:`_exponent`), so that t*|y| / |x| runs from about 2^-10 to 2^-40
+    whatever the magnitudes; exact vectors take the steps as Fractions, and
+    a float step beyond the float range raises NumericalRangeError.  A side
+    stops at the first k where q(t) agrees with q(2t) to 1e-9 * |y| and
+    returns q(t): below the first kink of a piecewise-linear norm q is
+    constant, so this keeps its value and its two evaluations.  Else it stops where two
     successive Richardson steps r(t) = 2*q(t) - q(2t) agree to the same
     tolerance.  For a smooth norm q(t) = tau + c1*t + c2*t^2 + ..., so r(t)
     = tau + O(t^2), and the side returns the next Richardson step,
-    (4*r(t) - r(2t)) / 3 = tau + O(t^3), at no further evaluation.  The
-    steps are not scaled to x."""
+    (4*r(t) - r(2t)) / 3 = tau + O(t^3), at no further evaluation.  When
+    neither rule stops a side, EstimationFailureError carries its last two
+    quotients."""
     n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
+    shift = _exponent(n0, x) - _exponent(ny, y)
     exact = join_backends(x.backend, y.backend) == EXACT
     if exact:  # no workload drives an exact oracle; the CLI rejects one
         def at(t):
@@ -185,10 +208,14 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
             return SparseVector._checked(entries)
 
     def one_sided(sign: int):
-        prev = prev_r = None
-        q = None
+        prev = prev_r = before = None
         for k in _ORACLE_K_RANGE:
-            t = (Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k)
+            if exact:
+                t = sign * Fraction(2) ** (shift - k)
+            elif shift - k in _FLOAT_EXPONENTS:
+                t = math.ldexp(sign, shift - k)
+            else:
+                raise NumericalRangeError(f"the oracle step 2^{shift - k} is beyond the float range")
             q = (norm(at(t), space) - n0) / t
             if prev is not None:
                 if abs(q - prev) < tol:
@@ -197,11 +224,11 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
                 if prev_r is not None and abs(r - prev_r) < tol:
                     return (4 * r - prev_r) / 3, abs(t)
                 prev_r = r
-            prev = q
+            prev, before = q, prev
         raise EstimationFailureError(
             f"one-sided quotient for norm oracle {space.name!r} did not "
             f"stabilize to {tol:g}",
-            last_two=(prev, q),
+            last_two=(before, prev),
         )
 
     plus, step_p = one_sided(+1)
@@ -273,11 +300,11 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
             return low ** (1.0 / p) * math.expm1(math.log1p(rise / low) / p)
 
         # The step unit is 2^(e_x - e_y), where e_x and e_y are the binary
-        # exponents of |x| = f(0) and |y|, capped at the power of two at or
-        # below the least kink.
+        # exponents of |x| = f(0) and |y| (of a largest entry where a norm
+        # underflows), capped at the power of two at or below the least kink.
         ny = float(norm(y, space))
         nx = (off + sum(powers([a for a, _ in pairs]))) ** (1.0 / p)
-        unit = math.ldexp(1.0, math.frexp(nx)[1] - math.frexp(ny)[1])
+        unit = math.ldexp(1.0, _exponent(nx, x) - _exponent(ny, y))
         radius = min(ratios, default=math.inf)
         if radius < unit:
             unit = math.ldexp(1.0, math.frexp(radius)[1] - 1) if radius else 0.0

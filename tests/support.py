@@ -42,7 +42,7 @@ from gangle import (
     sgn,
 )
 from gangle.gram import _eliminate, _substitute, _unit_lower_gram, det
-from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _tau_central
+from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central
 from gangle.vectors import exact_sqrt
 
 MAX_INDEX = 6
@@ -339,8 +339,8 @@ def tau_float_by_vectors(x, y, p):
     expm1(p * log1p(2*h*b / (a - h*b))), and |x + h*y| - |x - h*y| is
     |x - h*y| * expm1(log1p((S(h) - S(-h)) / |x - h*y|^p) / p), at the
     steps scaled by 2^(e_x - e_y), e_x and e_y the binary exponents of |x|
-    and |y|, capped at the power of two at or below min |x_i|/|y_i| over
-    the shared support."""
+    and |y| (of a largest entry where a norm underflows), capped at the
+    power of two at or below min |x_i|/|y_i| over the shared support."""
     p = float(p)
     xs, ys = dict(x.items()), dict(y.items())
     shared = [i for i in ys if i in xs]
@@ -356,7 +356,7 @@ def tau_float_by_vectors(x, y, p):
 
     ny = float(lp_norm(y, p))
     nx = (off + sum(power(xs[i]) for i in shared)) ** (1.0 / p)
-    unit = math.ldexp(1.0, math.frexp(nx)[1] - math.frexp(ny)[1])
+    unit = math.ldexp(1.0, _exponent(nx, x) - _exponent(ny, y))
     radius = min((abs(xs[i]) / abs(ys[i]) for i in shared), default=math.inf)
     if radius < unit:
         unit = math.ldexp(1.0, math.frexp(radius)[1] - 1)
@@ -378,18 +378,30 @@ def tau_float_by_unscaled_steps(x, y, p):
 def tau_oracle_by_vectors(x, y, space, richardson=True):
     """Oracle tau with |x + t*y| evaluated on the vector ``x.add(y.scale(t))``
     at every step, the route the one-pass step vectors replace, with the
-    library's step schedule, stopping rules and errors; with
+    library's step schedule, stopping rules and errors: the steps are
+    +-2^(e_x - e_y - k), e_x and e_y the binary exponents of |x| and |y|, and
+    a failing side reports its last two quotients.  With
     ``richardson=False`` only the first rule, agreeing successive quotients,
     stops a side, as it did before the Richardson steps were added."""
     n0 = norm(x, space)
-    tol = _ORACLE_REL_TOL * max(float(norm(y, space)), 1e-300)
+    ny = float(norm(y, space))
+    tol = _ORACLE_REL_TOL * max(ny, 1e-300)
+    shift = _exponent(n0, x) - _exponent(ny, y)
     exact = "float" not in (x.backend, y.backend)
 
     def one_sided(sign):
-        prev = prev_r = q = None
+        quotients = []
+        prev_r = None
         for k in _ORACLE_K_RANGE:
-            t = Fraction(sign, 2 ** k) if exact else sign * 2.0 ** -k
+            if exact:
+                t = Fraction(sign) * Fraction(2) ** (shift - k)
+            elif -1074 <= shift - k <= 1023:
+                t = sign * 2.0 ** (shift - k)
+            else:
+                raise NumericalRangeError(f"the oracle step 2^{shift - k} is beyond the float range")
             q = (norm(x.add(y.scale(t)), space) - n0) / t
+            prev = quotients[-1] if quotients else None
+            quotients.append(q)
             if prev is not None:
                 if abs(q - prev) < tol:
                     return q, abs(t)
@@ -397,10 +409,9 @@ def tau_oracle_by_vectors(x, y, space, richardson=True):
                 if richardson and prev_r is not None and abs(r - prev_r) < tol:
                     return (4 * r - prev_r) / 3, abs(t)
                 prev_r = r
-            prev = q
         raise EstimationFailureError(
             f"one-sided quotient for norm oracle {space.name!r} did not stabilize to {tol:g}",
-            last_two=(prev, q),
+            last_two=tuple(quotients[-2:]),
         )
 
     plus, step_p = one_sided(+1)

@@ -21,6 +21,7 @@ from gangle import (
     ProblemFileError,
     ZeroVectorError,
     cli,
+    semi_inner,
 )
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -192,11 +193,73 @@ def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):
 
 
 def test_an_exact_coordinate_beyond_the_float_range_is_input_error(tmp_path, capsys):
-    # exact g and tau succeed; the float cross-check cannot convert 1e400
+    # exact g and tau succeed; the decimal form of g(x, y) cannot hold 1e400
     path = tmp_path / "huge.json"
     path.write_text('{"p": 1, "mode": "exact", "vectors": {"x": ["1e400", 1], "y": [1, 2]}}')
     assert cli.main(["g", "-i", str(path), "x", "y"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(["gram", "X"], "matrix"), (["project", "x", "Y"], "coefficients"), (["g", "x", "y"], "g_xy")],
+)
+def test_an_exact_report_value_beyond_the_float_range_is_input_error(tmp_path, capsys, args, field):
+    # g(x, x) = 1e800 and the coefficient of y in x are exact; their decimal
+    # forms are not floats
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"p": 1, "mode": "exact", "vectors": {"x": ["1e400", 1], "y": [1, 2]},'
+        ' "subspaces": {"X": ["x"], "Y": ["y"]}}'
+    )
+    assert cli.main([args[0], "-i", str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert "0" * 50 not in err  # the value itself is not printed
+
+
+@pytest.mark.parametrize(
+    "name, spec, calls",
+    [
+        ("exact-l1", '"p": 1, "mode": "exact"', ["pair"]),
+        ("float-p1.5", '"p": 1.5, "mode": "float"', ["pair"]),
+        ("exact-l2", '"p": 2, "mode": "exact"', ["BackendError", "pair"]),
+    ],
+)
+def test_g_evaluates_tau_once_and_checks_the_pair_it_prints(monkeypatch, tmp_path, name, spec, calls):
+    """One tau pair per report, on float copies only after the exact
+    quotients are refused, and no g_from_norm: the cross-check is
+    |g(x, y) - |x| * (tau+ + tau-) / 2| from the printed pair."""
+    seen = []
+    tau = semi_inner.tau
+
+    def counted_tau(x, y, space):
+        try:
+            pair = tau(x, y, space)
+        except GAngleError as exc:
+            seen.append(type(exc).__name__)
+            raise
+        seen.append("pair")
+        return pair
+
+    def forbidden(*args):
+        raise AssertionError("cmd_g called g_from_norm")
+
+    for module in (cli, semi_inner):
+        monkeypatch.setattr(module, "tau", counted_tau)
+    monkeypatch.setattr(semi_inner, "g_from_norm", forbidden)
+    path = tmp_path / f"{name}.json"
+    path.write_text('{%s, "vectors": {"x": [3, -1, "1/2"], "y": [1, 2, -4]}}' % spec)
+    report = cli.cmd_g(cli.load_problem(str(path)), "x", "y")[0]
+    assert seen == calls
+    assert not hasattr(cli, "g_from_norm")
+    if name == "exact-l1":  # exact against exact
+        taus = Fraction(report["tau_plus"]["exact"]) + Fraction(report["tau_minus"]["exact"])
+        assert Fraction(report["g_xy"]["exact"]) == Fraction(9, 2) * taus / 2
+        assert report["definition_crosscheck_delta"] == 0.0
+    else:
+        assert report["definition_crosscheck_delta"] <= 1e-9
 
 
 def test_an_angle_whose_squared_norm_overflows_is_input_error(tmp_path, capsys):

@@ -24,9 +24,9 @@ DIGESTS = {
     ("wide-sparse", 1): "316564cb3d50abbcc8334551919e4084cfeb6b1d36e11b33f1736a0ddb4b94b1",
     ("wide-sparse", 2): "7ac60f2c74e6e6192f2166c6b0da43e59a59dc48bbf951e8c8643dee04711271",
     ("wide-sparse", 3): "1fcff102eb044e9ffae26e42e4f7ebba3e55dced020d323ed2f16fa98b827e93",
-    ("cli-replay", 1): "bde9bbf7acaa0ddb191a70e787d205ae69b82569928c82e49ee8a2d12fcd9d59",
-    ("cli-replay", 2): "af8f4fd8c9bf517a2e2645a2bc1662817db309546e4c5d982ca05fd07f128b74",
-    ("cli-replay", 3): "df63bd061fd637cefbce7c7fad84f569ab4c6869cb2925efeb33c3bd589e00d7",
+    ("cli-replay", 1): "7160cc7a312055f1dbfba2b8c77180099dc473369f6d5662a95df876f3fd52af",
+    ("cli-replay", 2): "b877f68bc7dc4ebfd374af80f6c6eafa95aa2bb737352348bec20f43a45cf647",
+    ("cli-replay", 3): "f48a4470c181bd9cfd2784c2e00e7cc89248fb271b61eeda22f0ef06012e8ce2",
 }
 
 ONE_PASS = """

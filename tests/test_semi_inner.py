@@ -431,6 +431,42 @@ def test_g_from_norm_scales_with_its_first_argument(data):
     assert abs(gap) <= 1e-9 * factor * norm(x, space) * norm(y, space)
 
 
+@pytest.mark.parametrize("scale", (1e20, 1e-20))
+def test_oracle_g_from_norm_holds_where_x_and_y_differ_in_magnitude(scale):
+    """The oracle steps follow |x| / |y|: at the steps 2^-k alone,
+    x = 1e20 * (3, -2) absorbs every t*y and g_from_norm gives 0.0, and
+    every step is far larger than x = 1e-20 * (3, -2)."""
+    x, y, l4 = SparseVector({1: 3 * scale, 2: -2 * scale}), SparseVector({1: 1.0, 2: 1.0}), ORACLES[2]
+    gap = g_from_norm(x, y, l4) - g_explicit(x, y, 4)
+    assert abs(gap) <= 1e-9 * norm(x, l4) * norm(y, l4)
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_float_tau_where_the_norm_of_y_underflows(p):
+    """|y| rounds to 0 for y = (5e-324,), and at p = 2 and 3 for y = 1e-200 *
+    (1, 1).  The step unit then takes the exponent of y's largest entry:
+    the steps that would reach y = 5e-324 overflow, so tau raises where it
+    gave 0.0, and y = 1e-200 * (1, 1) keeps its value.  |y|_1 bounds |y|."""
+    x, space = SparseVector({1: 1.0}), LpSpace(p)
+    tiny, small = SparseVector({1: 5e-324}), SparseVector({1: 1e-200, 2: 1e-200})
+    assert norm(tiny, space) == 0.0
+    for route in (tau, g_from_norm):
+        with pytest.raises(NumericalRangeError):
+            route(x, tiny, space)
+    gap = g_from_norm(x, small, space) - g(x, small, space)
+    assert abs(gap) <= 1e-9 * norm(x, space) * lp_norm(small, 1)
+
+
+def test_a_nonconvergent_oracle_reports_its_last_two_quotients():
+    # q(t) = t^-0.5 never settles; the schedule ends at the steps 2^-39, 2^-40
+    root = OracleSpace(lambda v: sum(abs(c) ** 0.5 for _, c in v), "root")
+    with pytest.raises(EstimationFailureError) as exc:
+        tau(SparseVector({1: 1.0}), SparseVector({2: 1.0}), root)
+    before, last = exc.value.last_two
+    assert last == 2.0 ** 20
+    assert before == pytest.approx(2.0 ** 19.5, rel=1e-6)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_float_l1_tau_equals_the_vector_route_across_magnitudes(data):
