@@ -41,8 +41,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .gram import Subspace, certifies_independence, left_orthonormalize, project
-from .semi_inner import g, tau
-from .vectors import LpSpace, OracleSpace, Space, SparseVector, norm
+from .semi_inner import _g_from_pair, g, tau
+from .vectors import LpSpace, OracleSpace, Space, SparseVector
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -226,10 +226,7 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
         warnings.append("tau computed in float mode (exact quotients unavailable)")
     delta = None
     if isinstance(space, LpSpace):
-        definition = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
-        if isinstance(definition, float) and not math.isfinite(definition):
-            raise NumericalRangeError("g(x, y) overflows the float range")
-        delta = float(abs(gxy - definition))
+        delta = float(abs(gxy - _g_from_pair(pair, x, space)))
     outputs = {
         "g_xy": _scalar_out(gxy, "g_xy"),
         "g_yx": _scalar_out(gyx, "g_yx"),

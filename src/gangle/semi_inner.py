@@ -30,7 +30,8 @@ differences ``|xi + h*yi|^p - |xi - h*yi|^p``, each formed by ``log1p`` and
 ``expm1`` from ``2*h*yi``, so no larger term absorbs the change of a smaller
 one; in l1 the quotient sums ``|xi + t*yi| - |xi|`` on supp y alone, so
 |x|_1 cannot absorb the step.  For norm oracles, one-sided quotients over
-shrinking steps, scaled by the same power of two, stop when two successive
+shrinking steps, scaled by the same power of two (for exact vectors only
+where it is below 1), stop when two successive
 quotients agree (a piecewise-linear norm, whose quotient is constant below
 its first kink) or when two successive Richardson steps ``2*q(t) - q(2t)``
 agree (a smooth norm), which returns one Richardson step more.
@@ -79,7 +80,7 @@ class TauPair:
     2^(e_x - e_y), where e_x and e_y are the binary exponents of |x| and
     |y| (see :func:`_exponent`), and below the least kink min |x_i|/|y_i|,
     and under a norm oracle the larger of the two one-sided steps,
-    2^(e_x - e_y - k).
+    2^(e_x - e_y - k), or 2^(min(e_x - e_y, 0) - k) for exact vectors.
     """
 
     tau_plus: Coeff
@@ -169,8 +170,11 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     q(t) = (|x + t*y| - |x|) / t at t = +-2^(e_x - e_y - k), k = 10..40,
     where e_x and e_y are the binary exponents of |x| and |y|
     (:func:`_exponent`), so that t*|y| / |x| runs from about 2^-10 to 2^-40
-    whatever the magnitudes; exact vectors take the steps as Fractions, and
-    a float step beyond the float range raises NumericalRangeError.  A side
+    whatever the magnitudes, and a float step beyond the float range raises
+    NumericalRangeError.  Exact vectors take the steps as Fractions,
+    +-2^(min(e_x - e_y, 0) - k): exact x + t*y absorbs no step, so the
+    steps are not raised where |x| >> |y|, which would carry them over the
+    kinks of x's small entries, and they shrink where |x| << |y|.  A side
     stops at the first k where q(t) agrees with q(2t) to 1e-9 * |y| and
     returns q(t): below the first kink of a piecewise-linear norm q is
     constant, so this keeps its value and its two evaluations.  Else it stops where two
@@ -186,6 +190,7 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     shift = _exponent(n0, x) - _exponent(ny, y)
     exact = join_backends(x.backend, y.backend) == EXACT
     if exact:  # no workload drives an exact oracle; the CLI rejects one
+        shift = min(shift, 0)
         def at(t):
             return x.add(y.scale(t))
     else:
@@ -322,7 +327,12 @@ def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
         # |x|_1 / 2 * (tau+ + tau-) on the ints of the exact l1 quotients
         plus, minus, den = _tau_l1_exact(x, y)
         return Fraction((plus + minus) * sum([abs(n) for _, n in x._entries]), 2 * den * x._den)
-    pair = tau(x, y, space)
+    return _g_from_pair(tau(x, y, space), x, space)
+
+
+def _g_from_pair(pair: TauPair, x: SparseVector, space: Space) -> Coeff:
+    """The definition |x| * (tau+ + tau-) / 2 from the pair tau(x, y); a
+    float value beyond the float range raises NumericalRangeError."""
     value = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
     if isinstance(value, float) and not math.isfinite(value):
         raise NumericalRangeError("g(x, y) overflows the float range")

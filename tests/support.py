@@ -379,8 +379,9 @@ def tau_oracle_by_vectors(x, y, space, richardson=True):
     """Oracle tau with |x + t*y| evaluated on the vector ``x.add(y.scale(t))``
     at every step, the route the one-pass step vectors replace, with the
     library's step schedule, stopping rules and errors: the steps are
-    +-2^(e_x - e_y - k), e_x and e_y the binary exponents of |x| and |y|, and
-    a failing side reports its last two quotients.  With
+    +-2^(e_x - e_y - k), e_x and e_y the binary exponents of |x| and |y|
+    (+-2^(min(e_x - e_y, 0) - k) for exact vectors), and a failing side
+    reports its last two quotients.  With
     ``richardson=False`` only the first rule, agreeing successive quotients,
     stops a side, as it did before the Richardson steps were added."""
     n0 = norm(x, space)
@@ -388,6 +389,8 @@ def tau_oracle_by_vectors(x, y, space, richardson=True):
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
     shift = _exponent(n0, x) - _exponent(ny, y)
     exact = "float" not in (x.backend, y.backend)
+    if exact:
+        shift = min(shift, 0)
 
     def one_sided(sign):
         quotients = []

@@ -25,7 +25,7 @@ from gangle import (
     norm_sq,
     tau,
 )
-from gangle.semi_inner import g_functional
+from gangle.semi_inner import _exponent, g_functional
 
 from support import (
     g_explicit_by_get,
@@ -439,6 +439,45 @@ def test_oracle_g_from_norm_holds_where_x_and_y_differ_in_magnitude(scale):
     x, y, l4 = SparseVector({1: 3 * scale, 2: -2 * scale}), SparseVector({1: 1.0, 2: 1.0}), ORACLES[2]
     gap = g_from_norm(x, y, l4) - g_explicit(x, y, 4)
     assert abs(gap) <= 1e-9 * norm(x, l4) * norm(y, l4)
+
+
+@pytest.mark.parametrize(
+    "x, y, value",
+    [  # the closed form: tau+- = sum of sgn(x_i) * y_i, as supp y lies in supp x
+        ({1: Fraction(10) ** 20, 2: 1}, {2: 1}, 1),
+        ({1: 3 * Fraction(10) ** -20, 2: -2 * Fraction(10) ** -20}, {1: 1, 2: 1}, 0),
+    ],
+)
+def test_exact_oracle_steps_stay_below_the_kinks_of_x(x, y, value):
+    """Exact x + t*y absorbs no step, so exact oracle steps are 2^-k where
+    |x| >= |y|: scaled up to 2^(e_x - e_y - k) for x = (1e20, 1) they pass
+    the kink at t = -1 and tau- comes out -1.  Where |x| << |y| they shrink:
+    at 2^-k they pass both kinks of x = 1e-20 * (3, -2), at |t| = 2e-20."""
+    x, y, taxicab = SparseVector(x), SparseVector(y), ORACLES[1]
+    pair = tau(x, y, taxicab)
+    assert (pair.tau_plus, pair.tau_minus) == (value, value)
+    assert g_from_norm(x, y, taxicab) == g_explicit(x, y, 1) == value * lp_norm(x, 1)
+
+
+def test_exponent_brackets_the_size():
+    """2^(e-1) <= size < 2^e: as math.frexp gives it for floats, subnormals
+    included, and checked by exact powers of two for Fractions near 2^k and
+    far beyond the float range.  A size of 0 (a norm that underflowed)
+    takes the exponent of v's largest |entry|."""
+    v = SparseVector({1: 1.0})
+    tiny = sys.float_info.min
+    for size in (5e-324, 1e-320, tiny / 3, tiny, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 2.0 ** 52 + 1, sys.float_info.max):
+        assert _exponent(size, v) == math.frexp(size)[1]
+    rng = random.Random(7)
+    sizes = [Fraction(10) ** 400, Fraction(10) ** -400, Fraction(3, 10 ** 400), Fraction(10 ** 400 + 1, 7)]
+    for k in (-1400, -1329, -1, 0, 1, 1329, 1400):  # 10^+-400 lies near 2^+-1329
+        for eps in (0, Fraction(1, 10 ** 30), -Fraction(1, 10 ** 30), Fraction(1, 3), -Fraction(1, 3)):
+            sizes.append(Fraction(2) ** k * (1 + eps))
+    sizes += [Fraction(rng.randrange(1, 10 ** 130), rng.randrange(1, 10 ** 130)) for _ in range(200)]
+    for size in sizes:
+        e = _exponent(size, v)
+        assert Fraction(2) ** (e - 1) <= size < Fraction(2) ** e
+    assert _exponent(0.0, SparseVector({1: 5e-324, 2: -1e-320})) == math.frexp(1e-320)[1]
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
