@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConsistencyError, DegenerateSubspaceError, NumericalRangeError, ZeroVectorError
-from .gram import Subspace, _unit_lower_gram, det, left_orthonormalize, project
+from .gram import Subspace, _project, _unit_lower_gram, det, left_orthonormalize
 from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
@@ -121,8 +121,7 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
     formula degenerates to 0/0 there)."""
     if u.is_zero:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
-    pr = project(u, V)
-    u_v = pr.projected
+    _, u_v = _project(u, V)
     nsu = _nonzero_square(norm_sq(u, V.space))
     nsuv = None if u_v.is_zero else norm_sq(u_v, V.space)
     if u_v.is_zero or (isinstance(nsu, float) and nsuv <= 1e-24 * nsu):
@@ -236,9 +235,9 @@ def angle_plane_subspace(U: Subspace, V: Subspace) -> AngleResult:
         raise DegenerateSubspaceError(
             "the spanning pair of U has zero area; the angle is undefined"
         )
-    p1 = project(u1, V)
-    p2 = project(u2, V)
+    _, v1 = _project(u1, V)
+    _, v2 = _project(u2, V)
     # a projected area that underflows is the float value of a tiny cos^2
-    proj_sq, _ = _area_sq(p1.projected, p2.projected, space, underflow_ok=True)
+    proj_sq, _ = _area_sq(v1, v2, space, underflow_ok=True)
     cos_sq = _clamp_unit(proj_sq / base_sq)
     return AngleResult(cos_sq, _subspace_angle(cos_sq), PATH_PLANE_LAMBDA)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .gram import Subspace, certifies_independence, left_orthonormalize, project
 from .semi_inner import _g_from_pair, g, tau
-from .vectors import LpSpace, OracleSpace, Space, SparseVector
+from .vectors import LpSpace, OracleSpace, Space, SparseVector, norm
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -226,7 +226,7 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
         warnings.append("tau computed in float mode (exact quotients unavailable)")
     delta = None
     if isinstance(space, LpSpace):
-        delta = float(abs(gxy - _g_from_pair(pair, x, space)))
+        delta = float(abs(gxy - _g_from_pair(pair, norm(x, space))))
     outputs = {
         "g_xy": _scalar_out(gxy, "g_xy"),
         "g_yx": _scalar_out(gyx, "g_yx"),

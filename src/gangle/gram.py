@@ -268,17 +268,18 @@ class Projection:
     residual: SparseVector
 
 
-def project(y: SparseVector, sub: Subspace) -> Projection:
-    """g-orthogonal projection of y onto the subspace's basis.
+def _project(y: SparseVector, sub: Subspace) -> tuple:
+    """The coefficients c and y_S = sum_k c_k * x_k of :func:`project`,
+    without its residual: the angles read y_S alone.
 
     The right-hand side g(x_i, y) comes from the maps the subspace's Gram
     rows came from, and the system is solved from the factors of its Gram
-    matrix: once the Gram data is built, a projection costs d g-values, no
-    preparation and O(d^2) substitution.  Gram data filled in from known
+    matrix: once the Gram data is built, this costs d g-values, no new
+    map and O(d^2) substitution.  Gram data filled in from known
     entries has no maps, and its right-hand side calls g.
 
-    y_S = sum_k c_k * x_k over the nonzero c_k is one
-    ``SparseVector._combination``, as ``add`` and ``sub`` are."""
+    y_S over the nonzero c_k is one ``SparseVector._combination``, as
+    ``add`` and ``sub`` are."""
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError(
@@ -289,7 +290,14 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     else:
         rhs = [g_x(y) for g_x in data._maps]
     coeffs = _substitute(data._factors, rhs)
-    projected = SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
+    return coeffs, SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
+
+
+def project(y: SparseVector, sub: Subspace) -> Projection:
+    """g-orthogonal projection of y onto the subspace's basis: the
+    coefficients and y_S of :func:`_project`, and the residual y - y_S, so
+    two vectors built per call."""
+    coeffs, projected = _project(y, sub)
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 
@@ -324,11 +332,12 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`.
     In an lp space the unit lower-triangular Gram data of the starred vectors
     is filled in from the rows kept so far, so the step makes only the k - 1
-    right-hand-side g calls and solves by forward substitution, with no
-    elimination.  The row g(x_k*, x_j*), j < k, costs k - 1 more
-    g-values from one map ``g_functional(x_k*, space)``, built only when the
-    row has entries and another vector follows: (d - 1)^2 g-values and
-    d(d - 1)/2 + d - 2 first-argument preparations for d >= 2 vectors.
+    right-hand-side g calls, each weighing the shared support alone, and
+    solves by forward substitution, with no elimination.  The row
+    g(x_k*, x_j*), j < k, costs k - 1 more g-values from one map
+    ``g_functional(x_k*, space)``, built only when the row has entries and
+    another vector follows: (d - 1)^2 g-values, d(d - 1)/2 single g calls
+    and d - 2 maps for d >= 2 vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
     there need not be additive in its second argument.
 

@@ -7,12 +7,15 @@ Two independent routes are provided:
 * :func:`g_from_norm` -- the definition ``(|x|/2) * (tau+ + tau-)`` built
   from difference quotients of ``t -> |x + t*y|``.
 
-:func:`g_functional` prepares the closed form's share of x (the factor
-``|x|^(2-p)`` and the weights) once and returns the map ``y -> g(x, y)``,
-one for both backends; :func:`g` and :func:`g_explicit` call it for a
-single y, and the Gram rows, left orthonormalization and the explicit sum
-reuse one map per first argument.  In float mode a norm, a value of g or a
-power or quotient inside float tau beyond the float range raises
+A single value of :func:`g` (and of :func:`g_explicit`, which calls it)
+costs one norm pass over x for the factor ``|x|^(2-p)`` and forms the
+weights ``|xi|^(p-1) * sgn(xi)`` only on the shared support of x and y, as
+a sparse dot product runs over the common nonzeros.  :func:`g_functional`
+prepares the factor and the weights over all of x once and returns the map
+``y -> g(x, y)``, one for both backends, with the same bits: the Gram rows,
+the starred rows of left orthonormalization and the explicit sum reuse one
+map per first argument.  In float mode a norm, a value of g or a power or
+quotient inside float tau beyond the float range raises
 :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
@@ -165,9 +168,9 @@ def _tau_central(delta, scale: float, unit: float) -> tuple:
     return best, best_h
 
 
-def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair:
-    """:func:`tau` under a norm oracle, from the one-sided quotients
-    q(t) = (|x + t*y| - |x|) / t at t = +-2^(e_x - e_y - k), k = 10..40,
+def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace, n0: Coeff) -> TauPair:
+    """:func:`tau` under a norm oracle, given n0 = |x|, from the one-sided
+    quotients q(t) = (|x + t*y| - n0) / t at t = +-2^(e_x - e_y - k), k = 10..40,
     where e_x and e_y are the binary exponents of |x| and |y|
     (:func:`_exponent`), so that t*|y| / |x| runs from about 2^-10 to 2^-40
     whatever the magnitudes, and a float step beyond the float range raises
@@ -184,7 +187,6 @@ def _tau_oracle(x: SparseVector, y: SparseVector, space: OracleSpace) -> TauPair
     (4*r(t) - r(2t)) / 3 = tau + O(t^3), at no further evaluation.  When
     neither rule stops a side, EstimationFailureError carries its last two
     quotients."""
-    n0 = norm(x, space)
     ny = float(norm(y, space))
     tol = _ORACLE_REL_TOL * max(ny, 1e-300)
     shift = _exponent(n0, x) - _exponent(ny, y)
@@ -250,7 +252,7 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
         return TauPair(zero, zero, 0)
     join_backends(x.backend, y.backend)
     if isinstance(space, OracleSpace):
-        return _tau_oracle(x, y, space)
+        return _tau_oracle(x, y, space, norm(x, space))
     if x.backend == EXACT:
         if space.p == 1:
             plus, minus, den = _tau_l1_exact(x, y)
@@ -320,31 +322,67 @@ def tau(x: SparseVector, y: SparseVector, space: Space) -> TauPair:
 
 
 def g_from_norm(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
-    """g by its definition: half the norm of x times (tau+ + tau-)."""
+    """g by its definition: half the norm of x times (tau+ + tau-).  Under a
+    norm oracle the one evaluation of |x| that the quotients subtract also
+    gives the norm in front, so a noisy oracle is read once at x."""
     if x.is_zero:
         return _zero(y.backend)
     if isinstance(space, LpSpace) and space.p == 1 and join_backends(x.backend, y.backend) == EXACT:
         # |x|_1 / 2 * (tau+ + tau-) on the ints of the exact l1 quotients
         plus, minus, den = _tau_l1_exact(x, y)
         return Fraction((plus + minus) * sum([abs(n) for _, n in x._entries]), 2 * den * x._den)
-    return _g_from_pair(tau(x, y, space), x, space)
+    if isinstance(space, OracleSpace) and not y.is_zero:
+        join_backends(x.backend, y.backend)
+        nx = norm(x, space)
+        return _g_from_pair(_tau_oracle(x, y, space, nx), nx)
+    return _g_from_pair(tau(x, y, space), norm(x, space))
 
 
-def _g_from_pair(pair: TauPair, x: SparseVector, space: Space) -> Coeff:
-    """The definition |x| * (tau+ + tau-) / 2 from the pair tau(x, y); a
-    float value beyond the float range raises NumericalRangeError."""
-    value = (pair.tau_plus + pair.tau_minus) / 2 * norm(x, space)
+def _g_from_pair(pair: TauPair, nx: Coeff) -> Coeff:
+    """The definition |x| * (tau+ + tau-) / 2 from the pair tau(x, y) and
+    nx = |x|; a float value beyond the float range raises
+    NumericalRangeError."""
+    return _finite((pair.tau_plus + pair.tau_minus) / 2 * nx)
+
+
+def _finite(value: Coeff) -> Coeff:
+    """A value of g, checked: a float one beyond the float range raises
+    NumericalRangeError."""
     if isinstance(value, float) and not math.isfinite(value):
         raise NumericalRangeError("g(x, y) overflows the float range")
     return value
 
 
+def _factor(x: SparseVector, p) -> Coeff:
+    """The factor |x|^(2-p) of the closed form g(x, .) for a nonzero x at
+    p != 2: in exact mode (p = 1 only) the int D_x * |x|_1, the sum of
+    |x's numerators|, else the float power of one norm pass.
+
+    Raises BackendError for an exact x and p != 1, and NumericalRangeError
+    when the float |x|^(2-p) is out of range."""
+    if x.backend == EXACT:
+        if p != 1:
+            raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
+        return sum([abs(n) for _, n in x._entries])
+    p = float(p)
+    try:
+        factor = lp_norm(x, p) ** (2.0 - p)
+    except (OverflowError, ZeroDivisionError):  # a tiny |x| to a power below 0
+        factor = 0.0
+    if factor == 0.0:
+        raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
+    return factor
+
+
 def g_functional(x: SparseVector, space: Space):
     """The map y -> g(x, y) under ``space``, with x's share computed once: in
-    an lp space |x|^(2-p) and the weights |xi|^(p-1) * sgn(xi) (x's entries,
-    and no norm, at p = 2).  A call sums y's entries on x's support in index
-    order, rounding as one :func:`g_explicit` call does; in exact mode it sums
-    the products of the int numerators and builds one Fraction, g(x, y).
+    an lp space |x|^(2-p) (:func:`_factor`) and the weights
+    |xi|^(p-1) * sgn(xi) over all of x (x's entries, and no norm, at p = 2).
+    A call sums y's entries on x's support in index order, rounding as one
+    :func:`g` call does; in exact mode it sums the products of the int
+    numerators and builds one Fraction, g(x, y).  It pays off where one x
+    meets several y: the rows of a Gram matrix, the starred rows of a left
+    g-orthonormalization and the explicit sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -359,21 +397,13 @@ def g_functional(x: SparseVector, space: Space):
     # D_x * D_y in exact mode, where y_i are y's int numerators
     if p == 2:  # the weights are x's entries, and no norm is taken
         factor, weights = (1 if backend == EXACT else 1.0), dict(x._entries)
-    elif backend == EXACT:
-        if p != 1:
-            raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
-        # the factor is D_x * |x|_1, the sum of |x's numerators|
-        factor = sum([abs(n) for _, n in x._entries])
-        weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
-    else:  # also at p = 1, where |x|^1.0 = |x| and |xi|^0.0 * sgn(xi) = +-1.0
-        p = float(p)
-        try:
-            factor = lp_norm(x, p) ** (2.0 - p)
-        except (OverflowError, ZeroDivisionError):  # a tiny |x| to a power below 0
-            factor = 0.0
-        if factor == 0.0:
-            raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
-        weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x._entries}
+    else:
+        factor = _factor(x, p)
+        if backend == EXACT:  # p = 1: the signs of x's numerators
+            weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
+        else:  # also at p = 1, where |xi|^0.0 * sgn(xi) = +-1.0
+            p = float(p)
+            weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x._entries}
     den = x._den
 
     def g_x(y: SparseVector) -> Coeff:
@@ -381,18 +411,38 @@ def g_functional(x: SparseVector, space: Space):
         value = factor * sum([w * c for i, c in y._entries if (w := weights.get(i)) is not None])
         if backend == EXACT:
             return Fraction(value, den * y._den)
-        if not math.isfinite(value):
-            raise NumericalRangeError("g(x, y) overflows the float range")
-        return value
+        return _finite(value)
 
     return g_x
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:
     """g by the lp closed form.  Exact in rational mode for p in {1, 2}."""
-    return g_functional(x, LpSpace(p))(y)
+    return g(x, y, LpSpace(p))
 
 
 def g(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
-    """Semi-inner product: the lp closed form, or the norm-oracle definition."""
-    return g_functional(x, space)(y)
+    """Semi-inner product: the lp closed form, or the norm-oracle definition
+    (:func:`g_from_norm`).
+
+    At p != 2 one value weighs only the shared support: the factor
+    |x|^(2-p) takes one norm pass over x (:func:`_factor`), and the weight
+    |xi|^(p-1) * sgn(xi) is formed only where y_i is nonzero too, as y's
+    entries are summed in index order against a dict of x's, with the
+    expression and order of a :func:`g_functional` map and so its bits.
+    Exact p = 1 sums +-y_i on the int numerators.  At p = 2, where the
+    weights are x's entries, it is one map call."""
+    if isinstance(space, OracleSpace):
+        return g_from_norm(x, y, space)
+    if space.p == 2 or x.is_zero:
+        return g_functional(x, space)(y)
+    backend = x.backend
+    factor = _factor(x, space.p)
+    join_backends(backend, y.backend)
+    xs = dict(x._entries)
+    if backend == EXACT:  # p = 1: the signs of x's numerators
+        value = sum([c if a > 0 else -c for i, c in y._entries if (a := xs.get(i)) is not None])
+        return Fraction(factor * value, x._den * y._den)
+    p = float(space.p)
+    value = sum([abs(a) ** (p - 1.0) * sgn(a) * c for i, c in y._entries if (a := xs.get(i)) is not None])
+    return _finite(factor * value)

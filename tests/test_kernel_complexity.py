@@ -8,24 +8,28 @@ Fraction for it.  On nnz-4096 vectors g, g_from_norm and tau must make no
 |x + t*y| without building a vector.  On a float pair of nnz 1,024, oracle
 tau takes at most 12 evaluations of the smooth l4 norm, and of a taxicab or
 max norm exactly as many as the quotient-agreement rule alone (its value
-too).  The explicit cos^2 sum must take one determinant per
-coordinate, not one per multi-index.  Left g-orthonormalization of d
-vectors must take (d - 1)^2 g-values, and the explicit sum t(t + 1)/2 more
-of its own; a g-value counts whether it comes from ``g`` or from a map of
-``g_functional``.  Each first argument is prepared (norm and weights) once
-per Gram row, starred row or right-hand-side value, so ``gram`` of d vectors
-prepares d, not d^2.  A Gram matrix is eliminated once: ``project`` onto a
-subspace whose Gram data is built takes d g-values from the maps its rows
-came from, with no preparation and no elimination, and left
-g-orthonormalization in lp eliminates nothing.  A regression fails here on
-any machine.
+too), and oracle ``g_from_norm`` exactly as many as oracle tau.  The
+explicit cos^2 sum must take one determinant per coordinate, not one per
+multi-index.  Left g-orthonormalization of d vectors must take (d - 1)^2
+g-values, and the explicit sum t(t + 1)/2 more of its own; a g-value counts
+whether it comes from ``g`` or from a map of ``g_functional``.  The maps
+(norm and weights over all of x) and the single ``g`` values (weights on
+the shared support only) are counted apart: ``gram`` of d vectors makes d
+maps, not d^2, and left g-orthonormalization d - 2 maps, one per kept
+starred row, and d(d - 1)/2 single values, one per right-hand-side entry.
+A single float g at p != 2 calls ``sgn`` once per shared coordinate.  A Gram
+matrix is eliminated once: ``project`` onto a subspace whose Gram data is
+built takes d g-values from the maps its rows came from, with no new map and
+no elimination, and left g-orthonormalization in lp eliminates nothing.  A
+regression fails here on any machine.
 
 An exact vector stores int numerators over one denominator, and the exact
 kernels read those ints: on the nnz-4096 exact pair, g (p = 1, 2), the
 1-norm, the squared 2-norm and l1 ``g_from_norm`` each build the one
 Fraction they return, and storing the vector takes less memory per entry
 than a Fraction would.  ``project`` builds y_S in one pass: two vectors per
-call, y_S and the residual.
+call, y_S and the residual; a line angle builds y_S alone, and a plane angle
+the y_S of each spanning vector.
 
 Exact Gram algebra is fraction-free: eliminating an integer d-by-d matrix
 builds no Fraction, its determinant one and a solve d, one per unknown, and
@@ -48,6 +52,7 @@ from gangle import (
     OracleSpace,
     SparseVector,
     Subspace,
+    angle_line_subspace,
     angle_plane_subspace,
     cos_sq_explicit_sum,
     g,
@@ -56,6 +61,7 @@ from gangle import (
     gram,
     left_orthonormalize,
     lp_norm,
+    norm,
     norm_sq,
     project,
     tau,
@@ -249,6 +255,26 @@ def test_oracle_tau_of_a_piecewise_linear_norm_takes_the_quotient_agreement_eval
     assert evaluations == calls[0]
 
 
+@pytest.mark.parametrize(
+    "name,func",
+    [
+        ("l4", _l4),
+        ("taxicab", lambda v: sum(abs(c) for _, c in v)),
+        ("max", lambda v: max((abs(c) for _, c in v), default=0.0)),
+    ],
+)
+def test_oracle_g_from_norm_takes_the_evaluations_of_tau(name, func):
+    """The |x| in front of (tau+ + tau-) / 2 is the one the quotients
+    subtract, not a second evaluation."""
+    x, y = _pair("float", 1024)
+    space, calls = _counted_oracle(name, func)
+    value = g_from_norm(x, y, space)
+    evaluations, calls[0] = calls[0], 0
+    pair = tau(x, y, space)
+    assert evaluations == calls[0]
+    assert value == sys.modules["gangle.semi_inner"]._g_from_pair(pair, norm(x, space))
+
+
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 def test_explicit_sum_takes_one_det_per_coordinate(monkeypatch, backend, p):
     x, y = PAIRS[backend]
@@ -286,24 +312,19 @@ def _triangular_basis(d, backend):
 @pytest.fixture
 def g_calls(monkeypatch):
     """g-values computed by the gram module and by the angles module, through
-    ``g`` or through the maps ``g_functional`` returns, and the first-argument
-    preparations (``g_functional`` calls, also the one inside each ``g``)."""
-    calls = {"gram": 0, "angles": 0, "prepared": 0}
-    semi_inner = sys.modules["gangle.semi_inner"]
-    prepare = semi_inner.g_functional
-
-    def counted_prepare(x, space):
-        calls["prepared"] += 1
-        return prepare(x, space)
-
-    monkeypatch.setattr(semi_inner, "g_functional", counted_prepare)
+    ``g`` or through the maps ``g_functional`` returns, and under keys of
+    their own the maps prepared (``g_functional`` calls) and the single
+    values (``g`` calls) of both modules."""
+    calls = {"gram": 0, "angles": 0, "maps": 0, "single": 0}
     for name, module in (("gram", sys.modules["gangle.gram"]), ("angles", angles)):
         def counted(x, y, space, _name=name, _g=module.g):
             calls[_name] += 1
+            calls["single"] += 1
             return _g(x, y, space)
 
-        def counted_functional(x, space, _name=name):
-            g_x = counted_prepare(x, space)
+        def counted_functional(x, space, _name=name, _prepare=module.g_functional):
+            calls["maps"] += 1
+            g_x = _prepare(x, space)
 
             def counted_map(y):
                 calls[_name] += 1
@@ -340,10 +361,11 @@ def test_the_elimination_counter_sees_calls(eliminations):
     assert eliminations[0] == 3
 
 
-def _orthonormalize_preparations(d):
-    """One per right-hand-side g call, d(d - 1)/2, and one per kept row of
-    the starred Gram matrix, d - 2 for d >= 2."""
-    return d * (d - 1) // 2 + max(d - 2, 0)
+def _orthonormalize_counts(d):
+    """Maps and single values of left g-orthonormalization: one map per kept
+    row of the starred Gram matrix, d - 2 for d >= 2, and one single value
+    per right-hand-side entry, d(d - 1)/2; (d - 1)^2 g-values in all."""
+    return {"maps": max(d - 2, 0), "single": d * (d - 1) // 2}
 
 
 def test_the_g_counters_see_both_routes(g_calls):
@@ -353,14 +375,47 @@ def test_the_g_counters_see_both_routes(g_calls):
     g_x(x)
     g_x(SparseVector({2: 1}))
     gram_module.g(x, x, LpSpace(1))
-    assert g_calls == {"gram": 3, "angles": 0, "prepared": 2}
+    angles.g(x, x, LpSpace(1))
+    assert g_calls == {"gram": 3, "angles": 1, "maps": 1, "single": 2}
+
+
+@pytest.fixture
+def sgn_calls(monkeypatch):
+    """Calls of ``sgn`` from the semi_inner module: one per weight
+    |xi|^(p-1) * sgn(xi) formed in float mode at p != 2."""
+    calls = [0]
+    semi_inner = sys.modules["gangle.semi_inner"]
+    sgn = semi_inner.sgn
+
+    def counted(t):
+        calls[0] += 1
+        return sgn(t)
+
+    monkeypatch.setattr(semi_inner, "sgn", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", (1, 1.5, 3))
+def test_a_single_float_g_weighs_only_the_shared_support(sgn_calls, p):
+    x, y = PAIRS["float"]
+    shared = len(set(x.support) & set(y.support))
+    assert 0 < shared < NNZ
+    value = g(x, y, LpSpace(p))
+    assert sgn_calls[0] == shared
+    sgn_calls[0] = 0
+    assert sys.modules["gangle.semi_inner"].g_functional(x, LpSpace(p))(y) == value
+    assert sgn_calls[0] == NNZ  # a map weighs all of x
+    sgn_calls[0] = 0
+    disjoint = SparseVector({2 * NNZ + 1: 1.0})
+    assert g(x, disjoint, LpSpace(p)) == 0.0
+    assert sgn_calls[0] == 0
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
 def test_gram_prepares_each_first_argument_once(g_calls, backend, p, d):
     gram(_triangular_basis(d, backend), LpSpace(p))
-    assert g_calls == {"gram": d * d, "angles": 0, "prepared": d}
+    assert g_calls == {"gram": d * d, "angles": 0, "maps": d, "single": 0}
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -368,8 +423,7 @@ def test_gram_prepares_each_first_argument_once(g_calls, backend, p, d):
 def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, eliminations, backend, p, d):
     out = left_orthonormalize(_triangular_basis(d, backend), LpSpace(p))
     assert len(out) == d
-    assert {k: g_calls[k] for k in ("gram", "angles")} == {"gram": (d - 1) ** 2, "angles": 0}
-    assert g_calls["prepared"] == _orthonormalize_preparations(d)  # 134 at d = 16, not 225
+    assert g_calls == {"gram": (d - 1) ** 2, "angles": 0, **_orthonormalize_counts(d)}  # 14 maps at d = 16
     assert eliminations[0] == 0  # each step solves by forward substitution
 
 
@@ -381,10 +435,10 @@ def test_project_on_a_built_subspace_takes_d_g_values_and_no_elimination(
     V = Subspace(_triangular_basis(d, backend), LpSpace(p))
     V.gram()
     assert eliminations[0] == 1
-    g_calls.update(gram=0, prepared=0)
+    g_calls.update(gram=0, maps=0)
     for y in _triangular_basis(d + 3, backend)[:3]:
         project(y, V)
-    assert g_calls == {"gram": 3 * d, "angles": 0, "prepared": 0}
+    assert g_calls == {"gram": 3 * d, "angles": 0, "maps": 0, "single": 0}
     assert eliminations[0] == 1
 
 
@@ -397,6 +451,20 @@ def test_project_on_a_built_subspace_builds_two_vectors(constructions, backend, 
     proj = project(y, V)
     assert not proj.projected.is_zero
     assert constructions[0] == 2  # y_S and the residual
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 2), ("float", 1.5)])
+def test_angles_onto_a_built_subspace_build_y_s_and_no_residual(constructions, backend, p):
+    V = Subspace(_triangular_basis(8, backend), LpSpace(p))
+    V.gram()
+    u = _triangular_basis(11, backend)[0]
+    U = Subspace(_triangular_basis(10, backend)[:2], LpSpace(p))
+    constructions[0] = 0
+    angle_line_subspace(u, V)
+    assert constructions[0] == 1  # y_S
+    constructions[0] = 0
+    angle_plane_subspace(U, V)
+    assert constructions[0] == 2  # y_S of each spanning vector
 
 
 # exact l2: in l1 the cos^2 ratio of these planes can exceed 1 and raise
@@ -415,11 +483,13 @@ def test_explicit_sum_takes_t_times_t_plus_one_over_two_g_calls(g_calls, backend
     u = _triangular_basis(t + 1, backend)[0]
     V = Subspace(_triangular_basis(t, backend), LpSpace(p))
     cos_sq_explicit_sum(u, V)
-    assert {k: g_calls[k] for k in ("gram", "angles")} == {
+    counts = _orthonormalize_counts(t)
+    assert g_calls == {
         "gram": (t - 1) ** 2,
         "angles": t * (t + 1) // 2,
+        "maps": counts["maps"] + t,  # one per starred vector
+        "single": counts["single"],
     }
-    assert g_calls["prepared"] == _orthonormalize_preparations(t) + t
 
 
 def _int_matrix(d):

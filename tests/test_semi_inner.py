@@ -646,6 +646,71 @@ def test_gram_equals_the_pairwise_reference_exactly(backend, p, data):
     assert [type(v) for row in matrix for v in row] == [type(v) for row in ref for v in row]
 
 
+def _route_outcome(compute):
+    """Value, type and repr of compute(), or the type of the GAngleError it
+    raises."""
+    try:
+        value = compute()
+    except GAngleError as exc:
+        return type(exc)
+    return value, type(value), repr(value)
+
+
+def _magnitudes(backend, wide):
+    """Nonzero coefficients from 1e-150 to about 1e152, or floats of full
+    mantissas in (-10, 10), whose sums round."""
+    mantissas = st.integers(-99, 99).filter(bool)
+    if backend == "exact":
+        return st.builds(lambda m, e: m * Fraction(10) ** e, mantissas, st.integers(-150, 150))
+    if not wide:
+        return st.floats(-10.0, 10.0, allow_subnormal=False).filter(bool)
+    return st.builds(lambda m, e: m * 10.0 ** e, mantissas.map(float), st.integers(-150, 150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_single_g_equals_its_map_across_magnitudes(data):
+    """``g`` weighs only the shared support and a map weighs all of x; both
+    give the same bits, or raise the same typed error: an exact x at
+    p = 1.5, a y of the other backend, |x|^(2-p) out of the float range
+    (an overflowing or underflowing norm) and an infinite g."""
+    backend = data.draw(st.sampled_from(("exact", "float")), "backend")
+    p = data.draw(st.sampled_from((1, 2, 1.5) if backend == "exact" else (1.0, 1.5, 2.0, 3.0)), "p")
+    other = {"exact": "float", "float": "exact"}[backend]
+    y_backend = data.draw(st.sampled_from((backend,) * 4 + (other,)), "backend of y")
+    wide = data.draw(st.booleans(), "wide")
+    x = data.draw(st.dictionaries(st.integers(1, 8), _magnitudes(backend, wide), max_size=8).map(SparseVector), "x")
+    y = data.draw(
+        st.one_of(
+            st.dictionaries(st.integers(1, 8), _magnitudes(y_backend, wide), max_size=8),  # overlapping
+            st.dictionaries(st.integers(9, 16), _magnitudes(y_backend, wide), max_size=8),  # disjoint
+            st.just({}),
+        ).map(SparseVector),
+        "y",
+    )
+    space = LpSpace(p)
+    assert _route_outcome(lambda: g(x, y, space)) == _route_outcome(lambda: g_functional(x, space)(y))
+
+
+@pytest.mark.parametrize(
+    "x,y,p,error",
+    [
+        (sv([1, 2]), sv([2, 1]), 1.5, BackendError),  # exact x at p = 1.5
+        (sv([1, 2]), sv([2.0, 1.0]), 1, BackendError),
+        (sv([1.0, 2.0]), sv([2, 1]), 3.0, BackendError),
+        (SparseVector({1: 1e-300, 2: 1e-300}), sv([1.0]), 3.0, NumericalRangeError),  # |x| underflows
+        (SparseVector({1: 1e-300}), sv([1]), 1.5, NumericalRangeError),  # the factor is checked first
+        (SparseVector({1: 1e150}), sv([1.0]), 3.0, NumericalRangeError),  # |x|^3 overflows
+        (SparseVector({1: 1e100, 2: 1.0}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is inf
+    ],
+    ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm", "tiny-norm-mixed", "huge-norm", "infinite-g"],
+)
+def test_a_single_g_raises_as_its_map(x, y, p, error):
+    space = LpSpace(p)
+    assert _route_outcome(lambda: g(x, y, space)) is error
+    assert _route_outcome(lambda: g_functional(x, space)(y)) is error
+
+
 # -- exact kernels on int numerators against the Fraction-object sums --------
 
 
