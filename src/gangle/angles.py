@@ -172,7 +172,7 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     below = [list(map(gc, starred[:c])) for c, gc in enumerate(gs)]
     lead = [
         list(row) + [gc(u)]
-        for row, gc in zip(_unit_lower_gram(below, starred[0].backend).matrix, gs)
+        for row, gc in zip(_unit_lower_gram(below, starred[0].backend, gs).matrix, gs)
     ]
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):

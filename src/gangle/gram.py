@@ -172,9 +172,10 @@ class GramData:
 
     Gram data made by this module also keeps, outside its fields, so that
     equality, hashing and repr ignore them, ``_factors``, the factors of the
-    one elimination that gave the determinant, and ``_maps``, the maps
-    ``g_functional(x_i, space)`` its rows came from (None for Gram data
-    filled in from known entries)."""
+    one elimination that gave the determinant, and ``_maps``, one callable
+    y -> g(x_i, y) per basis vector: the maps ``g_functional(x_i, space)``
+    its rows came from, or for Gram data filled in from known entries the
+    maps the caller kept."""
 
     matrix: Tuple[Tuple[Coeff, ...], ...]
     det: Coeff
@@ -190,7 +191,7 @@ class GramData:
         return abs(self.det) <= REL_SINGULAR * abs(float(self.diagonal_product))
 
 
-def _gram_data(matrix, factors: _Factors, maps=None) -> GramData:
+def _gram_data(matrix, factors: _Factors, maps) -> GramData:
     data = GramData(matrix, _det(factors))
     object.__setattr__(data, "_factors", factors)
     object.__setattr__(data, "_maps", maps)
@@ -272,11 +273,10 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
     """The coefficients c and y_S = sum_k c_k * x_k of :func:`project`,
     without its residual: the angles read y_S alone.
 
-    The right-hand side g(x_i, y) comes from the maps the subspace's Gram
-    rows came from, and the system is solved from the factors of its Gram
-    matrix: once the Gram data is built, this costs d g-values, no new
-    map and O(d^2) substitution.  Gram data filled in from known
-    entries has no maps, and its right-hand side calls g.
+    The right-hand side g(x_i, y) comes from the maps the Gram data keeps,
+    and the system is solved from the factors of its Gram matrix: once the
+    Gram data is built, this costs d g-values, no new map and O(d^2)
+    substitution.
 
     y_S over the nonzero c_k is one ``SparseVector._combination``, as
     ``add`` and ``sub`` are."""
@@ -285,11 +285,7 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
         raise DegenerateSubspaceError(
             "Gram determinant is zero; the projection is undefined"
         )
-    if data._maps is None:
-        rhs = [g(xi, y, sub.space) for xi in sub.basis]
-    else:
-        rhs = [g_x(y) for g_x in data._maps]
-    coeffs = _substitute(data._factors, rhs)
+    coeffs = _substitute(data._factors, [g_x(y) for g_x in data._maps])
     return coeffs, SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
 
 
@@ -301,16 +297,17 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 
-def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
+def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend, maps) -> GramData:
     """Gram data of a left g-orthonormal basis of an lp space from its rows
     below the diagonal: 1 on the diagonal, 0 above it, determinant 1, all in
-    the scalars of ``backend``.  The matrix is its own factorization, L
-    below the diagonal and U = I with the rows in place, so a solve is one
-    forward substitution.  Elimination with partial pivoting would choose
-    the same factors whenever every |g(x_k*, x_j*)| <= 1, as it always is in
-    exact mode (|g(x, y)| <= |x| |y|, and starred vectors have norm 1); a
-    float entry rounded above 1 would make it pivot, where the forward
-    substitution solves the same triangular system without a swap.
+    the scalars of ``backend``, with ``maps``, one callable y -> g(x_i*, y)
+    per starred vector, for the right-hand sides.  The matrix is its own
+    factorization, L below the diagonal and U = I with the rows in place, so
+    a solve is one forward substitution.  Elimination with partial pivoting
+    would choose the same factors whenever every |g(x_k*, x_j*)| <= 1, as it
+    always is in exact mode (|g(x, y)| <= |x| |y|, and starred vectors have
+    norm 1); a float entry rounded above 1 would make it pivot, where the
+    forward substitution solves the same triangular system without a swap.
 
     In exact mode the forward substitution runs on Fraction objects, O(d^2)
     per solve, and :func:`project` sums y_S on ints as for eliminated data.
@@ -322,7 +319,7 @@ def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend) -> GramData:
     matrix = tuple([
         tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
     ])
-    return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True))
+    return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True), tuple(maps))
 
 
 def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
@@ -331,13 +328,15 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
 
     Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`.
     In an lp space the unit lower-triangular Gram data of the starred vectors
-    is filled in from the rows kept so far, so the step makes only the k - 1
-    right-hand-side g calls, each weighing the shared support alone, and
-    solves by forward substitution, with no elimination.  The row
-    g(x_k*, x_j*), j < k, costs k - 1 more g-values from one map
-    ``g_functional(x_k*, space)``, built only when the row has entries and
-    another vector follows: (d - 1)^2 g-values, d(d - 1)/2 single g calls
-    and d - 2 maps for d >= 2 vectors.
+    is filled in from the rows and maps kept so far, so the step makes only
+    the k - 1 right-hand-side g-values and solves by forward substitution,
+    with no elimination.  The row g(x_k*, x_j*), j < k, costs k - 1 more
+    g-values from one map ``g_functional(x_k*, space)``, built only when the
+    row has entries and another vector follows, and kept for the right-hand
+    sides of the later steps.  x_1* has no row, so its values are single g
+    calls, each weighing the shared support alone: (d - 1)^2 g-values,
+    d - 2 maps and d - 1 single g calls for d >= 2 vectors, so 2d - 3 norm
+    passes over starred vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
     there need not be additive in its second argument.
 
@@ -347,14 +346,15 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     basis = tuple(basis)
     triangular = isinstance(space, LpSpace)
     out = []
-    rows = [[]]  # rows[k] = [g(x_k*, x_j*) for j < k], lp spaces only
+    # lp spaces only: rows[k] = [g(x_k*, x_j*) for j < k], maps[k] = y -> g(x_k*, y)
+    rows, maps = [], []
     for k, xk in enumerate(basis):
         if k == 0:
             residual = xk
         else:
             sub = Subspace(out, space)
             if triangular:
-                sub._gram = _unit_lower_gram(rows, out[0].backend)
+                sub._gram = _unit_lower_gram(rows, out[0].backend, maps)
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
@@ -366,7 +366,9 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
             if r <= 1e-12 * max(nx, 1e-300):
                 raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
-        if triangular and 0 < k < len(basis) - 1:
-            rows.append(list(map(g_functional(starred, space), out)))
+        if triangular and k < len(basis) - 1:
+            g_k = g_functional(starred, space) if k else lambda y, x=starred: g(x, y, space)
+            rows.append(list(map(g_k, out)))
+            maps.append(g_k)
         out.append(starred)
     return out

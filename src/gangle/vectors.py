@@ -365,10 +365,10 @@ def lp_norm(x: SparseVector, p) -> Coeff:
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     p = float(p)
     if p == 2:
-        value = math.sqrt(sum(v * v for _, v in x))
+        value = math.sqrt(sum([v * v for _, v in x._entries]))
     else:  # at p = 1 each |v| ** 1.0 and the sum ** 1.0 are exact
         try:
-            value = sum(abs(v) ** p for _, v in x) ** (1.0 / p)
+            value = sum([abs(v) ** p for _, v in x._entries]) ** (1.0 / p)
         except OverflowError:  # some |v|^p is beyond the float range
             value = math.inf
     if value == math.inf:

@@ -13,7 +13,9 @@ that the current ones must stay close to at ordinary magnitudes, the exact sums 
 norms on Fraction objects that the integer kernels must reproduce, the
 projection assembled by successive vector additions that the one-pass
 assembly must reproduce bit for bit, left g-orthonormalization by a fresh
-projection per step that the incremental one must reproduce, and the paper's
+projection per step that the incremental one must reproduce, the same
+recursion with every right-hand side a single g call and Gram data that keeps
+no maps, which the kept maps must reproduce bit for bit, and the paper's
 explicit sum for cos^2 as a literal multi-index sum."""
 
 import math
@@ -41,9 +43,9 @@ from gangle import (
     project,
     sgn,
 )
-from gangle.gram import _eliminate, _substitute, _unit_lower_gram, det
-from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central
-from gangle.vectors import exact_sqrt
+from gangle.gram import _Factors, _eliminate, _substitute, _unit_lower_gram, det
+from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central, g_functional
+from gangle.vectors import _zero, exact_sqrt
 
 MAX_INDEX = 6
 
@@ -212,11 +214,13 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
 def starred_subspace(basis, space):
     """The subspace of the left g-orthonormal basis of ``basis`` with its unit
     lower-triangular Gram data, as ``left_orthonormalize`` projects onto it:
-    no maps, and a solve by forward substitution."""
+    single g calls for x_1*, a map ``g_functional(x_k*, space)`` for each
+    later starred vector, and a solve by forward substitution."""
     starred = left_orthonormalize(basis, space)
     sub = Subspace(starred, space)
-    rows = [[g(xk, xj, space) for xj in starred[:k]] for k, xk in enumerate(starred)]
-    sub._gram = _unit_lower_gram(rows, starred[0].backend)
+    maps = [lambda y: g(starred[0], y, space)] + [g_functional(x, space) for x in starred[1:]]
+    rows = [[g_k(xj) for xj in starred[:k]] for k, g_k in enumerate(maps)]
+    sub._gram = _unit_lower_gram(rows, starred[0].backend, maps)
     return sub
 
 
@@ -438,6 +442,39 @@ def left_orthonormalize_by_projection(basis, space):
         if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         out.append(residual.scale(Fraction(1) / r))
+    return out
+
+
+def left_orthonormalize_by_single_g(basis, space):
+    """Left g-orthonormalization of an lp space with every right-hand side
+    g(x_j*, x_k) a single g call: the row g(x_k*, x_j*), j < k, comes from
+    one map ``g_functional(x_k*, space)`` that is then dropped, and each
+    step's unit lower-triangular system, filled in from the rows alone and
+    keeping no maps, is solved by forward substitution."""
+    basis = list(basis)
+    out, rows = [], [[]]
+    for k, xk in enumerate(basis):
+        if k == 0:
+            residual = xk
+        else:
+            zero = _zero(out[0].backend)
+            matrix = [row + [zero + 1] + [zero] * (k - 1 - j) for j, row in enumerate(rows)]
+            rhs = [g(xj, xk, space) for xj in out]
+            coeffs = _substitute(_Factors(matrix, range(k), 1, unit_upper=True), rhs)
+            residual = xk.sub(SparseVector._combination([(c, xj) for c, xj in zip(coeffs, out) if c]))
+        if residual.is_zero:
+            raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        r = norm(residual, space)
+        if isinstance(r, float):
+            nx = float(norm(xk, space))
+            if nx == 0.0:
+                raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
+            if r <= 1e-12 * max(nx, 1e-300):
+                raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        starred = residual.scale(Fraction(1) / r)
+        if 0 < k < len(basis) - 1:
+            rows.append(list(map(g_functional(starred, space), out)))
+        out.append(starred)
     return out
 
 

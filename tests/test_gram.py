@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gangle import (
     DegenerateSubspaceError,
     DependenceError,
+    GAngleError,
     LpSpace,
     NumericalRangeError,
     OracleSpace,
@@ -31,6 +32,7 @@ from support import (
     det_augmented,
     det_cofactor,
     left_orthonormalize_by_projection,
+    left_orthonormalize_by_single_g,
     project_bordered,
     project_by_successive_adds,
     rand_float_vector,
@@ -161,7 +163,7 @@ def unit_lower_systems(draw, entries, backend):
     n = draw(st.integers(1, 6))
     below = [draw(st.lists(entries, min_size=k, max_size=k)) for k in range(n)]
     rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
-    return _unit_lower_gram(below, backend), rhss
+    return _unit_lower_gram(below, backend, ()), rhss  # solved from its factors alone
 
 
 @settings(max_examples=100, deadline=None)
@@ -637,3 +639,72 @@ def test_orthonormalize_under_oracle_norms_equals_projection_per_step(space):
         assert _outcome(left_orthonormalize, basis, space) == _outcome(
             left_orthonormalize_by_projection, basis, space
         )
+
+
+def _scaled_bases(backend, p):
+    """Bases of 1 to 8 vectors, each vector of magnitude 10^e, e from -150
+    to 150, and half of them dependent: one vector a combination of those
+    before it.  The others are independent: vector k of a drawn order has
+    its first nonzero at coordinate k and up to four more after it.  Exact
+    l2 bases come from the Cayley construction, whose left
+    orthonormalization is rational."""
+    ten = Fraction(10) if backend == "exact" else 10.0
+    mantissas = st.integers(-99, 99).filter(bool)
+    entries = st.builds(lambda m, e: m * ten ** e, mantissas, st.integers(-2, 2))
+
+    @st.composite
+    def triangular(draw):
+        d = draw(st.integers(1, 8))
+        basis = []
+        for k in range(1, d + 1):
+            tail = draw(st.dictionaries(st.integers(k + 1, d + 4), entries, max_size=4))
+            basis.append(SparseVector({k: draw(entries), **tail}))
+        return draw(st.permutations(basis))
+
+    if (backend, p) == ("exact", 2):
+        vectors = st.randoms(use_true_random=False).map(
+            lambda rng: rand_rational_l2_basis(rng, rng.randint(1, 4))
+        )
+    else:
+        vectors = triangular()
+
+    @st.composite
+    def bases(draw):
+        basis = draw(vectors)
+        scales = draw(st.lists(st.integers(-150, 150), min_size=len(basis), max_size=len(basis)))
+        basis = [v.scale(ten ** e) for v, e in zip(basis, scales)]
+        if len(basis) > 1 and draw(st.booleans()):
+            r = draw(st.integers(1, len(basis) - 1))
+            ws = draw(st.lists(mantissas, min_size=r, max_size=r))
+            combination = SparseVector()
+            for w, v in zip(ws, basis):
+                combination = combination.add(v.scale(w))
+            if not combination.is_zero:
+                basis[r] = combination
+        return basis
+
+    return bases()
+
+
+def _repr_outcome(f, basis, space):
+    """repr of the starred vectors, or the type and message of the typed
+    error raised."""
+    try:
+        return repr(f(basis, space))
+    except GAngleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "backend,p", [("float", 1.0), ("float", 1.5), ("float", 3.0), ("exact", 1), ("exact", 2)]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orthonormalize_with_kept_maps_equals_single_g_right_hand_sides(backend, p, data):
+    """The right-hand sides from the kept starred maps are bit for bit those
+    of a single g call per entry, onto Gram data that keeps no maps."""
+    basis = data.draw(_scaled_bases(backend, p), "basis")
+    space = LpSpace(p)
+    assert _repr_outcome(left_orthonormalize, basis, space) == _repr_outcome(
+        left_orthonormalize_by_single_g, basis, space
+    )

@@ -16,8 +16,11 @@ whether it comes from ``g`` or from a map of ``g_functional``.  The maps
 (norm and weights over all of x) and the single ``g`` values (weights on
 the shared support only) are counted apart: ``gram`` of d vectors makes d
 maps, not d^2, and left g-orthonormalization d - 2 maps, one per kept
-starred row, and d(d - 1)/2 single values, one per right-hand-side entry.
-A single float g at p != 2 calls ``sgn`` once per shared coordinate.  A Gram
+starred row, which serve the later right-hand sides too, and d - 1 single
+values, the right-hand-side entries of x_1*, which has no row.  So a float
+left g-orthonormalization of d = 16 vectors takes 29 norm passes (2d - 3)
+for the factors |x*|^(2-p), one per map and one per single value.  A single
+float g at p != 2 calls ``sgn`` once per shared coordinate.  A Gram
 matrix is eliminated once: ``project`` onto a subspace whose Gram data is
 built takes d g-values from the maps its rows came from, with no new map and
 no elimination, and left g-orthonormalization in lp eliminates nothing.  A
@@ -363,9 +366,10 @@ def test_the_elimination_counter_sees_calls(eliminations):
 
 def _orthonormalize_counts(d):
     """Maps and single values of left g-orthonormalization: one map per kept
-    row of the starred Gram matrix, d - 2 for d >= 2, and one single value
-    per right-hand-side entry, d(d - 1)/2; (d - 1)^2 g-values in all."""
-    return {"maps": max(d - 2, 0), "single": d * (d - 1) // 2}
+    row of the starred Gram matrix, d - 2 for d >= 2, which also serves the
+    later right-hand sides, and one single value per right-hand-side entry
+    of x_1*, which has no row, d - 1; (d - 1)^2 g-values in all."""
+    return {"maps": max(d - 2, 0), "single": max(d - 1, 0)}
 
 
 def test_the_g_counters_see_both_routes(g_calls):
@@ -425,6 +429,23 @@ def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, eliminations,
     assert len(out) == d
     assert g_calls == {"gram": (d - 1) ** 2, "angles": 0, **_orthonormalize_counts(d)}  # 14 maps at d = 16
     assert eliminations[0] == 0  # each step solves by forward substitution
+
+
+def test_orthonormalize_takes_one_norm_pass_per_map_and_single_g(monkeypatch):
+    """Each map and each single g takes the factor |x*|^(2-p) from one norm
+    pass over its starred vector: 2d - 3 passes, 29 at d = 16; a single g
+    per right-hand-side entry would take d(d - 1)/2 + d - 2, 134."""
+    semi_inner = sys.modules["gangle.semi_inner"]
+    calls = [0]
+
+    def counted(x, p, _norm=semi_inner.lp_norm):
+        calls[0] += 1
+        return _norm(x, p)
+
+    monkeypatch.setattr(semi_inner, "lp_norm", counted)
+    out = left_orthonormalize(_triangular_basis(16, "float"), LpSpace(1.5))
+    assert len(out) == 16
+    assert calls[0] == 29
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -527,10 +548,7 @@ def test_exact_project_builds_no_fraction_for_y_s(fractions_built, d):
     basis = _triangular_basis(d, "exact")
     for V in (Subspace(basis, LpSpace(1)), starred_subspace(basis, LpSpace(1))):
         data = V.gram()
-        if data._maps is None:
-            rhs, rhs_count = built(lambda: [g(xi, y, V.space) for xi in V.basis])
-        else:
-            rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
+        rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
         _, solve_count = built(lambda: gram_module._substitute(data._factors, rhs))
         proj, project_count = built(lambda: project(y, V))
         _, residual_count = built(lambda: y.sub(proj.projected))
