@@ -10,8 +10,8 @@ Subspace angles are defined through cos^2 and live in [0, pi/2]:
 * plane vs t-dim subspace -- cos^2 = L(u1_V, u2_V)^2 / L(u1, u2)^2 where L is
   the parallelogram-area functional of :func:`lambda_functional`.
 
-Out-of-range cos^2 beyond round-off slack raises ConsistencyError instead of
-being clamped silently.
+The cosine, cos^2 and a squared area each pass one range rule, :func:`_clamp`:
+beyond round-off slack it raises ConsistencyError instead of clamping silently.
 """
 
 from __future__ import annotations
@@ -60,19 +60,16 @@ class LambdaValue:
     value_sq: Coeff
 
 
-def _clamp_unit(v, what: str = "cos^2"):
-    """Force v into [0, 1], allowing only round-off slack for floats."""
-    if not isinstance(v, float):
-        if v < 0 or v > 1:
-            raise ConsistencyError(f"{what} = {v} falls outside [0, 1]")
+def _clamp(v, lo, hi, what: str, scale=1.0):
+    """v in [lo, hi]; the nearer bound, as a float, for a float v outside by at
+    most ``_CLAMP_SLACK * max(scale, 1e-300)`` (an exact v never meets the slack)."""
+    if lo <= v <= hi:
         return v
-    if -_CLAMP_SLACK <= v < 0.0:
-        return 0.0
-    if 1.0 < v <= 1.0 + _CLAMP_SLACK:
-        return 1.0
-    if v < 0.0 or v > 1.0:
-        raise ConsistencyError(f"{what} = {v} falls outside [0, 1] beyond round-off slack")
-    return v
+    if isinstance(v, float):
+        slack = _CLAMP_SLACK * max(scale, 1e-300)
+        if lo - slack <= v <= hi + slack:
+            return float(lo if v < lo else hi)
+    raise ConsistencyError(f"{what} = {v} falls outside [{lo}, {hi}] beyond round-off slack")
 
 
 def _nonzero_square(value):
@@ -104,11 +101,8 @@ def vector_angle(x: SparseVector, y: SparseVector, space: Space) -> AngleResult:
         scale = math.inf
     cos = None
     if isinstance(nsx, float) or 0.0 < scale < math.inf:
-        cos = float(gyx) / math.sqrt(_nonzero_square(scale))
-        if cos < -1.0 - _CLAMP_SLACK or cos > 1.0 + _CLAMP_SLACK:
-            raise ConsistencyError(f"cosine {cos} falls outside [-1, 1] beyond round-off slack")
-        cos = max(-1.0, min(1.0, cos))
-    cos_sq = _clamp_unit(gyx * gyx / (nsx * nsy))
+        cos = _clamp(float(gyx) / math.sqrt(_nonzero_square(scale)), -1, 1, "cosine")
+    cos_sq = _clamp(gyx * gyx / (nsx * nsy), 0, 1, "cos^2")
     if cos is None:  # exact norms whose float product leaves the float range
         cos = math.copysign(math.sqrt(cos_sq), -1 if gyx < 0 else 1)
     return AngleResult(cos_sq, math.acos(cos), PATH_VECTOR, cos=cos)
@@ -130,7 +124,7 @@ def angle_line_subspace(u: SparseVector, V: Subspace) -> AngleResult:
             zero, math.pi / 2, PATH_LINE_PROJECTION, cos_sq_ratio=zero, ratio_gap=0.0
         )
     guvu = g(u_v, u, V.space)
-    primary = _clamp_unit(guvu * guvu / _nonzero_square(nsu * nsuv))
+    primary = _clamp(guvu * guvu / _nonzero_square(nsu * nsuv), 0, 1, "cos^2")
     ratio = nsuv / nsu  # can exceed 1 when |u_V| > |u|; reported, not clamped
     return AngleResult(
         primary,
@@ -164,23 +158,18 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     if u.is_zero:
         raise ZeroVectorError("the line must be spanned by a nonzero vector")
     starred = left_orthonormalize(V.basis, space)
-    p = space.p
+    p = Fraction(space.p)  # so an exact total stays exact under LpSpace(2.0)
     # D_j transposed (same det): row c is the starred Gram row
     # (g(x_c*, x_1*), ..., g(x_c*, x_t*)), unit lower-triangular, then
     # g(x_c*, u); the last row is (x_1*(j), ..., x_t*(j), 0)
     gs = [g_functional(xc, space) for xc in starred]
     below = [list(map(gc, starred[:c])) for c, gc in enumerate(gs)]
-    lead = [
-        list(row) + [gc(u)]
-        for row, gc in zip(_unit_lower_gram(below, starred[0].backend, gs).matrix, gs)
-    ]
+    lead = [list(row) + [gc(u)] for row, gc in zip(_unit_lower_gram(below, gs).matrix, gs)]
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):
         total += abs(det(lead + [[v.get(j) for v in starred] + [0]])) ** p
     nsu = _nonzero_square(norm_sq(u, space))
-    if isinstance(nsu, float):
-        return total ** (2.0 / float(p)) / nsu
-    return (total * total if p == 1 else total) / nsu
+    return total ** (2 / p) / nsu
 
 
 def _area_sq(x: SparseVector, y: SparseVector, space: Space, underflow_ok: bool = False):
@@ -192,12 +181,7 @@ def _area_sq(x: SparseVector, y: SparseVector, space: Space, underflow_ok: bool 
     gg = abs(g(x, y, space)) * abs(g(y, x, space))
     if isinstance(scale, float) and not (x.is_zero or y.is_zero) and (scale or not underflow_ok):
         _nonzero_square(scale)
-    value_sq = scale - gg
-    if value_sq < 0:
-        if isinstance(value_sq, float) and abs(value_sq) <= _CLAMP_SLACK * max(scale, 1e-300):
-            value_sq = 0.0
-        else:
-            raise ConsistencyError(f"squared area {value_sq} is negative beyond round-off slack")
+    value_sq = _clamp(scale - gg, 0, math.inf, "squared area", scale)
     return value_sq, scale
 
 
@@ -239,5 +223,5 @@ def angle_plane_subspace(U: Subspace, V: Subspace) -> AngleResult:
     _, v2 = _project(u2, V)
     # a projected area that underflows is the float value of a tiny cos^2
     proj_sq, _ = _area_sq(v1, v2, space, underflow_ok=True)
-    cos_sq = _clamp_unit(proj_sq / base_sq)
+    cos_sq = _clamp(proj_sq / base_sq, 0, 1, "cos^2")
     return AngleResult(cos_sq, _subspace_angle(cos_sq), PATH_PLANE_LAMBDA)

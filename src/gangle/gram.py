@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
 from .semi_inner import g, g_functional
-from .vectors import Coeff, LpSpace, SparseVector, Space, _zero, norm
+from .vectors import Coeff, LpSpace, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -198,16 +198,22 @@ def _gram_data(matrix, factors: _Factors, maps) -> GramData:
     return data
 
 
+def _basis(basis: Sequence[SparseVector]) -> tuple:
+    """The basis as a tuple, checked to be nonempty and free of zero vectors."""
+    basis = tuple(basis)
+    if not basis:
+        raise ValueError("a subspace needs at least one basis vector")
+    if any(v.is_zero for v in basis):
+        raise ZeroVectorError("basis vectors must be nonzero")
+    return basis
+
+
 def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
     """Gram data of an ordered set of nonzero vectors.  Row i is one map
     ``g_functional(x_i, space)`` applied to every basis vector, so x_i's norm
     and weights are prepared once per row: d preparations for d^2 g-values.
     The data keeps the d maps and the factors of its one elimination."""
-    basis = tuple(basis)
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    if any(v.is_zero for v in basis):
-        raise ZeroVectorError("basis vectors must be nonzero")
+    basis = _basis(basis)
     # Tuples are built from lists throughout: tuple() of a list allocates the
     # exact size and reuses CPython's tuple free lists, where tuple() of an
     # iterator resizes its guess and leaves the freed tuple in the free list
@@ -237,12 +243,7 @@ class Subspace:
     fresh subspace at worst compute the same data twice."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
-        basis = tuple(basis)
-        if not basis:
-            raise ValueError("a subspace needs at least one basis vector")
-        if any(v.is_zero for v in basis):
-            raise ZeroVectorError("basis vectors must be nonzero")
-        self.basis = basis
+        self.basis = _basis(basis)
         self.space = space
         self._gram = None
 
@@ -297,28 +298,25 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 
-def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], backend, maps) -> GramData:
+def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], maps) -> GramData:
     """Gram data of a left g-orthonormal basis of an lp space from its rows
-    below the diagonal: 1 on the diagonal, 0 above it, determinant 1, all in
-    the scalars of ``backend``, with ``maps``, one callable y -> g(x_i*, y)
-    per starred vector, for the right-hand sides.  The matrix is its own
-    factorization, L below the diagonal and U = I with the rows in place, so
-    a solve is one forward substitution.  Elimination with partial pivoting
-    would choose the same factors whenever every |g(x_k*, x_j*)| <= 1, as it
-    always is in exact mode (|g(x, y)| <= |x| |y|, and starred vectors have
-    norm 1); a float entry rounded above 1 would make it pivot, where the
-    forward substitution solves the same triangular system without a swap.
+    below the diagonal: the ints 1 on the diagonal and 0 above it, which
+    either backend's arithmetic takes as they are, determinant 1, and
+    ``maps``, one callable y -> g(x_i*, y) per starred vector, for the
+    right-hand sides.  The matrix is its own factorization, L below the
+    diagonal and U = I with the rows in place, so a solve is one forward
+    substitution.  Elimination with partial pivoting would choose the same
+    factors whenever every |g(x_k*, x_j*)| <= 1, as it always is in exact
+    mode (|g(x, y)| <= |x| |y|, and starred vectors have norm 1); a float
+    entry rounded above 1 would make it pivot, where the forward
+    substitution solves the same triangular system without a swap.
 
     In exact mode the forward substitution runs on Fraction objects, O(d^2)
     per solve, and :func:`project` sums y_S on ints as for eliminated data.
     Over one common denominator a fraction-free substitution was measured
     slower: that denominator grows as the product of the row lcms."""
     n = len(rows)
-    zero = _zero(backend)
-    one = zero + 1  # 1.0 or Fraction(1)
-    matrix = tuple([
-        tuple(row) + (one,) + (zero,) * (n - 1 - k) for k, row in enumerate(rows)
-    ])
+    matrix = tuple([tuple(row) + (1,) + (0,) * (n - 1 - k) for k, row in enumerate(rows)])
     return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True), tuple(maps))
 
 
@@ -354,7 +352,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         else:
             sub = Subspace(out, space)
             if triangular:
-                sub._gram = _unit_lower_gram(rows, out[0].backend, maps)
+                sub._gram = _unit_lower_gram(rows, maps)
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")

@@ -25,6 +25,7 @@ import bisect
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
@@ -365,14 +366,18 @@ def lp_norm(x: SparseVector, p) -> Coeff:
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     p = float(p)
     if p == 2:
-        value = math.sqrt(sum([v * v for _, v in x._entries]))
+        value = math.sqrt(s := sum([v * v for _, v in x._entries]))
     else:  # at p = 1 each |v| ** 1.0 and the sum ** 1.0 are exact
         try:
-            value = sum([abs(v) ** p for _, v in x._entries]) ** (1.0 / p)
+            value = (s := sum([abs(v) ** p for _, v in x._entries])) ** (1.0 / p)
         except OverflowError:  # some |v|^p is beyond the float range
             value = math.inf
     if value == math.inf:
         raise NumericalRangeError(f"the {p:g}-norm of this vector overflows the float range")
+    if p != 1 and 0 < s < sys.float_info.min:  # a subnormal sum has lost digits
+        e = math.frexp(max([abs(v) for _, v in x._entries]))[1]  # max |v| / 2^e in [1/2, 1)
+        s = sum([abs(math.ldexp(v, -e)) ** p for _, v in x._entries])
+        value = math.ldexp(s ** (1.0 / p), e)
     return value
 
 

@@ -12,7 +12,8 @@ x + t*y that the one-pass step vectors must reproduce, the earlier tau routes
 that the current ones must stay close to at ordinary magnitudes, the exact sums and
 norms on Fraction objects that the integer kernels must reproduce, the
 projection assembled by successive vector additions that the one-pass
-assembly must reproduce bit for bit, left g-orthonormalization by a fresh
+assembly must reproduce bit for bit, the three round-off rules of the
+angles that their one clamp must reproduce, left g-orthonormalization by a fresh
 projection per step that the incremental one must reproduce, the same
 recursion with every right-hand side a single g call and Gram data that keeps
 no maps, which the kept maps must reproduce bit for bit, and the paper's
@@ -27,6 +28,7 @@ import numpy as np
 
 from gangle import (
     BackendError,
+    ConsistencyError,
     DegenerateSubspaceError,
     DependenceError,
     EstimationFailureError,
@@ -43,6 +45,7 @@ from gangle import (
     project,
     sgn,
 )
+from gangle.angles import _CLAMP_SLACK
 from gangle.gram import _Factors, _eliminate, _substitute, _unit_lower_gram, det
 from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central, g_functional
 from gangle.vectors import _zero, exact_sqrt
@@ -220,8 +223,43 @@ def starred_subspace(basis, space):
     sub = Subspace(starred, space)
     maps = [lambda y: g(starred[0], y, space)] + [g_functional(x, space) for x in starred[1:]]
     rows = [[g_k(xj) for xj in starred[:k]] for k, g_k in enumerate(maps)]
-    sub._gram = _unit_lower_gram(rows, starred[0].backend, maps)
+    sub._gram = _unit_lower_gram(rows, maps)
     return sub
+
+
+def clamp_unit_by_branches(v):
+    """cos^2 forced into [0, 1]: an exact value is checked, a float within
+    round-off slack of the range becomes its bound."""
+    if not isinstance(v, float):
+        if v < 0 or v > 1:
+            raise ConsistencyError(f"cos^2 = {v} falls outside [0, 1]")
+        return v
+    if -_CLAMP_SLACK <= v < 0.0:
+        return 0.0
+    if 1.0 < v <= 1.0 + _CLAMP_SLACK:
+        return 1.0
+    if v < 0.0 or v > 1.0:
+        raise ConsistencyError(f"cos^2 = {v} falls outside [0, 1] beyond round-off slack")
+    return v
+
+
+def clamp_cosine_by_max_min(cos):
+    """A float cosine checked against [-1, 1] with round-off slack, then
+    clamped by ``max`` and ``min``."""
+    if cos < -1.0 - _CLAMP_SLACK or cos > 1.0 + _CLAMP_SLACK:
+        raise ConsistencyError(f"cosine {cos} falls outside [-1, 1] beyond round-off slack")
+    return max(-1.0, min(1.0, cos))
+
+
+def clamp_area_by_sign(value_sq, scale):
+    """A squared area |x|^2 |y|^2 - |g(x,y)| |g(y,x)|, with ``scale`` the
+    product of the squared norms: a float below 0 within slack of ``scale``
+    becomes 0.0."""
+    if value_sq < 0:
+        if isinstance(value_sq, float) and abs(value_sq) <= _CLAMP_SLACK * max(scale, 1e-300):
+            return 0.0
+        raise ConsistencyError(f"squared area {value_sq} is negative beyond round-off slack")
+    return value_sq
 
 
 def project_by_successive_adds(coefficients, basis):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gangle import (
     BackendError,
@@ -27,10 +28,13 @@ from gangle import (
     project,
     vector_angle,
 )
-from gangle.angles import _clamp_unit
+from gangle.angles import _CLAMP_SLACK, _clamp
 from gangle.vectors import exact_sqrt
 
 from support import (
+    clamp_area_by_sign,
+    clamp_cosine_by_max_min,
+    clamp_unit_by_branches,
     cos_sq_explicit_sum_by_multi_index,
     principal_angle_cosines,
     rand_exact_vector,
@@ -113,11 +117,95 @@ def test_second_argument_discontinuity_sequence():
 
 
 def test_clamp_unit_forgives_only_round_off():
-    assert _clamp_unit(-1e-13) == 0.0
-    assert _clamp_unit(1.0 + 1e-13) == 1.0
+    assert _clamp(-1e-13, 0, 1, "cos^2") == 0.0
+    assert _clamp(1.0 + 1e-13, 0, 1, "cos^2") == 1.0
     for beyond in (-1e-9, 1.0 + 1e-9, Fraction(-1, 10 ** 20)):
         with pytest.raises(ConsistencyError):
-            _clamp_unit(beyond)
+            _clamp(beyond, 0, 1, "cos^2")
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except ConsistencyError:
+        return "ConsistencyError"
+    return type(value).__name__, repr(value)
+
+
+def _nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def _floats_around(bound, unit=1.0):
+    """Floats 0, 1/2, 1 and 2 round-off slacks of ``unit`` either side of
+    ``bound``, each maybe one or two ulps off."""
+    return st.builds(
+        lambda k, ulps: _nudged(bound + k * (_CLAMP_SLACK * unit), ulps),
+        st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]),
+        st.integers(-2, 2),
+    )
+
+
+def _fractions_around(bound, unit=1):
+    """Fractions up to 3 * 10^-e of ``unit`` either side of ``bound``."""
+    return st.builds(
+        lambda k, e: bound + Fraction(k, 10 ** e) * unit,
+        st.integers(-3, 3),
+        st.sampled_from([0, 12, 13, 20, 400]),
+    )
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _area_cases(draw):
+    """(value_sq, scale) of one backend, the value near 0 in units of the
+    scale, the scale from below 1e-300 to an exact 10^400."""
+    if draw(st.booleans()):
+        scale = draw(st.one_of(
+            st.sampled_from([0.0, 1e-310, 1e-300, 1e-200, 1.0, 3.7, 1e300]),
+            st.floats(0.0, 1e308),
+        ))
+        value = draw(st.one_of(SIGNED_ZEROS, _floats_around(0.0, max(scale, 1e-300)), st.floats(-1e308, 1e308)))
+    else:
+        scale = draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 10 ** 400), Fraction(3, 7), Fraction(10 ** 400)]),
+            st.fractions(min_value=0),
+        ))
+        value = draw(_fractions_around(0, scale))
+    return value, scale
+
+
+CLAMP_SITES = {
+    "cos^2": (
+        lambda v: _clamp(v, 0, 1, "cos^2"),
+        clamp_unit_by_branches,
+        st.one_of(SIGNED_ZEROS, _floats_around(0.0), _floats_around(1.0), st.floats(-3, 3),
+                  _fractions_around(0), _fractions_around(1)),
+    ),
+    "cosine": (
+        lambda v: _clamp(v, -1, 1, "cosine"),
+        clamp_cosine_by_max_min,
+        st.one_of(SIGNED_ZEROS, _floats_around(-1.0), _floats_around(1.0), st.floats(-3, 3)),
+    ),
+    "squared area": (
+        lambda case: _clamp(case[0], 0, math.inf, "squared area", case[1]),
+        lambda case: clamp_area_by_sign(*case),
+        _area_cases(),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", CLAMP_SITES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_clamp_returns_what_each_former_round_off_rule_returned(site, data):
+    clamp, former, values = CLAMP_SITES[site]
+    v = data.draw(values)
+    assert _outcome(clamp, v) == _outcome(former, v)
 
 
 def test_line_vs_plane_worked_example():
@@ -235,6 +323,20 @@ def test_exact_l2_explicit_sum_with_an_irrational_norm():
         u = rand_exact_vector(rng, max_index=4)
         starred = Subspace(left_orthonormalize(V.basis, V.space), V.space)
         assert cos_sq_explicit_sum(u, V) == angle_line_subspace(u, starred).cos_sq_ratio
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_an_exact_explicit_sum_stays_exact_when_p_is_a_float(p):
+    rng = random.Random(f"explicit-float-p-{p}")
+    for k in range(12):
+        if p == 2:
+            basis = rand_rational_l2_basis(rng, k % 3 + 1)
+        else:
+            basis = rand_subspace(rng, "exact", k % 3 + 1, L1).basis
+        u = rand_exact_vector(rng, max_index=4)
+        value = cos_sq_explicit_sum(u, Subspace(basis, LpSpace(float(p))))
+        assert type(value) is Fraction
+        assert value == cos_sq_explicit_sum(u, Subspace(basis, LpSpace(p)))
 
 
 def test_explicit_sum_rejects_mixed_backends():

@@ -163,7 +163,7 @@ def unit_lower_systems(draw, entries, backend):
     n = draw(st.integers(1, 6))
     below = [draw(st.lists(entries, min_size=k, max_size=k)) for k in range(n)]
     rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
-    return _unit_lower_gram(below, backend, ()), rhss  # solved from its factors alone
+    return _unit_lower_gram(below, ()), rhss  # solved from its factors alone
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,9 @@ imports are the package's re-exports, lists exactly those in ``__all__``,
 and only ``vectors.py`` sets the fields of a ``SparseVector``, so that
 ``__init__``, ``_exact`` and ``_checked`` are the only ways to build one.
 Only ``vectors.py`` and the kernels of ``semi_inner.py`` read a vector's
-stored form, its int or float entries and its denominator."""
+stored form, its int or float entries and its denominator.  Only
+``angles._clamp`` builds a ``ConsistencyError``, so every value kept in its
+range passes one round-off rule."""
 
 import ast
 import re
@@ -199,3 +201,40 @@ def test_the_check_sees_stored_form_reads():
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in ("vectors.py", "semi_inner.py")])
 def test_only_vectors_and_semi_inner_read_the_stored_form_of_a_vector(module):
     assert stored_form_reads((PACKAGE / module).read_text()) == []
+
+
+def consistency_error_builders(source):
+    """The innermost function around each ``ConsistencyError(...)`` call of
+    ``source``, in source order; None for a call outside any function."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ConsistencyError":
+                    found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_consistency_errors():
+    source = (
+        "E = ConsistencyError('x')\n"
+        "def f(v):\n"
+        "    def g():\n        raise errors.ConsistencyError('y')\n"
+        "    if v:\n        raise ConsistencyError(f'{v}')\n"
+        "class C:\n    def m(self):\n        return [ConsistencyError]\n"
+    )
+    assert consistency_error_builders(source) == [None, "g", "f"]
+
+
+def test_only_the_angle_clamp_builds_a_consistency_error():
+    sites = {p.name: consistency_error_builders(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in sites.items() if found} == {"angles.py": ["_clamp"]}

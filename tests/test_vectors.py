@@ -13,6 +13,7 @@ from gangle import (
     OracleSpace,
     SparseVector,
     check_norm_axioms,
+    left_orthonormalize,
     lp_norm,
     norm,
     norm_sq,
@@ -326,6 +327,27 @@ def test_norm_triangle_inequality(xs, ys, p):
     x = sv([float(c) for c in xs])
     y = sv([float(c) for c in ys])
     assert lp_norm(x.add(y), p) <= lp_norm(x, p) + lp_norm(y, p) + 1e-9
+
+
+@pytest.mark.parametrize("p, scale, values", [
+    (1.5, 1e-210, (3.0, 1.0)),
+    (1.5, 1e-212, (1.0, -2.0, 0.5)),
+    (2.0, 1e-160, (1.0, 1.0)),
+    (2.0, 1e-155, (3.0, -4.0)),
+    (3.0, 1e-108, (3.0, 1.0)),
+    (3.0, 1e-106, (0.25, 1.0, -2.0)),
+])
+def test_a_float_norm_keeps_its_digits_when_its_power_sum_is_subnormal(p, scale, values):
+    x = sv([v * scale for v in values])
+    assert 0 < math.fsum(abs(v) ** p for _, v in x) < math.ldexp(1.0, -1022)  # below the normal floats
+    nx = lp_norm(x, p)
+    # the Fraction shadow: sum |x_i / |x||^p is 1, with each ratio exact
+    assert math.fsum(float(abs(Fraction(v) / Fraction(nx))) ** p for _, v in x) == pytest.approx(1, abs=1e-14)
+
+
+def test_a_starred_vector_of_subnormal_power_sum_has_norm_one():
+    starred = left_orthonormalize([sv([3e-108, 1e-108])], LpSpace(3))[0]
+    assert float(sum(abs(Fraction(v)) ** 3 for _, v in starred)) ** (1 / 3) == pytest.approx(1, abs=1e-15)
 
 
 # -- norm oracles -----------------------------------------------------------
