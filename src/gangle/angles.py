@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConsistencyError, DegenerateSubspaceError, NumericalRangeError, ZeroVectorError
-from .gram import Subspace, _project, _unit_lower_gram, det, left_orthonormalize
+from .gram import Subspace, _project, det, left_orthonormalize
 from .semi_inner import g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, exact_sqrt, norm_sq
 
@@ -162,9 +162,9 @@ def cos_sq_explicit_sum(u: SparseVector, V: Subspace) -> Coeff:
     # D_j transposed (same det): row c is the starred Gram row
     # (g(x_c*, x_1*), ..., g(x_c*, x_t*)), unit lower-triangular, then
     # g(x_c*, u); the last row is (x_1*(j), ..., x_t*(j), 0)
+    t = len(starred)
     gs = [g_functional(xc, space) for xc in starred]
-    below = [list(map(gc, starred[:c])) for c, gc in enumerate(gs)]
-    lead = [list(row) + [gc(u)] for row, gc in zip(_unit_lower_gram(below, gs).matrix, gs)]
+    lead = [list(map(gc, starred[:c])) + [1] + [0] * (t - 1 - c) + [gc(u)] for c, gc in enumerate(gs)]
     total = 0
     for j in sorted(set().union(*(v.support for v in starred))):
         total += abs(det(lead + [[v.get(j) for v in starred] + [0]])) ** p

@@ -75,8 +75,8 @@ def _parse_coeff(value, mode: str):
     try:
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError("a coordinate is a number or an 'a/b' string")
-        if mode == "exact":
-            return Fraction(value if isinstance(value, int) else str(value))
+        if mode == "exact":  # an int is exact as it is
+            return value if isinstance(value, int) else Fraction(str(value))
         # float() raises OverflowError for an int or "a/b" beyond the float range.
         number = float(Fraction(value)) if isinstance(value, str) else float(value)
         if not math.isfinite(number):

@@ -8,9 +8,10 @@ computed from the n-by-n linear system
 
 which is equivalent (by Cramer's rule) to the bordered-determinant formula.
 A Gram matrix is eliminated once: the factors give its determinant and then
-solve each right-hand side by forward and back substitution, O(n^2), and the
-Gram data keeps them with the maps y -> g(x_i, y) its rows came from, so a
-projection onto a subspace whose Gram data is built prepares no basis vector.
+solve each right-hand side by forward and back substitution, O(n^2).  A
+:class:`Subspace` keeps them with the maps y -> g(x_i, y) its rows came from,
+so a projection onto a subspace whose Gram data is built prepares no basis
+vector; :class:`GramData` is the plain record of the matrix and determinant.
 Exact factors are integer Bareiss arrays with row scales: elimination and
 solves run on ints, and only the determinant and each coefficient become a
 Fraction.  Every exact projection, onto any Gram data, sums y_S on the int
@@ -27,7 +28,8 @@ In an lp space the Gram matrix [g(x_k*, x_l*)] of a left g-orthonormalized
 basis is unit lower-triangular: g(x_k*, x_k*) = |x_k*|^2 = 1, and
 g(x_k*, x_l*) = 0 for k < l because x_l* is a residual orthogonal to its
 predecessors and g is linear in its second argument there.
-:func:`left_orthonormalize` reuses that structure instead of recomputing it.
+:func:`left_orthonormalize` reuses that structure instead of recomputing it:
+the rows below the diagonal are the factors each step solves with.
 A black-box norm's g need not be additive in its second argument (the max
 norm with tied coordinates is not), so there the full Gram matrix is
 computed at every step.
@@ -47,6 +49,8 @@ from .vectors import Coeff, LpSpace, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
+# Both sides are compared as sums of logarithms, so neither leaves the float
+# range however large or small the vectors are.
 REL_SINGULAR = 1e-10
 
 
@@ -56,10 +60,20 @@ class _Factors(NamedTuple):
     and above it.  ``sign`` is the sign of the row order, or 0 when a pivot
     column is zero (A is singular; ``lu`` is only partly reduced).
     ``unit_upper`` marks a U known to be the identity, which leaves a solve
-    with the forward substitution alone.  Exact factors are integer Bareiss
-    arrays of the rows of A times ``scales``, the lcm of each row's
-    denominators: L is each step's column, not divided by its pivot, and the
-    last pivot is det(P·diag(scales)·A).  Float factors have no scales."""
+    with the forward substitution alone, so its rows need hold only the
+    entries below the diagonal: the rows g(x_k*, x_j*), j < k, of a left
+    g-orthonormal basis of an lp space.  Elimination with partial pivoting
+    would choose the same factors whenever every |g(x_k*, x_j*)| <= 1, as it
+    always is in exact mode (|g(x, y)| <= |x| |y|, and starred vectors have
+    norm 1); a float entry rounded above 1 would make it pivot, where the
+    forward substitution solves the same triangular system without a swap.
+    Such exact factors are solved on Fraction objects, O(d^2) per solve:
+    over one common denominator a fraction-free substitution was measured
+    slower, as that denominator grows as the product of the row lcms.
+    Eliminated exact factors are integer Bareiss arrays of the rows of A
+    times ``scales``, the lcm of each row's denominators: L is each step's
+    column, not divided by its pivot, and the last pivot is
+    det(P·diag(scales)·A).  Float factors have no scales."""
 
     lu: Sequence[Sequence[Coeff]]
     order: Sequence[int]
@@ -106,11 +120,16 @@ def _eliminate(rows: Sequence[Sequence[Coeff]]) -> _Factors:
 
 
 def _det(f: _Factors) -> Coeff:
+    """det(A) from the factors of A.  A float product of nonzero pivots that
+    overflows, or underflows to 0, raises NumericalRangeError."""
     if f.scales:
         return Fraction(f.sign * f.lu[-1][-1], math.prod(f.scales))
     if f.sign == 0:
         return f.lu[0][0] * 0  # zero in the right backend
-    return f.sign * math.prod(row[i] for i, row in enumerate(f.lu))
+    value = f.sign * math.prod(row[i] for i, row in enumerate(f.lu))
+    if not value or not math.isfinite(value):
+        raise NumericalRangeError(f"the determinant of nonzero float pivots leaves the float range ({value})")
+    return value
 
 
 def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> list:
@@ -162,20 +181,14 @@ def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
 def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
     """Determinant by Gaussian elimination: exact, on ints, for a matrix of
     ints and Fractions; with partial pivoting for a matrix with a float
-    entry."""
+    entry, raising NumericalRangeError where a nonzero float determinant
+    leaves the float range."""
     return _det(_eliminate(rows))
 
 
 @dataclass(frozen=True)
 class GramData:
-    """Matrix [g(x_i, x_k)] (row i, column k) and its determinant.
-
-    Gram data made by this module also keeps, outside its fields, so that
-    equality, hashing and repr ignore them, ``_factors``, the factors of the
-    one elimination that gave the determinant, and ``_maps``, one callable
-    y -> g(x_i, y) per basis vector: the maps ``g_functional(x_i, space)``
-    its rows came from, or for Gram data filled in from known entries the
-    maps the caller kept."""
+    """Matrix [g(x_i, x_k)] (row i, column k) and its determinant."""
 
     matrix: Tuple[Tuple[Coeff, ...], ...]
     det: Coeff
@@ -186,16 +199,11 @@ class GramData:
 
     @property
     def is_degenerate(self) -> bool:
-        if isinstance(self.det, Fraction):
+        if isinstance(self.det, Fraction) or not self.det:
             return self.det == 0
-        return abs(self.det) <= REL_SINGULAR * abs(float(self.diagonal_product))
-
-
-def _gram_data(matrix, factors: _Factors, maps) -> GramData:
-    data = GramData(matrix, _det(factors))
-    object.__setattr__(data, "_factors", factors)
-    object.__setattr__(data, "_maps", maps)
-    return data
+        diag = [abs(row[i]) for i, row in enumerate(self.matrix)]
+        bound = math.log(REL_SINGULAR) + math.fsum(map(math.log, diag)) if all(diag) else -math.inf
+        return math.log(abs(self.det)) <= bound
 
 
 def _basis(basis: Sequence[SparseVector]) -> tuple:
@@ -209,20 +217,9 @@ def _basis(basis: Sequence[SparseVector]) -> tuple:
 
 
 def gram(basis: Sequence[SparseVector], space: Space) -> GramData:
-    """Gram data of an ordered set of nonzero vectors.  Row i is one map
-    ``g_functional(x_i, space)`` applied to every basis vector, so x_i's norm
-    and weights are prepared once per row: d preparations for d^2 g-values.
-    The data keeps the d maps and the factors of its one elimination."""
-    basis = _basis(basis)
-    # Tuples are built from lists throughout: tuple() of a list allocates the
-    # exact size and reuses CPython's tuple free lists, where tuple() of an
-    # iterator resizes its guess and leaves the freed tuple in the free list
-    # of another size, which only a full collection empties.
-    maps = tuple([g_functional(xi, space) for xi in basis])
-    matrix = tuple([tuple([g_x(v) for v in basis]) for g_x in maps])
-    if any(row[i] == 0 for i, row in enumerate(matrix)):  # g(x, x) = |x|^2 underflowed
-        raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
-    return _gram_data(matrix, _eliminate(matrix), maps)
+    """Gram data of an ordered set of nonzero vectors: that of
+    ``Subspace(basis, space)``."""
+    return Subspace(basis, space).gram()
 
 
 def certifies_independence(data: GramData) -> bool:
@@ -236,25 +233,48 @@ def certifies_independence(data: GramData) -> bool:
 class Subspace:
     """Ordered basis of nonzero vectors plus its ambient space.
 
-    Gram data is computed lazily and cached, with the maps
-    ``g_functional(x_i, space)`` its rows came from and the factors of its
-    matrix, so the subspace holds about the size of its basis once more.
-    The cache is pure and set in one assignment, so two threads racing on a
-    fresh subspace at worst compute the same data twice."""
+    The subspace keeps its Gram data and the solver of projections onto it:
+    the pair (factors of the Gram matrix, maps y -> g(x_i, y)).  The first
+    :meth:`gram` call builds the data, and keeps the pair only when the
+    data is nondegenerate and no pair was set earlier (a left
+    g-orthonormalization step sets the unit lower-triangular one of its
+    starred basis); a degenerate subspace keeps none.  The pair is set
+    before the data, so a thread that sees the data sees the pair; two
+    threads racing on a fresh subspace at worst compute both twice.  The
+    subspace holds about the size of its basis once more."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
         self.basis = _basis(basis)
         self.space = space
         self._gram = None
+        self._solver = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def gram(self) -> GramData:
-        if self._gram is None:
-            self._gram = gram(self.basis, self.space)
-        return self._gram
+        """Gram data of the basis.  Row i is one map ``g_functional(x_i,
+        space)`` applied to every basis vector, so x_i's norm and weights
+        are prepared once per row: d preparations for d^2 g-values, and one
+        elimination for the determinant and the solver."""
+        data = self._gram
+        if data is None:
+            # Tuples are built from lists throughout: tuple() of a list
+            # allocates the exact size and reuses CPython's tuple free lists,
+            # where tuple() of an iterator resizes its guess and leaves the
+            # freed tuple in the free list of another size, which only a
+            # full collection empties.
+            maps = tuple([g_functional(xi, self.space) for xi in self.basis])
+            matrix = tuple([tuple([g_x(v) for v in self.basis]) for g_x in maps])
+            if any(row[i] == 0 for i, row in enumerate(matrix)):  # g(x, x) = |x|^2 underflowed
+                raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
+            factors = _eliminate(matrix)
+            data = GramData(matrix, _det(factors))
+            if self._solver is None and not data.is_degenerate:
+                self._solver = factors, maps
+            self._gram = data
+        return data
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, space={self.space!r})"
@@ -274,19 +294,18 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
     """The coefficients c and y_S = sum_k c_k * x_k of :func:`project`,
     without its residual: the angles read y_S alone.
 
-    The right-hand side g(x_i, y) comes from the maps the Gram data keeps,
-    and the system is solved from the factors of its Gram matrix: once the
-    Gram data is built, this costs d g-values, no new map and O(d^2)
-    substitution.
+    The right-hand side g(x_i, y) comes from the maps the subspace keeps,
+    and the system is solved from the factors it keeps: once they are
+    built, this costs d g-values, no new map and O(d^2) substitution.
 
     y_S over the nonzero c_k is one ``SparseVector._combination``, as
     ``add`` and ``sub`` are."""
-    data = sub.gram()
-    if data.is_degenerate:
-        raise DegenerateSubspaceError(
-            "Gram determinant is zero; the projection is undefined"
-        )
-    coeffs = _substitute(data._factors, [g_x(y) for g_x in data._maps])
+    if sub._solver is None:
+        sub.gram()
+    if sub._solver is None:
+        raise DegenerateSubspaceError("Gram determinant is zero; the projection is undefined")
+    factors, maps = sub._solver
+    coeffs = _substitute(factors, [g_x(y) for g_x in maps])
     return coeffs, SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
 
 
@@ -298,43 +317,22 @@ def project(y: SparseVector, sub: Subspace) -> Projection:
     return Projection(tuple(coeffs), projected, y.sub(projected))
 
 
-def _unit_lower_gram(rows: Sequence[Sequence[Coeff]], maps) -> GramData:
-    """Gram data of a left g-orthonormal basis of an lp space from its rows
-    below the diagonal: the ints 1 on the diagonal and 0 above it, which
-    either backend's arithmetic takes as they are, determinant 1, and
-    ``maps``, one callable y -> g(x_i*, y) per starred vector, for the
-    right-hand sides.  The matrix is its own factorization, L below the
-    diagonal and U = I with the rows in place, so a solve is one forward
-    substitution.  Elimination with partial pivoting would choose the same
-    factors whenever every |g(x_k*, x_j*)| <= 1, as it always is in exact
-    mode (|g(x, y)| <= |x| |y|, and starred vectors have norm 1); a float
-    entry rounded above 1 would make it pivot, where the forward
-    substitution solves the same triangular system without a swap.
-
-    In exact mode the forward substitution runs on Fraction objects, O(d^2)
-    per solve, and :func:`project` sums y_S on ints as for eliminated data.
-    Over one common denominator a fraction-free substitution was measured
-    slower: that denominator grows as the product of the row lcms."""
-    n = len(rows)
-    matrix = tuple([tuple(row) + (1,) + (0,) * (n - 1 - k) for k, row in enumerate(rows)])
-    return _gram_data(matrix, _Factors(matrix, range(n), 1, unit_upper=True), tuple(maps))
-
-
 def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     """Gram-Schmidt-like recursion producing unit vectors x_k* with
     g(x_k*, x_l*) = 0 for k < l.  Order-sensitive by construction.
 
     Step k projects x_k onto x_1*, ..., x_{k-1}* through :func:`project`.
-    In an lp space the unit lower-triangular Gram data of the starred vectors
-    is filled in from the rows and maps kept so far, so the step makes only
-    the k - 1 right-hand-side g-values and solves by forward substitution,
-    with no elimination.  The row g(x_k*, x_j*), j < k, costs k - 1 more
-    g-values from one map ``g_functional(x_k*, space)``, built only when the
-    row has entries and another vector follows, and kept for the right-hand
-    sides of the later steps.  x_1* has no row, so its values are single g
-    calls, each weighing the shared support alone: (d - 1)^2 g-values,
-    d - 2 maps and d - 1 single g calls for d >= 2 vectors, so 2d - 3 norm
-    passes over starred vectors.
+    In an lp space the step's subspace gets the rows kept so far, as unit
+    lower-triangular factors, and the maps kept so far, so the step makes
+    only the k - 1 right-hand-side g-values and solves by forward
+    substitution, with no Gram data, determinant or elimination.  The row
+    g(x_k*, x_j*), j < k, costs k - 1 more g-values from one map
+    ``g_functional(x_k*, space)``, built only when the row has entries and
+    another vector follows, and kept for the right-hand sides of the later
+    steps.  x_1* has no row, so its values are single g calls, each
+    weighing the shared support alone: (d - 1)^2 g-values, d - 2 maps and
+    d - 1 single g calls for d >= 2 vectors, so 2d - 3 norm passes over
+    starred vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
     there need not be additive in its second argument.
 
@@ -352,7 +350,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
         else:
             sub = Subspace(out, space)
             if triangular:
-                sub._gram = _unit_lower_gram(rows, maps)
+                sub._solver = _Factors(tuple(rows), range(k), 1, unit_upper=True), tuple(maps)
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")

@@ -46,7 +46,7 @@ from gangle import (
     sgn,
 )
 from gangle.angles import _CLAMP_SLACK
-from gangle.gram import _Factors, _eliminate, _substitute, _unit_lower_gram, det
+from gangle.gram import _Factors, _eliminate, _substitute, det
 from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central, g_functional
 from gangle.vectors import _zero, exact_sqrt
 
@@ -215,15 +215,16 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
 
 
 def starred_subspace(basis, space):
-    """The subspace of the left g-orthonormal basis of ``basis`` with its unit
-    lower-triangular Gram data, as ``left_orthonormalize`` projects onto it:
-    single g calls for x_1*, a map ``g_functional(x_k*, space)`` for each
-    later starred vector, and a solve by forward substitution."""
+    """The subspace of the left g-orthonormal basis of ``basis`` with the
+    solver ``left_orthonormalize`` projects onto it with: its rows below the
+    diagonal as unit lower-triangular factors, solved by forward
+    substitution, with single g calls for x_1* and a map
+    ``g_functional(x_k*, space)`` for each later starred vector."""
     starred = left_orthonormalize(basis, space)
     sub = Subspace(starred, space)
     maps = [lambda y: g(starred[0], y, space)] + [g_functional(x, space) for x in starred[1:]]
     rows = [[g_k(xj) for xj in starred[:k]] for k, g_k in enumerate(maps)]
-    sub._gram = _unit_lower_gram(rows, maps)
+    sub._solver = _Factors(rows, range(len(rows)), 1, unit_upper=True), maps
     return sub
 
 

@@ -1,0 +1,23 @@
+"""``tests/bits.py`` runs every workload task and prints one digest, float
+bits included, for comparing two checkouts."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+PKG_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bits_runs_every_task_and_prints_a_digest():
+    proc = subprocess.run(
+        [sys.executable, str(PKG_ROOT / "tests" / "bits.py")],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"[1-9][0-9]* tasks", lines[-2])
+    assert re.fullmatch(r"[0-9a-f]{64}", lines[-1])

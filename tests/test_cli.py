@@ -376,6 +376,24 @@ def test_project_degenerate_basis_exits_3():
     assert "Gram" in proc.stderr or "determinant" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args", [["project", "y", "V"], ["angle", "L", "V"], ["gram", "V", "--json"]], ids=lambda a: a[0]
+)
+def test_a_gram_determinant_beyond_the_float_range_is_input_error(tmp_path, capsys, args):
+    # the Gram determinant of V is about 1e320: no command reads it as inf
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "p": 2.0, "mode": "float",
+        "vectors": {"a": [1e40, 1e39], "b": [0.0, 1e40], "c": [2e39, 0.0, 1e40],
+                    "d": [0.0, 0.0, 0.0, 1e40], "y": [1.0, 1.0]},
+        "subspaces": {"L": ["y"], "V": ["a", "b", "c", "d"]},
+    }))
+    assert cli.main([args[0], "-i", str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "determinant" in err
+
+
 def test_orthonormalize_outputs_unit_vectors():
     report = run_json("orthonormalize", "-i", problem("plane_vs_space_l1.json"), "U")
     vecs = report["outputs"]["vectors"]

@@ -25,7 +25,7 @@ from gangle import (
     norm_sq,
     project,
 )
-from gangle.gram import GramData, _eliminate, _substitute, _unit_lower_gram, det
+from gangle.gram import GramData, _Factors, _eliminate, _substitute, det
 
 from support import (
     classical_projection,
@@ -163,7 +163,7 @@ def unit_lower_systems(draw, entries, backend):
     n = draw(st.integers(1, 6))
     below = [draw(st.lists(entries, min_size=k, max_size=k)) for k in range(n)]
     rhss = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
-    return _unit_lower_gram(below, ()), rhss  # solved from its factors alone
+    return below, rhss
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,22 +174,62 @@ def unit_lower_systems(draw, entries, backend):
     unit_lower_systems(st.fractions(min_value=-1, max_value=1, max_denominator=8), "exact"),
 ))
 def test_forward_substitution_solves_unit_lower_gram_data_like_the_elimination(system):
-    data, rhss = system
-    assert data.det == det_augmented(data.matrix) == 1
+    """The rows below the diagonal, as unit lower-triangular factors, solve
+    like the elimination of the matrix padded with the ints 1 and 0."""
+    below, rhss = system
+    n = len(below)
+    matrix = [row + [1] + [0] * (n - 1 - k) for k, row in enumerate(below)]
+    factors = _Factors(below, range(n), 1, unit_upper=True)
+    assert det_augmented(matrix) == 1
     for rhs in rhss:
-        assert bits(_substitute(data._factors, rhs)) == bits(solve_augmented(data.matrix, rhs))
+        assert bits(_substitute(factors, rhs)) == bits(solve_augmented(matrix, rhs))
 
 
 def test_gram_data_fields_equality_and_repr_ignore_the_factors():
+    """Gram data is a plain record; the subspace keeps the factors and maps."""
     assert [f.name for f in fields(GramData)] == ["matrix", "det"]
-    data = gram([sv([1, 2]), sv([0, 1, 1])], L1)
+    sub = Subspace([sv([1, 2]), sv([0, 1, 1])], L1)
+    data = sub.gram()
+    assert list(vars(data)) == ["matrix", "det"]
+    assert list(vars(gram(sub.basis, L1))) == ["matrix", "det"]
     bare = GramData(data.matrix, data.det)
     assert bare == data and hash(bare) == hash(data) and repr(bare) == repr(data)
     assert repr(data) == f"GramData(matrix={data.matrix!r}, det={data.det!r})"
-    assert len(data._maps) == 2 and data._factors.sign == 1
+    factors, maps = sub._solver
+    assert len(maps) == 2 and factors.sign == 1
 
 
 # -- gram -------------------------------------------------------------------
+
+
+# A float l2 basis whose Gram determinant, about 1e320, overflows; scaled by
+# 1e-100 it underflows to 0.  Both Gram matrices are well conditioned.
+WIDE_RANGE_BASIS = [(1e40, 1e39), (0.0, 1e40), (2e39, 0.0, 1e40), (0.0, 0.0, 0.0, 1e40)]
+
+
+@pytest.mark.parametrize("scale, pivot", [(1.0, 1e200), (1e-100, 1e-200)], ids=["overflow", "underflow"])
+def test_a_float_determinant_beyond_the_float_range_raises(scale, pivot):
+    basis = [sv([v * scale for v in entries]) for entries in WIDE_RANGE_BASIS]
+    with pytest.raises(NumericalRangeError, match="determinant"):
+        gram(basis, L2_FLOAT)
+    with pytest.raises(NumericalRangeError, match="determinant"):
+        project(sv([1.0, 1.0]), Subspace(basis, L2_FLOAT))
+    with pytest.raises(NumericalRangeError, match="determinant"):
+        det([[pivot, 0.0], [0.0, pivot]])
+    assert det([[1.0, 1.0], [1.0, 1.0]]) == 0.0  # a zero pivot is a zero determinant
+
+
+def test_float_degeneracy_does_not_form_the_diagonal_product():
+    # det = 1.024e305 is finite, the diagonal product 1e312 is not
+    basis = [sv([1e78]), sv([1e78, 3.2e74])]
+    data = gram(basis, L2_FLOAT)
+    assert data.diagonal_product == math.inf and 1.02e305 < data.det < 1.03e305
+    assert not data.is_degenerate and certifies_independence(data)
+    coefficients = project(sv([1.0, 1.0]), Subspace(basis, L2_FLOAT)).coefficients
+    assert coefficients == pytest.approx((1e-78 - 1 / 3.2e74, 1 / 3.2e74), rel=1e-6)
+    # det / prod(diag) = 1e-14 at the same scale is below REL_SINGULAR
+    near = gram([sv([1e78]), sv([1e78, 1e71])], L2_FLOAT)
+    assert near.det > 0 and near.is_degenerate
 
 
 def test_gram_all_nines_zero_det():

@@ -69,7 +69,7 @@ from gangle import (
     project,
     tau,
 )
-from gangle import angles
+from gangle import angles, cli
 
 from support import starred_subspace, tau_oracle_by_vectors
 
@@ -448,6 +448,57 @@ def test_orthonormalize_takes_one_norm_pass_per_map_and_single_g(monkeypatch):
     assert calls[0] == 29
 
 
+@pytest.fixture
+def gram_records(monkeypatch):
+    """Counts of ``gram._det`` calls and of ``GramData`` records built."""
+    gram_module = sys.modules["gangle.gram"]
+    counts = {"det": 0, "GramData": 0}
+    det, init = gram_module._det, gram_module.GramData.__init__
+
+    def counted_det(factors):
+        counts["det"] += 1
+        return det(factors)
+
+    def counted_init(self, *args):
+        counts["GramData"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(gram_module, "_det", counted_det)
+    monkeypatch.setattr(gram_module.GramData, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
+def test_orthonormalize_and_explicit_sum_build_no_gram_data(gram_records, backend, p):
+    """Each step solves with the kept rows as factors: no Gram data and no
+    determinant for the starred basis.  The explicit sum pads those rows
+    with the ints 1 and 0 itself: its determinants are the D_j alone."""
+    basis = _triangular_basis(16, backend)
+    assert len(left_orthonormalize(basis, LpSpace(p))) == 16
+    assert gram_records == {"det": 0, "GramData": 0}
+    u = _triangular_basis(19, backend)[0]
+    V = Subspace(basis[:4], LpSpace(p))
+    starred = left_orthonormalize(V.basis, V.space)
+    cos_sq_explicit_sum(u, V)
+    assert gram_records == {"det": len(set().union(*(v.support for v in starred))), "GramData": 0}
+    gram(basis, LpSpace(p))
+    assert gram_records["GramData"] == 1
+
+
+def test_a_subspace_checks_its_basis_once(monkeypatch):
+    gram_module = sys.modules["gangle.gram"]
+    calls = [0]
+
+    def counted(basis, _basis=gram_module._basis):
+        calls[0] += 1
+        return _basis(basis)
+
+    monkeypatch.setattr(gram_module, "_basis", counted)
+    V = Subspace(_triangular_basis(4, "exact"), LpSpace(1))
+    V.gram()
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
 def test_project_on_a_built_subspace_takes_d_g_values_and_no_elimination(
@@ -547,12 +598,13 @@ def test_exact_project_builds_no_fraction_for_y_s(fractions_built, d):
 
     basis = _triangular_basis(d, "exact")
     for V in (Subspace(basis, LpSpace(1)), starred_subspace(basis, LpSpace(1))):
-        data = V.gram()
-        rhs, rhs_count = built(lambda: [g_x(y) for g_x in data._maps])
-        _, solve_count = built(lambda: gram_module._substitute(data._factors, rhs))
+        V.gram()  # keeps the starred solver that starred_subspace set
+        factors, maps = V._solver
+        rhs, rhs_count = built(lambda: [g_x(y) for g_x in maps])
+        _, solve_count = built(lambda: gram_module._substitute(factors, rhs))
         proj, project_count = built(lambda: project(y, V))
         _, residual_count = built(lambda: y.sub(proj.projected))
-        if data._factors.scales:
+        if factors.scales:
             assert solve_count == d
         assert len(proj.projected.support) > d
         assert project_count == rhs_count + solve_count
@@ -583,6 +635,18 @@ def test_exact_orthonormalize_builds_fractions_by_d_not_by_entry(fractions_built
     out = left_orthonormalize(basis, LpSpace(1))
     assert len(out) == d and all(len(v.support) >= nnz for v in out)
     assert fractions_built[0] <= (d - 1) ** 2 + sum(k * (k - 1) for k in range(d)) + 2 * d * d + 8
+
+
+def test_loading_an_exact_problem_file_of_ints_builds_no_fraction(fractions_built, tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(
+        '{"p": 1, "mode": "exact", "vectors": {"x": [3, -1, 0, 2], "y": [[2, 5], [9, -4]]},'
+        ' "subspaces": {"V": ["x", "y"]}}'
+    )
+    problem = cli.load_problem(str(path))
+    assert fractions_built[0] == 0
+    assert problem.vectors["y"].backend == "exact"
+    assert problem.vectors["x"] == SparseVector({1: 3, 2: -1, 4: 2})
 
 
 BYTES_PER_ENTRY = 90  # about 82 for int numerators; 112 for Fraction values
