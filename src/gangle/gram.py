@@ -194,10 +194,6 @@ class GramData:
     det: Coeff
 
     @property
-    def diagonal_product(self) -> Coeff:
-        return math.prod(row[i] for i, row in enumerate(self.matrix))
-
-    @property
     def is_degenerate(self) -> bool:
         if isinstance(self.det, Fraction) or not self.det:
             return self.det == 0

@@ -7,15 +7,18 @@ Two independent routes are provided:
 * :func:`g_from_norm` -- the definition ``(|x|/2) * (tau+ + tau-)`` built
   from difference quotients of ``t -> |x + t*y|``.
 
-A single value of :func:`g` (and of :func:`g_explicit`, which calls it)
-costs one norm pass over x for the factor ``|x|^(2-p)`` and forms the
-weights ``|xi|^(p-1) * sgn(xi)`` only on the shared support of x and y, as
-a sparse dot product runs over the common nonzeros.  :func:`g_functional`
-prepares the factor and the weights over all of x once and returns the map
-``y -> g(x, y)``, one for both backends, with the same bits: the Gram rows,
-the starred rows of left orthonormalization and the explicit sum reuse one
-map per first argument.  In float mode a norm, a value of g or a power or
-quotient inside float tau beyond the float range raises
+One rule, :func:`_closed_form`, decides x's share of the closed form: the
+factor ``|x|^(2-p)``, one norm pass over x, and the weights
+``|xi|^(p-1) * sgn(xi)``; at p = 2 these are x's entries and no norm is
+taken, and exact p = 1 weighs the int numerators by their signs.  Both
+routes apply it: a single value of :func:`g` (and of :func:`g_explicit`,
+which calls it) forms the weights only on the shared support of x and y, as
+a sparse dot product runs over the common nonzeros, and
+:func:`g_functional` forms them over all of x once and returns the map
+``y -> g(x, y)``, with the same bits: the Gram rows, the starred rows of
+left orthonormalization and the explicit sum reuse one map per first
+argument.  In float mode a norm, a value of g or a power or quotient inside
+float tau beyond the float range raises
 :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
@@ -345,25 +348,42 @@ def _g_from_pair(pair: TauPair, nx: Coeff) -> Coeff:
     return _finite((pair.tau_plus + pair.tau_minus) / 2 * nx)
 
 
-def _finite(value: Coeff) -> Coeff:
+def _finite(value: Coeff, den: int = 1) -> Coeff:
     """A value of g, checked: a float one beyond the float range raises
-    NumericalRangeError."""
+    NumericalRangeError.  ``den`` is not read: it gives this the signature
+    of ``Fraction``, the exact finish, as the float finish of the closed
+    form (:func:`_closed_form`)."""
     if isinstance(value, float) and not math.isfinite(value):
         raise NumericalRangeError("g(x, y) overflows the float range")
     return value
 
 
-def _factor(x: SparseVector, p) -> Coeff:
-    """The factor |x|^(2-p) of the closed form g(x, .) for a nonzero x at
-    p != 2: in exact mode (p = 1 only) the int D_x * |x|_1, the sum of
-    |x's numerators|, else the float power of one norm pass.
+def _closed_form(x: SparseVector, p, entries) -> tuple:
+    """x's share of the closed form g(x, y) = finish(factor * sum(w_i * y_i),
+    D_x * D_y) over supp x ∩ supp y, for a nonzero x in an lp space, with
+    the weights w_i formed on ``entries``, (index, stored value) entries of
+    x: (factor, {i: w_i}, finish).
 
-    Raises BackendError for an exact x and p != 1, and NumericalRangeError
-    when the float |x|^(2-p) is out of range."""
-    if x.backend == EXACT:
+    * p = 2: the weights are the stored values, the factor 1, and no norm
+      is taken;
+    * exact p = 1: the weights are the signs of the int numerators and the
+      factor is the int D_x * |x|_1, the sum of their absolute values, so
+      that the sum on y's int numerators is D_x * D_y * g(x, y);
+    * float p != 2: w_i = |xi|^(p-1) * sgn(xi), +-1.0 at p = 1, and the
+      factor |x|^(2-p) takes one norm pass.
+
+    The finish is ``Fraction`` in exact mode and the float range check
+    :func:`_finite` else.  Raises BackendError for an exact x and p not in
+    {1, 2}, and NumericalRangeError when the float |x|^(2-p) is out of
+    range."""
+    exact = x.backend == EXACT
+    finish = Fraction if exact else _finite
+    if p == 2:
+        return (1 if exact else 1.0), dict(entries), finish
+    if exact:
         if p != 1:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
-        return sum([abs(n) for _, n in x._entries])
+        return sum([abs(n) for _, n in x._entries]), {i: 1 if n > 0 else -1 for i, n in entries}, finish
     p = float(p)
     try:
         factor = lp_norm(x, p) ** (2.0 - p)
@@ -371,18 +391,17 @@ def _factor(x: SparseVector, p) -> Coeff:
         factor = 0.0
     if factor == 0.0:
         raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
-    return factor
+    q = p - 1.0
+    return factor, {i: abs(v) ** q * sgn(v) for i, v in entries}, finish
 
 
 def g_functional(x: SparseVector, space: Space):
-    """The map y -> g(x, y) under ``space``, with x's share computed once: in
-    an lp space |x|^(2-p) (:func:`_factor`) and the weights
-    |xi|^(p-1) * sgn(xi) over all of x (x's entries, and no norm, at p = 2).
+    """The map y -> g(x, y) under ``space``, with x's share of the closed
+    form (:func:`_closed_form`) prepared once, its weights over all of x.
     A call sums y's entries on x's support in index order, rounding as one
-    :func:`g` call does; in exact mode it sums the products of the int
-    numerators and builds one Fraction, g(x, y).  It pays off where one x
-    meets several y: the rows of a Gram matrix, the starred rows of a left
-    g-orthonormalization and the explicit sum.
+    :func:`g` call does.  It pays off where one x meets several y: the rows
+    of a Gram matrix, the starred rows of a left g-orthonormalization and
+    the explicit sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -391,27 +410,13 @@ def g_functional(x: SparseVector, space: Space):
         return lambda y: g_from_norm(x, y, space)
     if x.is_zero:
         return lambda y: _zero(y.backend)
-    p = space.p
-    backend = x.backend
-    # g(x, y) = factor * sum(w_i * y_i) over y's entries on supp x, over
-    # D_x * D_y in exact mode, where y_i are y's int numerators
-    if p == 2:  # the weights are x's entries, and no norm is taken
-        factor, weights = (1 if backend == EXACT else 1.0), dict(x._entries)
-    else:
-        factor = _factor(x, p)
-        if backend == EXACT:  # p = 1: the signs of x's numerators
-            weights = {i: 1 if n > 0 else -1 for i, n in x._entries}
-        else:  # also at p = 1, where |xi|^0.0 * sgn(xi) = +-1.0
-            p = float(p)
-            weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x._entries}
-    den = x._den
+    factor, weights, finish = _closed_form(x, space.p, x._entries)
+    backend, den = x.backend, x._den
 
     def g_x(y: SparseVector) -> Coeff:
-        join_backends(backend, y.backend)
+        join_backends(backend, y._backend)
         value = factor * sum([w * c for i, c in y._entries if (w := weights.get(i)) is not None])
-        if backend == EXACT:
-            return Fraction(value, den * y._den)
-        return _finite(value)
+        return finish(value, den * y._den)
 
     return g_x
 
@@ -425,24 +430,14 @@ def g(x: SparseVector, y: SparseVector, space: Space) -> Coeff:
     """Semi-inner product: the lp closed form, or the norm-oracle definition
     (:func:`g_from_norm`).
 
-    At p != 2 one value weighs only the shared support: the factor
-    |x|^(2-p) takes one norm pass over x (:func:`_factor`), and the weight
-    |xi|^(p-1) * sgn(xi) is formed only where y_i is nonzero too, as y's
-    entries are summed in index order against a dict of x's, with the
-    expression and order of a :func:`g_functional` map and so its bits.
-    Exact p = 1 sums +-y_i on the int numerators.  At p = 2, where the
-    weights are x's entries, it is one map call."""
-    if isinstance(space, OracleSpace):
-        return g_from_norm(x, y, space)
-    if space.p == 2 or x.is_zero:
+    One value weighs only the shared support: x's share of the closed form
+    (:func:`_closed_form`, one norm pass over x at p != 2) forms the
+    weights on x's entries where y is nonzero too, and their products with
+    y's entries are summed in index order, the products and the order of a
+    :func:`g_functional` map, and so its bits."""
+    if isinstance(space, OracleSpace) or x.is_zero:
         return g_functional(x, space)(y)
-    backend = x.backend
-    factor = _factor(x, space.p)
-    join_backends(backend, y.backend)
-    xs = dict(x._entries)
-    if backend == EXACT:  # p = 1: the signs of x's numerators
-        value = sum([c if a > 0 else -c for i, c in y._entries if (a := xs.get(i)) is not None])
-        return Fraction(factor * value, x._den * y._den)
-    p = float(space.p)
-    value = sum([abs(a) ** (p - 1.0) * sgn(a) * c for i, c in y._entries if (a := xs.get(i)) is not None])
-    return _finite(factor * value)
+    ys = dict(y._entries)
+    factor, weights, finish = _closed_form(x, space.p, [e for e in x._entries if e[0] in ys])
+    join_backends(x._backend, y._backend)
+    return finish(factor * sum([w * ys[i] for i, w in weights.items()]), x._den * y._den)

@@ -7,8 +7,10 @@ Builds each workload's deck at seeds 1, 2 and 3 through ``bench/run.py``'s
 digest as its canonical text: ``run.canonical`` for values (type names,
 float ``repr``s, exact values as fractions), and the type name and message
 for a typed error.  The last line of output is the sha256 of it all, so two
-checkouts that print the same digest gave every task the same bits.  An
-error that is not a ``GAngleError`` stops the script with exit status 1.
+checkouts that print the same digest gave every task the same bits.  Before
+it, one line per workload gives that workload's task count and the sha256
+of its results alone, so a changed bit names its workload.  An error that
+is not a ``GAngleError`` stops the script with exit status 1.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ def main() -> int:
     digest = hashlib.sha256()
     tasks = 0
     for workload in workloads.WORKLOADS:
+        own = hashlib.sha256()
+        own_tasks = 0
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as workdir:
                 G, deck = run.set_up(workload, seed, Path(workdir))
@@ -35,8 +39,12 @@ def main() -> int:
                         key = run.canonical(G, task.call())
                     except G.GAngleError as exc:
                         key = f"!{type(exc).__name__}: {exc}"
-                    digest.update(f"{workload}|{seed}|{i}|{task.kind}|{key}\n".encode())
-                    tasks += 1
+                    line = f"{workload}|{seed}|{i}|{task.kind}|{key}\n".encode()
+                    digest.update(line)
+                    own.update(line)
+                    own_tasks += 1
+        print(f"{workload}: {own_tasks} tasks {own.hexdigest()}")
+        tasks += own_tasks
     print(f"{tasks} tasks")
     print(digest.hexdigest())
     return 0

@@ -97,7 +97,7 @@ def rand_subspace(rng, backend, dim, space, max_index=MAX_INDEX):
         sub = Subspace(basis, space)
         data = sub.gram()
         if not data.is_degenerate:
-            scale = abs(float(data.diagonal_product))
+            scale = abs(float(prod(row[i] for i, row in enumerate(data.matrix))))
             if scale == 0 or abs(float(data.det)) > 1e-6 * scale:
                 return sub
 
@@ -168,12 +168,17 @@ def _eliminate_augmented(a):
 
 
 def det_augmented(rows):
-    """Determinant from the diagonal of the augmented-matrix elimination."""
+    """Determinant from the diagonal of the augmented-matrix elimination.  A
+    float product of nonzero pivots that is 0 or not finite raises
+    NumericalRangeError, as ``det`` documents."""
     a = [list(r) for r in rows]
     sign = _eliminate_augmented(a)
     if sign == 0:
         return a[0][0] * 0
-    return sign * prod(a[i][i] for i in range(len(a)))
+    value = sign * prod(a[i][i] for i in range(len(a)))
+    if isinstance(value, float) and not (value and math.isfinite(value)):
+        raise NumericalRangeError(f"the product of nonzero float pivots is {value}")
+    return value
 
 
 def solve_augmented(rows, rhs):

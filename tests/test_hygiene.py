@@ -7,7 +7,9 @@ and only ``vectors.py`` sets the fields of a ``SparseVector``, so that
 Only ``vectors.py`` and the kernels of ``semi_inner.py`` read a vector's
 stored form, its int or float entries and its denominator.  Only
 ``angles._clamp`` builds a ``ConsistencyError``, so every value kept in its
-range passes one round-off rule."""
+range passes one round-off rule.  ``semi_inner.py`` calls ``sgn`` in one
+place, the weight |x_i|^(p-1) * sgn(x_i) of the closed form, which the
+single g and the map of ``g_functional`` share."""
 
 import ast
 import re
@@ -238,3 +240,29 @@ def test_the_check_sees_consistency_errors():
 def test_only_the_angle_clamp_builds_a_consistency_error():
     sites = {p.name: consistency_error_builders(p.read_text()) for p in PACKAGE.glob("*.py")}
     assert {name: found for name, found in sites.items() if found} == {"angles.py": ["_clamp"]}
+
+
+def sgn_calls(source):
+    """Line numbers of ``source`` that call ``sgn``, by name or as an
+    attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "sgn" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_the_check_sees_sgn_calls():
+    # the two copies of the weight a map and a single g once formed each
+    source = (
+        "weights = {i: abs(v) ** (p - 1.0) * sgn(v) for i, v in x._entries}\n"
+        "value = sum([abs(a) ** (p - 1.0) * sgn(a) * c for i, c in y._entries if (a := xs.get(i)) is not None])\n"
+        "s = vectors.sgn(t)\n"
+        "f = sgn\n"
+    )
+    assert sgn_calls(source) == [1, 2, 3]
+
+
+def test_semi_inner_forms_the_weight_in_one_place():
+    assert len(sgn_calls((PACKAGE / "semi_inner.py").read_text())) == 1
