@@ -10,13 +10,12 @@ which is equivalent (by Cramer's rule) to the bordered-determinant formula.
 A Gram matrix is eliminated once: the factors give its determinant and then
 solve each right-hand side by forward and back substitution, O(n^2).  A
 :class:`Subspace` keeps them with the maps y -> g(x_i, y) its rows came from,
-so a projection onto a subspace whose Gram data is built prepares no basis
-vector; :class:`GramData` is the plain record of the matrix and determinant.
-Exact factors are integer Bareiss arrays with row scales: elimination and
-solves run on ints, and only the determinant and each coefficient become a
-Fraction.  Every exact projection, onto any Gram data, sums y_S on the int
-numerators of the basis vectors over one common denominator, and y_S is
-kept in that int form: no Fraction per coordinate.
+and builds :class:`GramData`, the plain record of the matrix and determinant,
+only when asked.  Exact Gram rows come as ints with row scales, and at p = 2
+half of each Gram matrix is mirrored: elimination and solves run on ints, and
+only the determinant, each coefficient and the entries of asked-for Gram data
+become Fractions.  Every exact projection sums y_S on the int numerators of
+the basis vectors over one common denominator: no Fraction per coordinate.
 
 Beware that g is not linear in its first argument, so for p != 2 the
 projection genuinely depends on the *basis* chosen for the span, not just on
@@ -44,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
-from .semi_inner import g, g_functional
+from .semi_inner import _gram_rows, g, g_functional
 from .vectors import Coeff, LpSpace, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
@@ -71,8 +70,8 @@ class _Factors(NamedTuple):
     over one common denominator a fraction-free substitution was measured
     slower, as that denominator grows as the product of the row lcms.
     Eliminated exact factors are integer Bareiss arrays of the rows of A
-    times ``scales``, the lcm of each row's denominators: L is each step's
-    column, not divided by its pivot, and the last pivot is
+    times ``scales``, the least int per row that clears its denominators: L
+    is each step's column, not divided by its pivot, and the last pivot is
     det(P·diag(scales)·A).  Float factors have no scales."""
 
     lu: Sequence[Sequence[Coeff]]
@@ -82,20 +81,22 @@ class _Factors(NamedTuple):
     scales: Sequence[int] = ()
 
 
-def _eliminate(rows: Sequence[Sequence[Coeff]]) -> _Factors:
+def _eliminate(rows: Sequence[Sequence[Coeff]], scales: Sequence[int] = None) -> _Factors:
     """Factor a square matrix by Gaussian elimination: with partial pivoting
-    when it has a float entry, else fraction-free on its scaled int rows,
-    where any nonzero pivot gives the same rationals and the first is taken."""
+    when it has a float entry, else fraction-free on int rows, where any
+    nonzero pivot gives the same rationals and the first is taken.  The int
+    rows are ``rows`` if ``scales`` are given (exact Gram rows), else each
+    row of ints and Fractions times the lcm of its denominators."""
     n = len(rows)
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     order = list(range(n))
-    sign, prev, scales = 1, 1, ()
-    exact = not any(isinstance(v, float) for r in a for v in r)
-    if exact:
+    sign, prev = 1, 1
+    if scales is None and not any(isinstance(v, float) for r in a for v in r):
         scales = [math.lcm(*(v.denominator for v in r)) for r in a]
         a = [[v.numerator * (s // v.denominator) for v in r] for s, r in zip(scales, a)]
+    exact, scales = scales is not None, scales or ()
     for col in range(n):
         if exact:
             pivot = next((r for r in range(col, n) if a[r][col]), col)
@@ -186,6 +187,15 @@ def det(rows: Sequence[Sequence[Coeff]]) -> Coeff:
     return _det(_eliminate(rows))
 
 
+def _singular(det: Coeff, rows: Sequence[Sequence[Coeff]]) -> bool:
+    """Whether a Gram determinant counts as zero, a float one relative to the diagonal."""
+    if isinstance(det, Fraction) or not det:
+        return det == 0
+    diag = [abs(row[i]) for i, row in enumerate(rows)]
+    bound = math.log(REL_SINGULAR) + math.fsum(map(math.log, diag)) if all(diag) else -math.inf
+    return math.log(abs(det)) <= bound
+
+
 @dataclass(frozen=True)
 class GramData:
     """Matrix [g(x_i, x_k)] (row i, column k) and its determinant."""
@@ -195,11 +205,7 @@ class GramData:
 
     @property
     def is_degenerate(self) -> bool:
-        if isinstance(self.det, Fraction) or not self.det:
-            return self.det == 0
-        diag = [abs(row[i]) for i, row in enumerate(self.matrix)]
-        bound = math.log(REL_SINGULAR) + math.fsum(map(math.log, diag)) if all(diag) else -math.inf
-        return math.log(abs(self.det)) <= bound
+        return _singular(self.det, self.matrix)
 
 
 def _basis(basis: Sequence[SparseVector]) -> tuple:
@@ -229,15 +235,16 @@ def certifies_independence(data: GramData) -> bool:
 class Subspace:
     """Ordered basis of nonzero vectors plus its ambient space.
 
-    The subspace keeps its Gram data and the solver of projections onto it:
-    the pair (factors of the Gram matrix, maps y -> g(x_i, y)).  The first
-    :meth:`gram` call builds the data, and keeps the pair only when the
-    data is nondegenerate and no pair was set earlier (a left
-    g-orthonormalization step sets the unit lower-triangular one of its
-    starred basis); a degenerate subspace keeps none.  The pair is set
-    before the data, so a thread that sees the data sees the pair; two
-    threads racing on a fresh subspace at worst compute both twice.  The
-    subspace holds about the size of its basis once more."""
+    The subspace keeps the solver of projections onto it, the pair (factors
+    of the Gram matrix, maps y -> g(x_i, y)), and its Gram data.  The first
+    projection or :meth:`gram` call eliminates the Gram rows and sets the
+    pair unless one was set earlier (a left g-orthonormalization step sets
+    the unit lower-triangular one of its starred basis); a degenerate
+    subspace gets an empty one.  Only :meth:`gram` builds the data, after a
+    projection from rows computed again.  The pair is set before the data,
+    so a thread that sees the data sees the pair; two threads racing on a
+    fresh subspace at worst compute both twice.  It holds about the size of
+    its basis once more."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
         self.basis = _basis(basis)
@@ -249,27 +256,27 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _factor(self) -> tuple:
+        """(rows, scales, factors) of ``semi_inner._gram_rows``, eliminated;
+        sets the solver if none was set, () when the rows are degenerate."""
+        maps, rows, scales = _gram_rows(self.basis, self.space)
+        if any(row[i] == 0 for i, row in enumerate(rows)):  # g(x, x) = |x|^2 underflowed
+            raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
+        factors = _eliminate(rows, scales)
+        singular = not factors.sign if factors.scales else _singular(_det(factors), rows)
+        if self._solver is None:
+            self._solver = () if singular else (factors, tuple(maps))
+        return rows, scales, factors
+
     def gram(self) -> GramData:
-        """Gram data of the basis.  Row i is one map ``g_functional(x_i,
-        space)`` applied to every basis vector, so x_i's norm and weights
-        are prepared once per row: d preparations for d^2 g-values, and one
-        elimination for the determinant and the solver."""
+        """Gram data of the basis: its rows, exact ones as Fractions, and determinant."""
         data = self._gram
         if data is None:
-            # Tuples are built from lists throughout: tuple() of a list
-            # allocates the exact size and reuses CPython's tuple free lists,
-            # where tuple() of an iterator resizes its guess and leaves the
-            # freed tuple in the free list of another size, which only a
-            # full collection empties.
-            maps = tuple([g_functional(xi, self.space) for xi in self.basis])
-            matrix = tuple([tuple([g_x(v) for v in self.basis]) for g_x in maps])
-            if any(row[i] == 0 for i, row in enumerate(matrix)):  # g(x, x) = |x|^2 underflowed
-                raise NumericalRangeError("a squared norm g(x_i, x_i) of the basis underflows to 0")
-            factors = _eliminate(matrix)
-            data = GramData(matrix, _det(factors))
-            if self._solver is None and not data.is_degenerate:
-                self._solver = factors, maps
-            self._gram = data
+            rows, scales, factors = self._factor()
+            # tuple() of a list takes the exact size from CPython's tuple free
+            # lists; of an iterator it can strand freed tuples in another's.
+            matrix = [[Fraction(v, s) for v in row] for s, row in zip(scales, rows)] if scales else rows
+            data = self._gram = GramData(tuple([tuple(row) for row in matrix]), _det(factors))
         return data
 
     def __repr__(self) -> str:
@@ -297,8 +304,8 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
     y_S over the nonzero c_k is one ``SparseVector._combination``, as
     ``add`` and ``sub`` are."""
     if sub._solver is None:
-        sub.gram()
-    if sub._solver is None:
+        sub._factor()
+    if not sub._solver:
         raise DegenerateSubspaceError("Gram determinant is zero; the projection is undefined")
     factors, maps = sub._solver
     coeffs = _substitute(factors, [g_x(y) for g_x in maps])
@@ -355,7 +362,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
             nx = float(norm(xk, space))
             if nx == 0.0:
                 raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
-            if r <= 1e-12 * max(nx, 1e-300):
+            if k and r <= 1e-12 * max(nx, 1e-300):  # x_1 has no predecessors
                 raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if triangular and k < len(basis) - 1:

@@ -15,10 +15,11 @@ routes apply it: a single value of :func:`g` (and of :func:`g_explicit`,
 which calls it) forms the weights only on the shared support of x and y, as
 a sparse dot product runs over the common nonzeros, and
 :func:`g_functional` forms them over all of x once and returns the map
-``y -> g(x, y)``, with the same bits: the Gram rows, the starred rows of
-left orthonormalization and the explicit sum reuse one map per first
-argument.  In float mode a norm, a value of g or a power or quotient inside
-float tau beyond the float range raises
+``y -> g(x, y)``, with the same bits: the starred rows of left
+orthonormalization and the explicit sum reuse one map per first argument,
+and :func:`_gram_rows` prepares each vector of a basis once for its Gram
+rows and maps.  In float mode a norm, a value of g or a power or quotient
+inside float tau beyond the float range raises
 :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
@@ -350,9 +351,9 @@ def _g_from_pair(pair: TauPair, nx: Coeff) -> Coeff:
 
 def _finite(value: Coeff, den: int = 1) -> Coeff:
     """A value of g, checked: a float one beyond the float range raises
-    NumericalRangeError.  ``den`` is not read: it gives this the signature
-    of ``Fraction``, the exact finish, as the float finish of the closed
-    form (:func:`_closed_form`)."""
+    NumericalRangeError; an exact numerator is kept (the Gram rows).  ``den``
+    is not read: it gives this the signature of ``Fraction``, the exact
+    finish, as the float finish of the closed form (:func:`_closed_form`)."""
     if isinstance(value, float) and not math.isfinite(value):
         raise NumericalRangeError("g(x, y) overflows the float range")
     return value
@@ -375,7 +376,7 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
     The finish is ``Fraction`` in exact mode and the float range check
     :func:`_finite` else.  Raises BackendError for an exact x and p not in
     {1, 2}, and NumericalRangeError when the float |x|^(2-p) is out of
-    range."""
+    range or |x|^p underflows to 0."""
     exact = x.backend == EXACT
     finish = Fraction if exact else _finite
     if p == 2:
@@ -385,9 +386,9 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
         return sum([abs(n) for _, n in x._entries]), {i: 1 if n > 0 else -1 for i, n in entries}, finish
     p = float(p)
-    try:
-        factor = lp_norm(x, p) ** (2.0 - p)
-    except (OverflowError, ZeroDivisionError):  # a tiny |x| to a power below 0
+    try:  # where |x|^p underflows to 0, the weights can too, and g would read 0
+        factor = nx ** (2.0 - p) if min(nx := lp_norm(x, p), 1.0) ** p else 0.0
+    except OverflowError:  # a tiny |x| to a power below 0
         factor = 0.0
     if factor == 0.0:
         raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
@@ -399,9 +400,8 @@ def g_functional(x: SparseVector, space: Space):
     """The map y -> g(x, y) under ``space``, with x's share of the closed
     form (:func:`_closed_form`) prepared once, its weights over all of x.
     A call sums y's entries on x's support in index order, rounding as one
-    :func:`g` call does.  It pays off where one x meets several y: the rows
-    of a Gram matrix, the starred rows of a left g-orthonormalization and
-    the explicit sum.
+    :func:`g` call does.  It pays off where one x meets several y: the
+    starred rows of a left g-orthonormalization and the explicit sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -410,7 +410,12 @@ def g_functional(x: SparseVector, space: Space):
         return lambda y: g_from_norm(x, y, space)
     if x.is_zero:
         return lambda y: _zero(y.backend)
-    factor, weights, finish = _closed_form(x, space.p, x._entries)
+    return _map(x, *_closed_form(x, space.p, x._entries))
+
+
+def _map(x: SparseVector, factor, weights, finish):
+    """The map y -> finish(factor * sum(w_i * y_i), D_x * D_y) of x's share
+    of the closed form; a y of the other backend raises BackendError."""
     backend, den = x.backend, x._den
 
     def g_x(y: SparseVector) -> Coeff:
@@ -419,6 +424,34 @@ def g_functional(x: SparseVector, space: Space):
         return finish(value, den * y._den)
 
     return g_x
+
+
+def _gram_rows(basis, space) -> tuple:
+    """(maps, rows, scales) of the Gram matrix [g(x_i, x_k)] of nonzero
+    vectors, each prepared once by :func:`_closed_form`: the maps y -> g(x_i, y)
+    and their values, floats (or values under a norm oracle) with no scales,
+    or exact ints with no Fraction: row i holds the ints factor_i * sum(w_i * n_k)
+    over D_i * D_k times scales[i], the least int that clears them.  At p = 2,
+    where g is symmetric, the entries k < i are mirrored: the same products."""
+    if isinstance(space, OracleSpace):
+        maps = [g_functional(x, space) for x in basis]
+        return maps, [[g_x(v) for v in basis] for g_x in maps], None
+    forms = [_closed_form(x, space.p, x._entries) for x in basis]
+    values = [_map(x, factor, weights, _finite) for x, (factor, weights, _) in zip(basis, forms)]
+    rows = [[g_x(v) for v in basis[i if space.p == 2 else 0 :]] for i, g_x in enumerate(values)]
+    if space.p == 2:
+        rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)]
+    if basis[0].backend != EXACT:  # the values checked that all share it
+        return values, rows, None
+    dens = [x._den for x in basis]
+    common = math.lcm(*dens)
+    scales = [den * common for den in dens]
+    if common != 1:  # each row and its scale divided by their gcd leave the least scale
+        rows = [[v * (common // den) for v, den in zip(row, dens)] for row in rows]
+        shared = [math.gcd(s, *row) for s, row in zip(scales, rows)]
+        rows = [[v // c for v in row] for c, row in zip(shared, rows)]
+        scales = [s // c for s, c in zip(scales, shared)]
+    return [_map(x, *form) for x, form in zip(basis, forms)], rows, scales
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:

@@ -374,7 +374,7 @@ def lp_norm(x: SparseVector, p) -> Coeff:
             value = math.inf
     if value == math.inf:
         raise NumericalRangeError(f"the {p:g}-norm of this vector overflows the float range")
-    if p != 1 and 0 < s < sys.float_info.min:  # a subnormal sum has lost digits
+    if p != 1 and s < sys.float_info.min:  # a subnormal sum has lost digits, or all
         e = math.frexp(max([abs(v) for _, v in x._entries]))[1]  # max |v| / 2^e in [1/2, 1)
         s = sum([abs(math.ldexp(v, -e)) ** p for _, v in x._entries])
         value = math.ldexp(s ** (1.0 / p), e)

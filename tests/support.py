@@ -513,7 +513,7 @@ def left_orthonormalize_by_single_g(basis, space):
             nx = float(norm(xk, space))
             if nx == 0.0:
                 raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
-            if r <= 1e-12 * max(nx, 1e-300):
+            if k and r <= 1e-12 * max(nx, 1e-300):  # x_1 has no predecessors
                 raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if 0 < k < len(basis) - 1:

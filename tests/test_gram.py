@@ -26,6 +26,7 @@ from gangle import (
     project,
 )
 from gangle.gram import GramData, _Factors, _eliminate, _substitute, det
+from gangle.semi_inner import g_functional
 
 from support import (
     classical_projection,
@@ -402,6 +403,52 @@ def test_exact_project_matches_the_bordered_determinant(case):
             return "degenerate"
 
     assert projected(lambda y, V: project(y, V).projected) == projected(project_bordered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_projections())
+@example((Subspace([sv([1, 2]), sv([2, 1])], L1), sv([1, 1])))  # all nines, det 0
+@example((Subspace([sv([Fraction(1, 2), 1]), sv([1, Fraction(1, 3)])], L1), sv([1, 1])))
+def test_exact_gram_data_over_denominators_matches_the_reference_paths(case):
+    """The exact Gram rows are ints over row scales, and every benchmark
+    basis has denominators 1.  Over mixed denominators the matrix holds the
+    single g-values as Fractions, the determinant and its degeneracy are
+    those of the cofactor expansion, and a projection onto a fresh
+    subspace, which builds no Gram data, is the bordered determinant's."""
+    V, y = case
+    data = Subspace(V.basis, V.space).gram()
+    singles = [[g(xi, xk, V.space) for xk in V.basis] for xi in V.basis]
+    assert data.matrix == tuple(map(tuple, singles))
+    assert all(type(v) is Fraction for row in data.matrix for v in row)
+    assert data.det == det_cofactor(singles)
+    assert data.is_degenerate == (det_cofactor(singles) == 0)
+
+    def projected(solver):
+        try:
+            return solver(y, Subspace(V.basis, V.space))
+        except DegenerateSubspaceError:
+            return "degenerate"
+
+    assert projected(lambda y, V: project(y, V).projected) == projected(project_bordered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.dictionaries(st.integers(1, 6), st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30), min_size=1, max_size=6),
+    min_size=1,
+    max_size=5,
+))
+def test_float_gram_entries_at_p_2_are_the_map_values(entries):
+    """At p = 2 the entries below the diagonal are mirrored, with the bits
+    of the map g(x_i, .) applied to x_k all the same."""
+    basis = [SparseVector(e) for e in entries]
+    try:
+        matrix = gram(basis, L2_FLOAT).matrix
+    except NumericalRangeError:  # the determinant left the float range
+        assume(False)
+    for xi, row in zip(basis, matrix):
+        g_x = g_functional(xi, L2_FLOAT)
+        assert [repr(v) for v in row] == [repr(g_x(xk)) for xk in basis]
 
 
 def test_projection_basis_invariance_holds_for_p2():

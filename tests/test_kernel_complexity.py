@@ -14,8 +14,9 @@ multi-index.  Left g-orthonormalization of d vectors must take (d - 1)^2
 g-values, and the explicit sum t(t + 1)/2 more of its own; a g-value counts
 whether it comes from ``g`` or from a map of ``g_functional``.  The maps
 (norm and weights over all of x) and the single ``g`` values (weights on
-the shared support only) are counted apart: ``gram`` of d vectors makes d
-maps, not d^2, and left g-orthonormalization d - 2 maps, one per kept
+the shared support only) are counted apart: ``gram`` of d vectors prepares
+each once, in ``semi_inner._gram_rows``, for d^2 g-values, d(d + 1)/2 at
+p = 2, and left g-orthonormalization makes d - 2 maps, one per kept
 starred row, which serve the later right-hand sides too, and d - 1 single
 values, the right-hand-side entries of x_1*, which has no row.  So a float
 left g-orthonormalization of d = 16 vectors takes 29 norm passes (2d - 3)
@@ -23,7 +24,9 @@ for the factors |x*|^(2-p), one per map and one per single value.  A single
 float g at p != 2 calls ``sgn`` once per shared coordinate.  A Gram
 matrix is eliminated once: ``project`` onto a subspace whose Gram data is
 built takes d g-values from the maps its rows came from, with no new map and
-no elimination, and left g-orthonormalization in lp eliminates nothing.  A
+no elimination, and left g-orthonormalization in lp eliminates nothing.
+Exact Gram rows are ints: a projection onto a fresh subspace builds O(d)
+Fractions, not one per Gram entry.  A
 regression fails here on any machine.
 
 An exact vector stores int numerators over one denominator, and the exact
@@ -348,9 +351,9 @@ def eliminations(monkeypatch):
     gram_module = sys.modules["gangle.gram"]
     eliminate = gram_module._eliminate
 
-    def counted(rows):
+    def counted(rows, *scales):
         calls[0] += 1
-        return eliminate(rows)
+        return eliminate(rows, *scales)
 
     monkeypatch.setattr(gram_module, "_eliminate", counted)
     return calls
@@ -415,11 +418,55 @@ def test_a_single_float_g_weighs_only_the_shared_support(sgn_calls, p):
     assert sgn_calls[0] == 0
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Preparations of a first argument (``semi_inner._closed_form`` calls)
+    and the g-values of the maps ``semi_inner._map`` makes: those of the
+    Gram rows and of the maps a subspace keeps, which the gram module's
+    ``g`` and ``g_functional`` do not see."""
+    semi_inner = sys.modules["gangle.semi_inner"]
+    calls = {"preparations": 0, "values": 0}
+
+    def prepare(*args, _prepare=semi_inner._closed_form):
+        calls["preparations"] += 1
+        return _prepare(*args)
+
+    def make(*args, _make=semi_inner._map):
+        g_x = _make(*args)
+
+        def counted(y):
+            calls["values"] += 1
+            return g_x(y)
+
+        return counted
+
+    monkeypatch.setattr(semi_inner, "_closed_form", prepare)
+    monkeypatch.setattr(semi_inner, "_map", make)
+    return calls
+
+
+def test_the_kernel_counters_see_calls(kernel_calls):
+    x = SparseVector({1: 1, 2: -2})
+    sys.modules["gangle.semi_inner"].g_functional(x, LpSpace(1))(x)
+    g(x, x, LpSpace(1))
+    assert kernel_calls == {"preparations": 2, "values": 1}
+
+
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
-def test_gram_prepares_each_first_argument_once(g_calls, backend, p, d):
+def test_gram_prepares_each_first_argument_once(g_calls, kernel_calls, backend, p, d):
     gram(_triangular_basis(d, backend), LpSpace(p))
-    assert g_calls == {"gram": d * d, "angles": 0, "maps": d, "single": 0}
+    assert kernel_calls == {"preparations": d, "values": d * d}
+    assert g_calls == {"gram": 0, "angles": 0, "maps": 0, "single": 0}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_gram_at_p_2_computes_the_upper_triangle(kernel_calls, backend, d):
+    """g is symmetric at p = 2: d(d + 1)/2 g-values, the rest mirrored."""
+    data = gram(_triangular_basis(d, backend), LpSpace(2))
+    assert kernel_calls == {"preparations": d, "values": d * (d + 1) // 2}
+    assert all(row[k] == data.matrix[k][i] for i, row in enumerate(data.matrix) for k in range(d))
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -502,15 +549,16 @@ def test_a_subspace_checks_its_basis_once(monkeypatch):
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
 def test_project_on_a_built_subspace_takes_d_g_values_and_no_elimination(
-    g_calls, eliminations, backend, p, d
+    g_calls, kernel_calls, eliminations, backend, p, d
 ):
     V = Subspace(_triangular_basis(d, backend), LpSpace(p))
     V.gram()
     assert eliminations[0] == 1
-    g_calls.update(gram=0, maps=0)
+    kernel_calls.update(preparations=0, values=0)
     for y in _triangular_basis(d + 3, backend)[:3]:
         project(y, V)
-    assert g_calls == {"gram": 3 * d, "angles": 0, "maps": 0, "single": 0}
+    assert kernel_calls == {"preparations": 0, "values": 3 * d}  # the kept maps, no new one
+    assert g_calls == {"gram": 0, "angles": 0, "maps": 0, "single": 0}
     assert eliminations[0] == 1
 
 
@@ -580,6 +628,18 @@ def test_exact_elimination_determinant_and_solve_build_o_of_d_fractions(fraction
     fractions_built[0] = 0
     gram_module._substitute(factors, list(range(1, d + 1)))
     assert fractions_built[0] == d
+
+
+def test_exact_project_onto_a_fresh_subspace_builds_o_of_d_fractions(fractions_built):
+    """The Gram rows are ints: a projection onto a fresh subspace builds its
+    d right-hand-side g-values and d coefficients, not the d^2 entries of a
+    Gram matrix."""
+    d = 16
+    V = Subspace(_triangular_basis(d, "exact"), LpSpace(1))
+    y = _triangular_basis(d + 3, "exact")[0]
+    fractions_built[0] = 0
+    assert not project(y, V).projected.is_zero
+    assert fractions_built[0] <= 2 * d
 
 
 @pytest.mark.parametrize("d", [4, 8, 16])

@@ -482,13 +482,13 @@ def test_exponent_brackets_the_size():
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
 def test_float_tau_where_the_norm_of_y_underflows(p):
-    """|y| rounds to 0 for y = (5e-324,), and at p = 2 and 3 for y = 1e-200 *
-    (1, 1).  The step unit then takes the exponent of y's largest entry:
-    the steps that would reach y = 5e-324 overflow, so tau raises where it
-    gave 0.0, and y = 1e-200 * (1, 1) keeps its value.  |y|_1 bounds |y|."""
+    """The power sum of y underflows to 0 for y = (5e-324,), and at p = 2
+    and 3 for y = 1e-200 * (1, 1); the norm is taken rescaled.  The steps
+    that would reach y = 5e-324 overflow, so tau raises where it gave 0.0,
+    and y = 1e-200 * (1, 1) keeps its value.  |y|_1 bounds |y|."""
     x, space = SparseVector({1: 1.0}), LpSpace(p)
     tiny, small = SparseVector({1: 5e-324}), SparseVector({1: 1e-200, 2: 1e-200})
-    assert norm(tiny, space) == 0.0
+    assert norm(tiny, space) == 5e-324
     for route in (tau, g_from_norm):
         with pytest.raises(NumericalRangeError):
             route(x, tiny, space)
@@ -827,8 +827,8 @@ def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
 
 def test_a_float_norm_that_underflows_raises_numerical_range_error():
     t = SparseVector({1: 1e-300, 2: 1e-300})
-    assert lp_norm(t, 3.0) == 0.0  # the norm itself is left as it rounds
-    for p in (3.0, 1.5):  # |t|^(2-p) would divide by 0, or give g = 0 for every y
+    assert lp_norm(t, 3.0) == pytest.approx(2 ** (1 / 3) * 1e-300, rel=1e-15)  # taken rescaled
+    for p in (3.0, 1.5):  # |t|^p underflows to 0, and at p = 3 each weight |t_i|^2 does
         with pytest.raises(NumericalRangeError):
             g_explicit(t, t, p)
 

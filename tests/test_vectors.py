@@ -18,6 +18,7 @@ from gangle import (
     norm,
     norm_sq,
     sgn,
+    vector_angle,
 )
 
 from support import exact_sum_by_fractions, rand_float_vector
@@ -348,6 +349,26 @@ def test_a_float_norm_keeps_its_digits_when_its_power_sum_is_subnormal(p, scale,
 def test_a_starred_vector_of_subnormal_power_sum_has_norm_one():
     starred = left_orthonormalize([sv([3e-108, 1e-108])], LpSpace(3))[0]
     assert float(sum(abs(Fraction(v)) ** 3 for _, v in starred)) ** (1 / 3) == pytest.approx(1, abs=1e-15)
+
+
+@pytest.mark.parametrize("values, p", [([1e-200, 1e-200], 2.0), ([3e-109, 1e-109], 3.0)], ids=["l2", "l3"])
+def test_a_float_norm_whose_power_sum_underflows_to_zero_is_that_of_the_vector_scaled_up(values, p):
+    """Each |x_i|^p rounds to 0, so the power sum does for a nonzero x.  The
+    norm, and the starred vector x / |x|, are those of x scaled by 2^600."""
+    x, up, space = sv(values), sv([math.ldexp(v, 600) for v in values]), LpSpace(p)
+    assert sum(abs(v) ** p for v in values) == 0.0
+    assert norm(x, space) == pytest.approx(math.ldexp(norm(up, space), -600), rel=1e-15)
+    starred, starred_up = (left_orthonormalize([v], space)[0] for v in (x, up))
+    assert starred.to_dense() == pytest.approx(starred_up.to_dense(), rel=1e-15)
+
+
+def test_a_squared_norm_that_underflows_still_raises_in_an_angle():
+    """|x| = 1.4e-200 is a float and |x|^2 is not: ``norm_sq`` rounds it to
+    0.0, and the angle that divides by it raises NumericalRangeError."""
+    x = sv([1e-200, 1e-200])
+    assert norm(x, LpSpace(2)) > 0 and norm_sq(x, LpSpace(2)) == 0.0
+    with pytest.raises(NumericalRangeError):
+        vector_angle(x, x, LpSpace(2))
 
 
 # -- norm oracles -----------------------------------------------------------
