@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
-from .semi_inner import _gram_rows, g, g_functional
+from .semi_inner import _gram_rows, _starred_row, g
 from .vectors import Coeff, LpSpace, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
@@ -66,13 +67,13 @@ class _Factors(NamedTuple):
     always is in exact mode (|g(x, y)| <= |x| |y|, and starred vectors have
     norm 1); a float entry rounded above 1 would make it pivot, where the
     forward substitution solves the same triangular system without a swap.
-    Such exact factors are solved on Fraction objects, O(d^2) per solve:
-    over one common denominator a fraction-free substitution was measured
-    slower, as that denominator grows as the product of the row lcms.
-    Eliminated exact factors are integer Bareiss arrays of the rows of A
-    times ``scales``, the least int per row that clears its denominators: L
-    is each step's column, not divided by its pivot, and the last pivot is
-    det(P·diag(scales)·A).  Float factors have no scales."""
+    Exact ones are ints solved by :func:`_forward`: entry j < k of row k is
+    R_kj / (S_k * D_j), ``scales[k]`` = (S_k, D_k) and D_k the denominator
+    of x_k* (``semi_inner._starred_row``).  Eliminated exact factors are
+    integer Bareiss arrays of the rows of A times ``scales``, the least int
+    per row that clears its denominators: L is each step's column, not
+    divided by its pivot, and the last pivot is det(P·diag(scales)·A).
+    Float factors have no scales."""
 
     lu: Sequence[Sequence[Coeff]]
     order: Sequence[int]
@@ -154,15 +155,28 @@ def _cramer(f: _Factors, rhs: Sequence[Coeff]) -> list:
     return [Fraction(v, last * m) for v in b]
 
 
+def _forward(f: _Factors, rhs: Sequence[Coeff]) -> list:
+    """Solve exact unit lower-triangular factors in ints.  With u_j = c_j / D_j,
+    row k reads sum_j R_kj u_j + S_k D_k u_k = S_k rhs_k, so each U_k = q u_k
+    is one exact division, q = m * prod(S_j D_j) and m the lcm of the
+    right-hand side's denominators: c_k = D_k U_k / q, one Fraction each."""
+    m = math.lcm(*[b.denominator for b in rhs])
+    q = m * math.prod(s * d for s, d in f.scales)
+    u = []
+    for row, (s, d), b in zip(f.lu, f.scales, rhs):
+        u.append((s * b.numerator * (q // b.denominator) - sum(map(operator.mul, row, u))) // (s * d))
+    return [Fraction(d * v, q) for (_, d), v in zip(f.scales, u)]
+
+
 def _substitute(f: _Factors, rhs: Sequence[Coeff]) -> list:
-    """Solve A x = rhs from the factors of A: exact ones by :func:`_cramer`,
-    others by L z = P·rhs forward, then U x = z backward, where each entry
-    sees the subtractions, in the same order, that eliminating the augmented
-    matrix [A | rhs] would apply to it."""
+    """Solve A x = rhs from the factors of A: exact ones in ints, by
+    :func:`_forward` or :func:`_cramer`, others by L z = P·rhs forward, then
+    U x = z backward, where each entry sees the subtractions, in the same
+    order, that eliminating the augmented matrix [A | rhs] would apply to it."""
     if not f.sign:
         raise DegenerateSubspaceError("singular linear system")
     if f.scales:
-        return _cramer(f, rhs)
+        return (_forward if f.unit_upper else _cramer)(f, rhs)
     lu, n = f.lu, len(f.lu)
     x = [rhs[i] for i in f.order]
     for i in range(1, n):
@@ -329,31 +343,33 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     lower-triangular factors, and the maps kept so far, so the step makes
     only the k - 1 right-hand-side g-values and solves by forward
     substitution, with no Gram data, determinant or elimination.  The row
-    g(x_k*, x_j*), j < k, costs k - 1 more g-values from one map
-    ``g_functional(x_k*, space)``, built only when the row has entries and
-    another vector follows, and kept for the right-hand sides of the later
-    steps.  x_1* has no row, so its values are single g calls, each
-    weighing the shared support alone: (d - 1)^2 g-values, d - 2 maps and
-    d - 1 single g calls for d >= 2 vectors, so 2d - 3 norm passes over
-    starred vectors.
+    g(x_k*, x_j*), j < k, costs k - 1 more g-values, and the map
+    y -> g(x_k*, y) kept for the right-hand sides of the later steps comes
+    with it (``semi_inner._starred_row``), built only when the row has
+    entries and another vector follows.  x_1* has no row, so its values are
+    single g calls, each weighing the shared support alone: (d - 1)^2
+    g-values, d - 2 maps and d - 1 single g calls for d >= 2 vectors, so
+    2d - 3 norm passes over starred vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
     there need not be additive in its second argument.
 
     In exact mode the residual y_k and x_k* = y_k / |y_k| keep the int form
     of exact vectors: the rescaling multiplies the numerators by one int and
-    divides by one gcd, with no Fraction per entry."""
+    divides by one gcd, with no Fraction per entry, and the rows are ints.  A
+    float y_k of norm below the least normal float is scaled by 2^-e first."""
     basis = tuple(basis)
     triangular = isinstance(space, LpSpace)
     out = []
-    # lp spaces only: rows[k] = [g(x_k*, x_j*) for j < k], maps[k] = y -> g(x_k*, y)
-    rows, maps = [], []
+    # lp spaces only: rows[k] = [g(x_k*, x_j*) for j < k] (over scales[k]), maps[k] = y -> g(x_k*, y)
+    rows, scales, maps = [], [], []
     for k, xk in enumerate(basis):
         if k == 0:
             residual = xk
         else:
             sub = Subspace(out, space)
             if triangular:
-                sub._solver = _Factors(tuple(rows), range(k), 1, unit_upper=True), tuple(maps)
+                factors = _Factors(tuple(rows), range(k), 1, unit_upper=True, scales=tuple(scales))
+                sub._solver = factors, tuple(maps)
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
@@ -364,10 +380,16 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
                 raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
             if k and r <= 1e-12 * max(nx, 1e-300):  # x_1 has no predecessors
                 raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+            if r < sys.float_info.min:  # 1 / r overflows: first scale by 2^-e, in two exact halves
+                e = math.frexp(r)[1]
+                residual = residual.scale(math.ldexp(1.0, -e // 2)).scale(math.ldexp(1.0, (1 - e) // 2))
+                r = norm(residual, space)
         starred = residual.scale(Fraction(1) / r)
         if triangular and k < len(basis) - 1:
-            g_k = g_functional(starred, space) if k else lambda y, x=starred: g(x, y, space)
-            rows.append(list(map(g_k, out)))
-            maps.append(g_k)
+            g_k, row, scale = _starred_row(starred, out, space)
+            rows.append(row)
+            maps.append(g_k or (lambda y, x=starred: g(x, y, space)))
+            if scale:
+                scales.append(scale)
         out.append(starred)
     return out

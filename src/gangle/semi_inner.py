@@ -15,12 +15,11 @@ routes apply it: a single value of :func:`g` (and of :func:`g_explicit`,
 which calls it) forms the weights only on the shared support of x and y, as
 a sparse dot product runs over the common nonzeros, and
 :func:`g_functional` forms them over all of x once and returns the map
-``y -> g(x, y)``, with the same bits: the starred rows of left
-orthonormalization and the explicit sum reuse one map per first argument,
-and :func:`_gram_rows` prepares each vector of a basis once for its Gram
-rows and maps.  In float mode a norm, a value of g or a power or quotient
-inside float tau beyond the float range raises
-:class:`~gangle.errors.NumericalRangeError`.
+``y -> g(x, y)``, with the same bits: the explicit sum reuses one map per
+first argument, and :func:`_gram_rows` and :func:`_starred_row` prepare
+each vector once for its rows, ints in exact mode, and its map.  In float
+mode a norm, a value of g or a power or quotient inside float tau beyond
+the float range raises :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -400,8 +399,8 @@ def g_functional(x: SparseVector, space: Space):
     """The map y -> g(x, y) under ``space``, with x's share of the closed
     form (:func:`_closed_form`) prepared once, its weights over all of x.
     A call sums y's entries on x's support in index order, rounding as one
-    :func:`g` call does.  It pays off where one x meets several y: the
-    starred rows of a left g-orthonormalization and the explicit sum.
+    :func:`g` call does.  It pays off where one x meets several y, as in
+    the explicit sum.
 
     Raises BackendError for an exact x and p not in {1, 2}, and
     NumericalRangeError when the float |x|^(2-p) is out of range; a call
@@ -452,6 +451,23 @@ def _gram_rows(basis, space) -> tuple:
         rows = [[v // c for v in row] for c, row in zip(shared, rows)]
         scales = [s // c for s, c in zip(scales, shared)]
     return [_map(x, *form) for x, form in zip(basis, forms)], rows, scales
+
+
+def _starred_row(x, others, space) -> tuple:
+    """(map y -> g(x, y), its values on ``others``, scales) from one
+    :func:`_closed_form` of x, a starred vector after ``others``; x_1* gets no
+    map.  Exact values are ints V_j / c = D * D_j * g(x, x_j) / c over (S, D),
+    D the denominator of x, c = gcd(D, V_1, ...), S = D / c (1 at p = 1)."""
+    exact = x.backend == EXACT
+    if not others:
+        return None, [], (1, x._den) if exact else None
+    factor, weights, finish = _closed_form(x, space.p, x._entries)
+    g_x = _map(x, factor, weights, finish)
+    if not exact:
+        return g_x, list(map(g_x, others)), None
+    row = list(map(_map(x, factor, weights, _finite), others))
+    c = math.gcd(x._den, *row)
+    return g_x, [v // c for v in row], (x._den // c, x._den)
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:

@@ -47,7 +47,14 @@ from gangle import (
 )
 from gangle.angles import _CLAMP_SLACK
 from gangle.gram import _Factors, _eliminate, _substitute, det
-from gangle.semi_inner import _ORACLE_K_RANGE, _ORACLE_REL_TOL, _exponent, _tau_central, g_functional
+from gangle.semi_inner import (
+    _ORACLE_K_RANGE,
+    _ORACLE_REL_TOL,
+    _exponent,
+    _starred_row,
+    _tau_central,
+    g_functional,
+)
 from gangle.vectors import _zero, exact_sqrt
 
 MAX_INDEX = 6
@@ -221,15 +228,21 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
 
 def starred_subspace(basis, space):
     """The subspace of the left g-orthonormal basis of ``basis`` with the
-    solver ``left_orthonormalize`` projects onto it with: its rows below the
-    diagonal as unit lower-triangular factors, solved by forward
-    substitution, with single g calls for x_1* and a map
-    ``g_functional(x_k*, space)`` for each later starred vector."""
+    solver ``left_orthonormalize`` projects onto it with: the rows of
+    ``semi_inner._starred_row`` below the diagonal, ints over their scales in
+    exact mode, as unit lower-triangular factors, solved by forward
+    substitution, with single g calls for x_1* and the map of each later
+    starred vector's row."""
     starred = left_orthonormalize(basis, space)
     sub = Subspace(starred, space)
-    maps = [lambda y: g(starred[0], y, space)] + [g_functional(x, space) for x in starred[1:]]
-    rows = [[g_k(xj) for xj in starred[:k]] for k, g_k in enumerate(maps)]
-    sub._solver = _Factors(rows, range(len(rows)), 1, unit_upper=True), maps
+    rows, scales, maps = [], [], []
+    for k, x in enumerate(starred):
+        g_x, row, scale = _starred_row(x, starred[:k], space)
+        rows.append(row)
+        maps.append(g_x or (lambda y: g(starred[0], y, space)))
+        if scale:
+            scales.append(scale)
+    sub._solver = _Factors(rows, range(len(rows)), 1, unit_upper=True, scales=tuple(scales)), maps
     return sub
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -195,6 +196,34 @@ def test_forward_substitution_solves_unit_lower_gram_data_like_the_elimination(s
     matrix = [row + [1] + [0] * (n - 1 - k) for k, row in enumerate(below)]
     factors = _Factors(below, range(n), 1, unit_upper=True)
     assert det_augmented(matrix) == 1
+    for rhs in rhss:
+        assert bits(_substitute(factors, rhs)) == bits(solve_augmented(matrix, rhs))
+
+
+@st.composite
+def int_unit_lower_systems(draw):
+    """Int rows below a unit diagonal with their scales (S_k, D_k), and
+    exact right-hand sides."""
+    n = draw(st.integers(1, 6))
+    below = [draw(st.lists(st.integers(-99, 99), min_size=k, max_size=k)) for k in range(n)]
+    scales = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=n, max_size=n))
+    rhs = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8), min_size=n, max_size=n)
+    return below, scales, draw(st.lists(rhs, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_unit_lower_systems())
+def test_int_forward_substitution_solves_unit_lower_gram_data_like_the_elimination(system):
+    """Int rows R_kj over the scales (S_k, D_k), as unit lower-triangular
+    factors, stand for the entries R_kj / (S_k * D_j): they solve like the
+    elimination of that matrix padded with the ints 1 and 0."""
+    below, scales, rhss = system
+    n = len(below)
+    matrix = [
+        [Fraction(v, s * d) for v, (_, d) in zip(row, scales)] + [1] + [0] * (n - 1 - k)
+        for k, (row, (s, _)) in enumerate(zip(below, scales))
+    ]
+    factors = _Factors(below, range(n), 1, unit_upper=True, scales=tuple(scales))
     for rhs in rhss:
         assert bits(_substitute(factors, rhs)) == bits(solve_augmented(matrix, rhs))
 
@@ -672,6 +701,42 @@ def test_orthonormalize_equals_projection_per_step_exactly_at_deep_basis_sizes()
         assert ours == ref
 
 
+@st.composite
+def exact_bases(draw):
+    """Exact bases of up to 16 vectors: l1 ones of entries with denominators
+    up to 9 in 2d + 4 coordinates, or l2 ones from the Cayley construction
+    (in up to 16 coordinates), whose left orthonormalization is rational;
+    about half of them with one vector replaced by a combination of those
+    before it."""
+    if draw(st.booleans()):
+        space, d = LpSpace(2), draw(st.integers(1, 16))
+        rng = draw(st.randoms(use_true_random=False))
+        basis = rand_rational_l2_basis(rng, d, draw(st.integers(d, 16)))
+    else:
+        space, d = L1, draw(st.integers(1, 16))
+        entries = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+        vectors = st.dictionaries(st.integers(1, 2 * d + 4), entries, min_size=1, max_size=6)
+        basis = [SparseVector(draw(vectors)) for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, d - 1))
+        weights = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        combination = SparseVector._combination([(w, v) for w, v in zip(weights, basis) if w])
+        if not combination.is_zero:
+            basis[r] = combination
+    return basis, space
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_bases())
+def test_exact_orthonormalize_on_int_rows_equals_projection_per_step(case):
+    """Steps solved on int rows give the starred vectors of a fresh
+    projection per step, or the same DependenceError at the same vector."""
+    basis, space = case
+    assert _outcome(left_orthonormalize, basis, space) == _outcome(
+        left_orthonormalize_by_projection, basis, space
+    )
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_orthonormalize_agrees_with_projection_per_step_in_float(p):
     rng = random.Random(f"incremental-float-{p}")
@@ -700,6 +765,28 @@ def test_orthonormalize_dependent_input_raises_as_projection_per_step(basis, spa
     with pytest.raises(DependenceError) as ref:
         left_orthonormalize_by_projection(basis, space)
     assert str(ours.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "unit, p, e",
+    [
+        ([[1.0]], 2, 1030),
+        ([[0.5, 0.5]], 2, 1073),  # 5e-324 * (1, 1), whose norm rounds to 5e-324
+        ([[0.5], [0.625, 0.375, 0.5]], 2, 1030),  # x_2's residual 0.625 * 2^-1030
+        ([[0.75, 0.25]], 1.5, 1058),
+        ([[0.75, 0.25]], 1.5, 1057),
+    ],
+)
+def test_orthonormalize_scales_a_subnormal_residual_by_a_power_of_two(unit, p, e):
+    """Below the least normal float, 1 / |y_k| overflows: y_k is scaled by a
+    power of two first, exactly, into the norms [1/2, 1) of ``unit``, so the
+    starred vectors of ``unit`` times 2^-e are those of ``unit``."""
+    space = LpSpace(p)
+    basis = [sv(v) for v in unit]
+    tiny = [v.scale(2.0**-e) for v in basis]
+    assert all(0 < norm(v, space) < sys.float_info.min for v in tiny)
+    assert left_orthonormalize(tiny, space) == left_orthonormalize(basis, space)
+    assert left_orthonormalize([SparseVector({1: 1e-310})], LpSpace(2)) == [sv([1.0])]
 
 
 MAX_NORM = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")

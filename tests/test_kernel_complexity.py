@@ -41,9 +41,11 @@ Exact Gram algebra is fraction-free: eliminating an integer d-by-d matrix
 builds no Fraction, its determinant one and a solve d, one per unknown, and
 ``project`` assembles y_S and its residual on ints, with no Fraction per
 coordinate, onto eliminated Gram data as onto the unit lower-triangular
-Gram data of a left g-orthonormal basis.  So left g-orthonormalization
-builds a number of Fractions that depends on d alone: its g-values, the
-Fraction operations of its forward substitutions and a few per step."""
+Gram data of a left g-orthonormal basis.  Exact starred rows are ints
+too, and each step's forward substitution runs on them, one Fraction per
+unknown.  So left g-orthonormalization builds a number of Fractions that
+depends on d alone: its right-hand-side g-values, its coefficients and a
+few per step, at most 2d^2 + 8."""
 
 import gc
 import random
@@ -318,28 +320,41 @@ def _triangular_basis(d, backend):
 @pytest.fixture
 def g_calls(monkeypatch):
     """g-values computed by the gram module and by the angles module, through
-    ``g`` or through the maps ``g_functional`` returns, and under keys of
-    their own the maps prepared (``g_functional`` calls) and the single
-    values (``g`` calls) of both modules."""
+    ``g`` or through the maps they prepare, and under keys of their own the
+    maps prepared and the single values (``g`` calls) of both modules.  The
+    angles module prepares a map by ``g_functional``; the gram module by
+    ``semi_inner._starred_row``, whose row of values, ints in exact mode,
+    counts as g-values of the gram module too."""
     calls = {"gram": 0, "angles": 0, "maps": 0, "single": 0}
-    for name, module in (("gram", sys.modules["gangle.gram"]), ("angles", angles)):
+    gram_module = sys.modules["gangle.gram"]
+
+    def counting(g_x, name):
+        calls["maps"] += 1
+
+        def counted_map(y):
+            calls[name] += 1
+            return g_x(y)
+
+        return counted_map
+
+    for name, module in (("gram", gram_module), ("angles", angles)):
         def counted(x, y, space, _name=name, _g=module.g):
             calls[_name] += 1
             calls["single"] += 1
             return _g(x, y, space)
 
-        def counted_functional(x, space, _name=name, _prepare=module.g_functional):
-            calls["maps"] += 1
-            g_x = _prepare(x, space)
-
-            def counted_map(y):
-                calls[_name] += 1
-                return g_x(y)
-
-            return counted_map
-
         monkeypatch.setattr(module, "g", counted)
-        monkeypatch.setattr(module, "g_functional", counted_functional)
+
+    def counted_functional(x, space, _prepare=angles.g_functional):
+        return counting(_prepare(x, space), "angles")
+
+    def counted_row(x, others, space, _prepare=gram_module._starred_row):
+        g_x, row, scales = _prepare(x, others, space)
+        calls["gram"] += len(row)
+        return g_x and counting(g_x, "gram"), row, scales
+
+    monkeypatch.setattr(angles, "g_functional", counted_functional)
+    monkeypatch.setattr(gram_module, "_starred_row", counted_row)
     return calls
 
 
@@ -378,8 +393,9 @@ def _orthonormalize_counts(d):
 def test_the_g_counters_see_both_routes(g_calls):
     gram_module = sys.modules["gangle.gram"]
     x = SparseVector({1: 1, 2: -2})
-    g_x = gram_module.g_functional(x, LpSpace(1))
-    g_x(x)
+    assert gram_module._starred_row(x, [], LpSpace(1))[:2] == (None, [])  # x_1*: no map, no row
+    g_x, row, _ = gram_module._starred_row(x, [x], LpSpace(1))
+    assert len(row) == 1
     g_x(SparseVector({2: 1}))
     gram_module.g(x, x, LpSpace(1))
     angles.g(x, x, LpSpace(1))
@@ -684,17 +700,19 @@ def _wide_basis(d, nnz):
 
 
 @pytest.mark.parametrize("nnz", [8, 512])
-@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_exact_orthonormalize_builds_fractions_by_d_not_by_entry(fractions_built, d, nnz):
-    """The (d - 1)^2 g-values, the k(k - 1) Fraction operations of the
-    forward substitution at step k, and O(d) more per step (the norm, the
-    scale 1 / |y_k|, the unit Gram data and its determinant), at most
-    2d^2 + 8 in all: none per entry of a residual or a starred vector."""
+    """The right-hand-side g-values, d(d - 1)/2, the k coefficients of step
+    k's forward substitution on ints, d(d - 1)/2 more, and O(1) per step
+    (the norm and the scale 1 / |y_k|), at most 2d^2 + 8 in all: no
+    Fraction per entry of a residual or a starred vector, per entry of a
+    starred row or per operation of a substitution (k(k - 1) at step k on
+    Fraction objects)."""
     basis = _wide_basis(d, nnz)
     fractions_built[0] = 0
     out = left_orthonormalize(basis, LpSpace(1))
     assert len(out) == d and all(len(v.support) >= nnz for v in out)
-    assert fractions_built[0] <= (d - 1) ** 2 + sum(k * (k - 1) for k in range(d)) + 2 * d * d + 8
+    assert fractions_built[0] <= 2 * d * d + 8
 
 
 def test_loading_an_exact_problem_file_of_ints_builds_no_fraction(fractions_built, tmp_path):
