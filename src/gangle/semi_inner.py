@@ -17,9 +17,9 @@ a sparse dot product runs over the common nonzeros, and
 :func:`g_functional` forms them over all of x once and returns the map
 ``y -> g(x, y)``, with the same bits: the explicit sum reuses one map per
 first argument, and :func:`_gram_rows` and :func:`_starred_row` prepare
-each vector once for its rows, ints in exact mode, and its map.  In float
-mode a norm, a value of g or a power or quotient inside float tau beyond
-the float range raises :class:`~gangle.errors.NumericalRangeError`.
+each vector once for its rows, ints of :func:`_reduced` in exact mode, and
+its map.  In float mode a norm, a value of g or a power or quotient inside
+float tau beyond the range raises :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -429,9 +429,9 @@ def _gram_rows(basis, space) -> tuple:
     """(maps, rows, scales) of the Gram matrix [g(x_i, x_k)] of nonzero
     vectors, each prepared once by :func:`_closed_form`: the maps y -> g(x_i, y)
     and their values, floats (or values under a norm oracle) with no scales,
-    or exact ints with no Fraction: row i holds the ints factor_i * sum(w_i * n_k)
-    over D_i * D_k times scales[i], the least int that clears them.  At p = 2,
-    where g is symmetric, the entries k < i are mirrored: the same products."""
+    or exact ints with no Fraction, row i by :func:`_reduced` over
+    scales[i].  At p = 2, where g is symmetric, the entries k < i are
+    mirrored: the same products."""
     if isinstance(space, OracleSpace):
         maps = [g_functional(x, space) for x in basis]
         return maps, [[g_x(v) for v in basis] for g_x in maps], None
@@ -442,22 +442,24 @@ def _gram_rows(basis, space) -> tuple:
         rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)]
     if basis[0].backend != EXACT:  # the values checked that all share it
         return values, rows, None
-    dens = [x._den for x in basis]
-    common = math.lcm(*dens)
-    scales = [den * common for den in dens]
-    if common != 1:  # each row and its scale divided by their gcd leave the least scale
-        rows = [[v * (common // den) for v, den in zip(row, dens)] for row in rows]
-        shared = [math.gcd(s, *row) for s, row in zip(scales, rows)]
-        rows = [[v // c for v in row] for c, row in zip(shared, rows)]
-        scales = [s // c for s, c in zip(scales, shared)]
+    scales = [None] * len(rows)
+    for i, x in enumerate(basis):
+        rows[i], scales[i] = _reduced(rows[i], x._den)
     return [_map(x, *form) for x, form in zip(basis, forms)], rows, scales
 
 
+def _reduced(row, den) -> tuple:
+    """(R, (S, D)) of the ints V_k = D * D_k * g(x, x_k), D = ``den`` the
+    denominator of x and D_k that of x_k: R_k = V_k / c, c = gcd(D, V_1, ...)
+    and S = D / c, so g(x, x_k) = R_k / (S * D_k)."""
+    c = math.gcd(den, *row)
+    return (row if c == 1 else [v // c for v in row]), (den // c, den)
+
+
 def _starred_row(x, others, space) -> tuple:
-    """(map y -> g(x, y), its values on ``others``, scales) from one
+    """(map y -> g(x, y), its values on ``others``, scale) from one
     :func:`_closed_form` of x, a starred vector after ``others``; x_1* gets no
-    map.  Exact values are ints V_j / c = D * D_j * g(x, x_j) / c over (S, D),
-    D the denominator of x, c = gcd(D, V_1, ...), S = D / c (1 at p = 1)."""
+    map.  Exact values are ints of :func:`_reduced`, S = 1 at p = 1."""
     exact = x.backend == EXACT
     if not others:
         return None, [], (1, x._den) if exact else None
@@ -465,9 +467,7 @@ def _starred_row(x, others, space) -> tuple:
     g_x = _map(x, factor, weights, finish)
     if not exact:
         return g_x, list(map(g_x, others)), None
-    row = list(map(_map(x, factor, weights, _finite), others))
-    c = math.gcd(x._den, *row)
-    return g_x, [v // c for v in row], (x._den // c, x._den)
+    return g_x, *_reduced(list(map(_map(x, factor, weights, _finite), others)), x._den)
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:

@@ -20,7 +20,9 @@ no maps, which the kept maps must reproduce bit for bit, and the paper's
 explicit sum for cos^2 as a literal multi-index sum."""
 
 import math
+import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -46,7 +48,7 @@ from gangle import (
     sgn,
 )
 from gangle.angles import _CLAMP_SLACK
-from gangle.gram import _Factors, _eliminate, _substitute, det
+from gangle.gram import _eliminate, _forward, _substitute, det
 from gangle.semi_inner import (
     _ORACLE_K_RANGE,
     _ORACLE_REL_TOL,
@@ -55,7 +57,7 @@ from gangle.semi_inner import (
     _tau_central,
     g_functional,
 )
-from gangle.vectors import _zero, exact_sqrt
+from gangle.vectors import FLOAT, exact_sqrt
 
 MAX_INDEX = 6
 
@@ -206,10 +208,11 @@ def solve_augmented(rows, rhs):
 
 def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     """Literal cofactor expansion of the bordered determinant whose first row
-    carries the basis vectors.  Cross-check oracle; n <= 3 only."""
+    carries the basis vectors, its minors by :func:`det_cofactor`.
+    Cross-check oracle; n <= 5 only, as the expansion takes n! terms."""
     n = sub.dim
-    if n > 3:
-        raise ValueError("bordered cofactor expansion is provided only for n <= 3")
+    if n > 5:
+        raise ValueError("bordered cofactor expansion is provided only for n <= 5")
     data = sub.gram()
     if data.is_degenerate:
         raise DegenerateSubspaceError("Gram determinant is zero")
@@ -221,7 +224,7 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
     result = SparseVector()
     for j in range(1, n + 1):
         minor = [[row[c] for c in range(n + 1) if c != j] for row in numeric]
-        term = sub.basis[j - 1].scale(det(minor))
+        term = sub.basis[j - 1].scale(det_cofactor(minor))
         result = result.add(term.scale(-1) if j % 2 == 1 else term)
     return result.scale(Fraction(-1) / data.det)
 
@@ -230,9 +233,8 @@ def starred_subspace(basis, space):
     """The subspace of the left g-orthonormal basis of ``basis`` with the
     solver ``left_orthonormalize`` projects onto it with: the rows of
     ``semi_inner._starred_row`` below the diagonal, ints over their scales in
-    exact mode, as unit lower-triangular factors, solved by forward
-    substitution, with single g calls for x_1* and the map of each later
-    starred vector's row."""
+    exact mode, solved by forward substitution below a unit diagonal, with
+    single g calls for x_1* and the map of each later starred vector's row."""
     starred = left_orthonormalize(basis, space)
     sub = Subspace(starred, space)
     rows, scales, maps = [], [], []
@@ -242,7 +244,7 @@ def starred_subspace(basis, space):
         maps.append(g_x or (lambda y: g(starred[0], y, space)))
         if scale:
             scales.append(scale)
-    sub._solver = _Factors(rows, range(len(rows)), 1, unit_upper=True, scales=tuple(scales)), maps
+    sub._solver = partial(_forward, rows, scales), maps
     return sub
 
 
@@ -483,12 +485,29 @@ def tau_oracle_by_vectors(x, y, space, richardson=True):
     return TauPair(plus, minus, max(step_p, step_m))
 
 
+def _normal_step(k, xk, space):
+    """x_k and its float norm, or None for an exact x_k.  A float x_k so small
+    that a residual of 1e-12 |x_k| would be subnormal is divided by 2^e, e
+    the exponent of |x_k|, so the step runs on normal floats."""
+    if xk.backend != FLOAT:
+        return xk, None
+    nx = float(norm(xk, space))
+    if nx == 0.0:
+        raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
+    if 1e-12 * nx >= sys.float_info.min:
+        return xk, nx
+    m, e = math.frexp(nx)
+    half = -e // 2  # 2^-e itself can exceed the float range
+    return xk.scale(math.ldexp(1.0, half)).scale(math.ldexp(1.0, -e - half)), m
+
+
 def left_orthonormalize_by_projection(basis, space):
     """Gram-Schmidt-like recursion producing unit vectors x_k* with
     g(x_k*, x_l*) = 0 for k < l, projecting onto a fresh ``Subspace`` of the
     starred vectors, with its full Gram matrix, at every step."""
     out = []
     for k, xk in enumerate(basis):
+        xk, nx = _normal_step(k, xk, space)
         if k == 0:
             residual = xk
         else:
@@ -496,7 +515,7 @@ def left_orthonormalize_by_projection(basis, space):
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         r = norm(residual, space)
-        if isinstance(r, float) and r <= 1e-12 * max(float(norm(xk, space)), 1e-300):
+        if nx is not None and r <= 1e-12 * nx:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         out.append(residual.scale(Fraction(1) / r))
     return out
@@ -506,28 +525,23 @@ def left_orthonormalize_by_single_g(basis, space):
     """Left g-orthonormalization of an lp space with every right-hand side
     g(x_j*, x_k) a single g call: the row g(x_k*, x_j*), j < k, comes from
     one map ``g_functional(x_k*, space)`` that is then dropped, and each
-    step's unit lower-triangular system, filled in from the rows alone and
-    keeping no maps, is solved by forward substitution."""
+    step's unit lower-triangular system, from the rows alone, as Fractions
+    or floats, and keeping no maps, is solved by forward substitution."""
     basis = list(basis)
     out, rows = [], [[]]
     for k, xk in enumerate(basis):
+        xk, nx = _normal_step(k, xk, space)
         if k == 0:
             residual = xk
         else:
-            zero = _zero(out[0].backend)
-            matrix = [row + [zero + 1] + [zero] * (k - 1 - j) for j, row in enumerate(rows)]
             rhs = [g(xj, xk, space) for xj in out]
-            coeffs = _substitute(_Factors(matrix, range(k), 1, unit_upper=True), rhs)
+            coeffs = _forward(rows, (), rhs)
             residual = xk.sub(SparseVector._combination([(c, xj) for c, xj in zip(coeffs, out) if c]))
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         r = norm(residual, space)
-        if isinstance(r, float):
-            nx = float(norm(xk, space))
-            if nx == 0.0:
-                raise NumericalRangeError(f"the norm of vector {k + 1} underflows to 0")
-            if k and r <= 1e-12 * max(nx, 1e-300):  # x_1 has no predecessors
-                raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
+        if k and nx is not None and r <= 1e-12 * nx:  # x_1 has no predecessors
+            raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if 0 < k < len(basis) - 1:
             rows.append(list(map(g_functional(starred, space), out)))

@@ -26,7 +26,7 @@ from gangle import (
     norm_sq,
     project,
 )
-from gangle.gram import GramData, _Factors, _eliminate, _substitute, det
+from gangle.gram import GramData, _eliminate, _forward, _substitute, det
 from gangle.semi_inner import g_functional
 
 from support import (
@@ -194,10 +194,9 @@ def test_forward_substitution_solves_unit_lower_gram_data_like_the_elimination(s
     below, rhss = system
     n = len(below)
     matrix = [row + [1] + [0] * (n - 1 - k) for k, row in enumerate(below)]
-    factors = _Factors(below, range(n), 1, unit_upper=True)
     assert det_augmented(matrix) == 1
     for rhs in rhss:
-        assert bits(_substitute(factors, rhs)) == bits(solve_augmented(matrix, rhs))
+        assert bits(_forward(below, (), rhs)) == bits(solve_augmented(matrix, rhs))
 
 
 @st.composite
@@ -223,9 +222,8 @@ def test_int_forward_substitution_solves_unit_lower_gram_data_like_the_eliminati
         [Fraction(v, s * d) for v, (_, d) in zip(row, scales)] + [1] + [0] * (n - 1 - k)
         for k, (row, (s, _)) in enumerate(zip(below, scales))
     ]
-    factors = _Factors(below, range(n), 1, unit_upper=True, scales=tuple(scales))
     for rhs in rhss:
-        assert bits(_substitute(factors, rhs)) == bits(solve_augmented(matrix, rhs))
+        assert bits(_forward(below, tuple(scales), rhs)) == bits(solve_augmented(matrix, rhs))
 
 
 def test_gram_data_fields_equality_and_repr_ignore_the_factors():
@@ -238,8 +236,8 @@ def test_gram_data_fields_equality_and_repr_ignore_the_factors():
     bare = GramData(data.matrix, data.det)
     assert bare == data and hash(bare) == hash(data) and repr(bare) == repr(data)
     assert repr(data) == f"GramData(matrix={data.matrix!r}, det={data.det!r})"
-    factors, maps = sub._solver
-    assert len(maps) == 2 and factors.sign == 1
+    solve, maps = sub._solver
+    assert len(maps) == 2 and solve.func is _substitute and solve.args[0].sign == 1
 
 
 # -- gram -------------------------------------------------------------------
@@ -407,11 +405,12 @@ def test_bordered_determinant_cross_check():
 
 @st.composite
 def exact_projections(draw):
-    """An exact basis of 1 to 3 vectors of mixed denominators, sometimes with
-    one vector a rational combination of the others, and a vector y."""
+    """An exact basis of 1 to 5 vectors of mixed denominators in 6
+    coordinates, sometimes with one vector a rational combination of the
+    others, and a vector y."""
     entries = st.fractions(-4, 4, max_denominator=12)
-    n = draw(st.integers(1, 3))
-    dense = st.lists(entries, min_size=4, max_size=4)
+    n = draw(st.integers(1, 5))
+    dense = st.lists(entries, min_size=6, max_size=6)
     rows = draw(st.lists(dense, min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         rows = _combined(draw, rows, st.fractions(-3, 3, max_denominator=5))
@@ -438,10 +437,15 @@ def test_exact_project_matches_the_bordered_determinant(case):
 @given(exact_projections())
 @example((Subspace([sv([1, 2]), sv([2, 1])], L1), sv([1, 1])))  # all nines, det 0
 @example((Subspace([sv([Fraction(1, 2), 1]), sv([1, Fraction(1, 3)])], L1), sv([1, 1])))
+@example((  # pairwise coprime denominators: the column scales D_k all differ
+    Subspace([sv([Fraction(1, 2), 1]), sv([1, Fraction(-1, 3)]), sv([0, 1, Fraction(1, 5)]),
+              sv([1, 0, 0, Fraction(-1, 7)]), sv([Fraction(1, 11), 0, 1, 1, 1])], L1),
+    sv([1, 2, 3, 4, 5, 6]),
+))
 def test_exact_gram_data_over_denominators_matches_the_reference_paths(case):
-    """The exact Gram rows are ints over row scales, and every benchmark
-    basis has denominators 1.  Over mixed denominators the matrix holds the
-    single g-values as Fractions, the determinant and its degeneracy are
+    """The exact Gram rows are ints over (row, column) scales, and every
+    benchmark basis has denominators 1.  Over mixed denominators the matrix
+    holds the single g-values as Fractions, the determinant and its degeneracy are
     those of the cofactor expansion, and a projection onto a fresh
     subspace, which builds no Gram data, is the bordered determinant's."""
     V, y = case
@@ -778,7 +782,7 @@ def test_orthonormalize_dependent_input_raises_as_projection_per_step(basis, spa
     ],
 )
 def test_orthonormalize_scales_a_subnormal_residual_by_a_power_of_two(unit, p, e):
-    """Below the least normal float, 1 / |y_k| overflows: y_k is scaled by a
+    """Below the least normal float, 1 / |y_k| overflows: x_k is scaled by a
     power of two first, exactly, into the norms [1/2, 1) of ``unit``, so the
     starred vectors of ``unit`` times 2^-e are those of ``unit``."""
     space = LpSpace(p)
@@ -787,6 +791,26 @@ def test_orthonormalize_scales_a_subnormal_residual_by_a_power_of_two(unit, p, e
     assert all(0 < norm(v, space) < sys.float_info.min for v in tiny)
     assert left_orthonormalize(tiny, space) == left_orthonormalize(basis, space)
     assert left_orthonormalize([SparseVector({1: 1e-310})], LpSpace(2)) == [sv([1.0])]
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_orthonormalize_decides_dependence_at_the_scale_of_the_vector(p):
+    """A float residual counts as dependent against 1e-12 |x_k|, and an x_k
+    so small that such a residual would be subnormal is first scaled by
+    2^-e, e the exponent of |x_k|: the step then runs on normal floats.  So
+    no magnitude floor rejects an independent basis of norms below 1e-300,
+    whose unit vectors are those of the unscaled basis to 1e-4, and the
+    subnormal grid's round-off does not pass a dependent one."""
+    space = LpSpace(p)
+    basis = [sv([3.0, 4.0]), sv([1.0, 7.0, 0.5])]
+    tiny = [v.scale(2.0**-1060) for v in basis]
+    assert all(0 < norm(v, space) < 1e-300 for v in tiny)
+    for ours, unit in zip(left_orthonormalize(tiny, space), left_orthonormalize(basis, space)):
+        assert float(norm(ours.sub(unit), space)) <= 1e-4
+    dependent = [sv([2.0**-1060] * 2), sv([2.0**-1059] * 2)]
+    for route in (left_orthonormalize, left_orthonormalize_by_projection, left_orthonormalize_by_single_g):
+        with pytest.raises(DependenceError):
+            route(dependent, space)
 
 
 MAX_NORM = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")

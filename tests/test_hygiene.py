@@ -9,7 +9,9 @@ stored form, its int or float entries and its denominator.  Only
 ``angles._clamp`` builds a ``ConsistencyError``, so every value kept in its
 range passes one round-off rule.  ``semi_inner.py`` calls ``sgn`` in one
 place, the weight |x_i|^(p-1) * sgn(x_i) of the closed form, which the
-single g and the map of ``g_functional`` share."""
+single g and the map of ``g_functional`` share.  Only ``gram.py`` names the
+solver's internals or assigns a subspace's ``_solver``, so the form of a
+solver stays gram's decision."""
 
 import ast
 import re
@@ -266,3 +268,43 @@ def test_the_check_sees_sgn_calls():
 
 def test_semi_inner_forms_the_weight_in_one_place():
     assert len(sgn_calls((PACKAGE / "semi_inner.py").read_text())) == 1
+
+
+SOLVER_NAMES = frozenset({"_Factors", "_forward", "_cramer", "_substitute"})
+
+
+def solver_uses(source):
+    """Line numbers of ``source`` that name one of ``SOLVER_NAMES``, as a
+    name, an attribute or an import, or assign an attribute ``_solver``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Name) and node.id in SOLVER_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in SOLVER_NAMES
+            or isinstance(node, ast.ImportFrom) and any(a.name in SOLVER_NAMES for a in node.names)
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t for target in targets for t in ast.walk(target)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "_solver" for t in targets):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_solver_uses():
+    source = (
+        "from .gram import _forward\n"
+        "x = gram._substitute(f, b)\n"
+        "sub._solver = solve, maps\n"
+        "a, b._solver = 1, 2\n"
+        "f = _Factors\n"
+        "solve, maps = sub._solver\n"
+        "_cramer_rule = 1\n"
+    )
+    assert solver_uses(source) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "gram.py"])
+def test_only_gram_names_the_solver(module):
+    assert solver_uses((PACKAGE / module).read_text()) == []
