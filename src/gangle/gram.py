@@ -9,9 +9,10 @@ computed from the n-by-n linear system
 which is equivalent (by Cramer's rule) to the bordered-determinant formula.
 A Gram matrix is eliminated once: the factors give its determinant and then
 solve each right-hand side by forward and back substitution, O(n^2).  A
-:class:`Subspace` keeps them with the maps y -> g(x_i, y) its rows came from,
-and builds :class:`GramData`, the plain record of the matrix and determinant,
-only when asked.  Every exact row, Gram or starred, is ints: entry k of
+:class:`Subspace` keeps one solver, y -> coefficients, which substitutes the
+values at y of the maps y -> g(x_i, y) its rows came from, and builds
+:class:`GramData`, the plain record of the matrix and determinant, only when
+asked.  Every exact row, Gram or starred, is ints: entry k of
 row i is R_ik / (S_i * D_k) over the scales (S_i, D_i), and at p = 2 half
 of each Gram matrix is mirrored.  Elimination and solves run on ints, and
 only the determinant, each coefficient and the entries of asked-for Gram data
@@ -42,12 +43,11 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateSubspaceError, DependenceError, NumericalRangeError, ZeroVectorError
-from .semi_inner import _gram_rows, _starred_row, g
-from .vectors import FLOAT, Coeff, LpSpace, SparseVector, Space, norm
+from .semi_inner import _gram_rows, _reduced, _row, g
+from .vectors import EXACT, FLOAT, Coeff, LpSpace, SparseVector, Space, norm
 
 # Scale-aware float singularity threshold: |det| <= REL_SINGULAR * prod(diag)
 # is treated as a zero Gram determinant (the diagonal entries are |x_i|^2).
@@ -248,15 +248,15 @@ class Subspace:
     """Ordered basis of nonzero vectors plus its ambient space.
 
     The subspace keeps its Gram data and the solver of projections onto it,
-    the pair (solve, maps y -> g(x_i, y)), ``solve`` taking [g(x_i, y)] to
-    the coefficients.  The first projection or :meth:`gram` call eliminates
-    the Gram rows and sets ``solve`` to their substitution unless a pair was
-    set earlier (a left g-orthonormalization step sets :func:`_forward` on
-    its starred rows); a degenerate subspace gets an empty one.  Only
-    :meth:`gram` builds the data, after a projection from rows computed
-    again.  The pair is set before the data, so a thread that sees the data
-    sees the pair; two threads racing on a fresh subspace at worst compute
-    both twice.  It holds about the size of its basis once more."""
+    one callable taking y to the coefficients: the substitution of the
+    values [g(x_i, y)] of the maps its rows came from.  The first projection
+    or :meth:`gram` call eliminates the Gram rows and sets the solver unless
+    one was set earlier (a left g-orthonormalization step sets
+    :func:`_forward` on its starred rows); a degenerate subspace gets ().
+    Only :meth:`gram` builds the data, after a projection from rows computed
+    again.  The solver is set before the data, so a thread that sees the
+    data sees the solver; two threads racing on a fresh subspace at worst
+    compute both twice.  It holds about the size of its basis once more."""
 
     def __init__(self, basis: Sequence[SparseVector], space: Space):
         self.basis = _basis(basis)
@@ -277,7 +277,7 @@ class Subspace:
         factors = _eliminate(rows, scales)
         singular = not factors.sign if factors.scales else _singular(_det(factors), rows)
         if self._solver is None:
-            self._solver = () if singular else (partial(_substitute, factors), tuple(maps))
+            self._solver = () if singular else lambda y: _substitute(factors, [g_x(y) for g_x in maps])
         return rows, scales, factors
 
     def gram(self) -> GramData:
@@ -310,9 +310,8 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
     """The coefficients c and y_S = sum_k c_k * x_k of :func:`project`,
     without its residual: the angles read y_S alone.
 
-    The right-hand side g(x_i, y) comes from the maps the subspace keeps,
-    and the system is solved from the factors it keeps: once they are
-    built, this costs d g-values, no new map and O(d^2) substitution.
+    The subspace's solver takes y to c: once it is built, this costs d
+    g-values of the maps it keeps, no new map and O(d^2) substitution.
 
     y_S over the nonzero c_k is one ``SparseVector._combination``, as
     ``add`` and ``sub`` are."""
@@ -320,8 +319,7 @@ def _project(y: SparseVector, sub: Subspace) -> tuple:
         sub._factor()
     if not sub._solver:
         raise DegenerateSubspaceError("Gram determinant is zero; the projection is undefined")
-    solve, maps = sub._solver
-    coeffs = solve([g_x(y) for g_x in maps])
+    coeffs = sub._solver(y)
     return coeffs, SparseVector._combination([(c, xk) for c, xk in zip(coeffs, sub.basis) if c])
 
 
@@ -344,7 +342,7 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     Gram data, determinant or elimination.  The row
     g(x_k*, x_j*), j < k, costs k - 1 more g-values, and the map
     y -> g(x_k*, y) kept for the right-hand sides of the later steps comes
-    with it (``semi_inner._starred_row``), built only when the row has
+    with it (both from ``semi_inner._row``), built only when the row has
     entries and another vector follows.  x_1* has no row, so its values are
     single g calls, each weighing the shared support alone: (d - 1)^2
     g-values, d - 2 maps and d - 1 single g calls for d >= 2 vectors, so
@@ -375,8 +373,8 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
             residual = xk
         else:
             sub = Subspace(out, space)
-            if triangular:
-                sub._solver = partial(_forward, tuple(rows), tuple(scales)), tuple(maps)
+            if triangular:  # sub serves this step alone, before the lists grow
+                sub._solver = lambda y: _forward(rows, scales, [g_x(y) for g_x in maps])
             residual = project(xk, sub).residual
         if residual.is_zero:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
@@ -385,10 +383,11 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if triangular and k < len(basis) - 1:
-            g_k, row, scale = _starred_row(starred, out, space)
-            rows.append(row)
-            maps.append(g_k or (lambda y, x=starred: g(x, y, space)))
-            if scale:
+            g_k, row = _row(starred, out, space) if k else ((lambda y, x=starred: g(x, y, space)), [])
+            if starred.backend == EXACT:
+                row, scale = _reduced(row, starred)
                 scales.append(scale)
+            rows.append(row)
+            maps.append(g_k)
         out.append(starred)
     return out

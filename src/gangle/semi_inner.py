@@ -10,16 +10,17 @@ Two independent routes are provided:
 One rule, :func:`_closed_form`, decides x's share of the closed form: the
 factor ``|x|^(2-p)``, one norm pass over x, and the weights
 ``|xi|^(p-1) * sgn(xi)``; at p = 2 these are x's entries and no norm is
-taken, and exact p = 1 weighs the int numerators by their signs.  Both
-routes apply it: a single value of :func:`g` (and of :func:`g_explicit`,
-which calls it) forms the weights only on the shared support of x and y, as
-a sparse dot product runs over the common nonzeros, and
-:func:`g_functional` forms them over all of x once and returns the map
-``y -> g(x, y)``, with the same bits: the explicit sum reuses one map per
-first argument, and :func:`_gram_rows` and :func:`_starred_row` prepare
-each vector once for its rows, ints of :func:`_reduced` in exact mode, and
-its map.  In float mode a norm, a value of g or a power or quotient inside
-float tau beyond the range raises :class:`~gangle.errors.NumericalRangeError`.
+taken, and exact p = 1 weighs the int numerators by their signs.  A single
+value of :func:`g` (and of :func:`g_explicit`, which calls it) forms the
+weights only on the shared support of x and y, as a sparse dot product runs
+over the common nonzeros.  Every other first argument is prepared by one
+routine, :func:`_row`, with the weights over all of x: it returns the map
+``y -> g(x, y)``, with the bits of a single value, and its raw values on
+given vectors.  :func:`g_functional` takes the map, :func:`_gram_rows` the
+rows of each basis vector, and left g-orthonormalization the starred rows,
+exact ones reduced to ints by :func:`_reduced`.  In float mode a norm, a
+value of g or a power or quotient inside float tau beyond the range raises
+:class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -373,9 +374,11 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
       factor |x|^(2-p) takes one norm pass.
 
     The finish is ``Fraction`` in exact mode and the float range check
-    :func:`_finite` else.  Raises BackendError for an exact x and p not in
-    {1, 2}, and NumericalRangeError when the float |x|^(2-p) is out of
-    range or |x|^p underflows to 0."""
+    :func:`_finite` else.  Where the float |x|^p underflows to 0 or
+    |x|^(2-p) overflows, the factor and the weights are those of x / 2^e,
+    2^(e-1) <= |x| < 2^e, and the finish multiplies by 2^e, as g is
+    homogeneous in x.  Raises BackendError for an exact x and p not in
+    {1, 2}, and NumericalRangeError for such an x at p >= 1026."""
     exact = x.backend == EXACT
     finish = Fraction if exact else _finite
     if p == 2:
@@ -389,6 +392,10 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
         factor = nx ** (2.0 - p) if min(nx := lp_norm(x, p), 1.0) ** p else 0.0
     except OverflowError:  # a tiny |x| to a power below 0
         factor = 0.0
+    if factor == 0.0 and p < 1026.0:  # g(x, y) = 2^e * g(x / 2^e, y); m^(2-p) <= 2^(p-2) is a float
+        m, e = math.frexp(nx)  # |x| / 2^e = m in [1/2, 1)
+        entries = [(i, math.ldexp(v, -e)) for i, v in entries]
+        factor, finish = m ** (2.0 - p), lambda value, den: _finite(math.ldexp(value, e))
     if factor == 0.0:
         raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
     q = p - 1.0
@@ -396,20 +403,17 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
 
 
 def g_functional(x: SparseVector, space: Space):
-    """The map y -> g(x, y) under ``space``, with x's share of the closed
-    form (:func:`_closed_form`) prepared once, its weights over all of x.
+    """The map y -> g(x, y) under ``space``, x prepared once by :func:`_row`.
     A call sums y's entries on x's support in index order, rounding as one
     :func:`g` call does.  It pays off where one x meets several y, as in
     the explicit sum.
 
-    Raises BackendError for an exact x and p not in {1, 2}, and
-    NumericalRangeError when the float |x|^(2-p) is out of range; a call
-    raises them for a y of the other backend and for an infinite g(x, y)."""
-    if isinstance(space, OracleSpace):
-        return lambda y: g_from_norm(x, y, space)
-    if x.is_zero:
+    Raises BackendError for an exact x and p not in {1, 2}; a call raises
+    it for a y of the other backend, and NumericalRangeError for an
+    infinite g(x, y)."""
+    if x.is_zero and isinstance(space, LpSpace):
         return lambda y: _zero(y.backend)
-    return _map(x, *_closed_form(x, space.p, x._entries))
+    return _row(x, (), space)[0]
 
 
 def _map(x: SparseVector, factor, weights, finish):
@@ -425,49 +429,44 @@ def _map(x: SparseVector, factor, weights, finish):
     return g_x
 
 
-def _gram_rows(basis, space) -> tuple:
-    """(maps, rows, scales) of the Gram matrix [g(x_i, x_k)] of nonzero
-    vectors, each prepared once by :func:`_closed_form`: the maps y -> g(x_i, y)
-    and their values, floats (or values under a norm oracle) with no scales,
-    or exact ints with no Fraction, row i by :func:`_reduced` over
-    scales[i].  At p = 2, where g is symmetric, the entries k < i are
-    mirrored: the same products."""
+def _row(x: SparseVector, others, space) -> tuple:
+    """(map y -> g(x, y), its raw values on ``others``) from one preparation
+    of x, nonzero in an lp space: one :func:`_closed_form`, or
+    :func:`g_from_norm` under a norm oracle.  The raw values are floats,
+    oracle values, or in exact mode the ints D_x * D_k * g(x, x_k), D_k the
+    denominator of the k-th of ``others``, with no Fraction."""
     if isinstance(space, OracleSpace):
-        maps = [g_functional(x, space) for x in basis]
-        return maps, [[g_x(v) for v in basis] for g_x in maps], None
-    forms = [_closed_form(x, space.p, x._entries) for x in basis]
-    values = [_map(x, factor, weights, _finite) for x, (factor, weights, _) in zip(basis, forms)]
-    rows = [[g_x(v) for v in basis[i if space.p == 2 else 0 :]] for i, g_x in enumerate(values)]
-    if space.p == 2:
-        rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)]
-    if basis[0].backend != EXACT:  # the values checked that all share it
-        return values, rows, None
-    scales = [None] * len(rows)
-    for i, x in enumerate(basis):
-        rows[i], scales[i] = _reduced(rows[i], x._den)
-    return [_map(x, *form) for x, form in zip(basis, forms)], rows, scales
-
-
-def _reduced(row, den) -> tuple:
-    """(R, (S, D)) of the ints V_k = D * D_k * g(x, x_k), D = ``den`` the
-    denominator of x and D_k that of x_k: R_k = V_k / c, c = gcd(D, V_1, ...)
-    and S = D / c, so g(x, x_k) = R_k / (S * D_k)."""
-    c = math.gcd(den, *row)
-    return (row if c == 1 else [v // c for v in row]), (den // c, den)
-
-
-def _starred_row(x, others, space) -> tuple:
-    """(map y -> g(x, y), its values on ``others``, scale) from one
-    :func:`_closed_form` of x, a starred vector after ``others``; x_1* gets no
-    map.  Exact values are ints of :func:`_reduced`, S = 1 at p = 1."""
-    exact = x.backend == EXACT
-    if not others:
-        return None, [], (1, x._den) if exact else None
+        def g_x(y):
+            return g_from_norm(x, y, space)
+        return g_x, list(map(g_x, others))
     factor, weights, finish = _closed_form(x, space.p, x._entries)
     g_x = _map(x, factor, weights, finish)
-    if not exact:
-        return g_x, list(map(g_x, others)), None
-    return g_x, *_reduced(list(map(_map(x, factor, weights, _finite), others)), x._den)
+    raw = g_x if x.backend != EXACT else _map(x, factor, weights, _finite)
+    return g_x, list(map(raw, others))
+
+
+def _gram_rows(basis, space) -> tuple:
+    """(maps, rows, scales) of the Gram matrix [g(x_i, x_k)] of nonzero
+    vectors, each prepared once by :func:`_row`: the maps y -> g(x_i, y) and
+    their values, floats or oracle values with no scales, or exact ints,
+    row i by :func:`_reduced` over scales[i].  At p = 2, where g is
+    symmetric, the entries k < i are mirrored: the same products."""
+    half = isinstance(space, LpSpace) and space.p == 2
+    maps, rows = zip(*[_row(x, basis[i if half else 0 :], space) for i, x in enumerate(basis)])
+    if half:
+        rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)]
+    if basis[0].backend != EXACT or not isinstance(space, LpSpace):  # floats or oracle values
+        return maps, rows, None
+    reduced = [_reduced(row, x) for row, x in zip(rows, basis)]
+    return maps, [row for row, _ in reduced], [scale for _, scale in reduced]
+
+
+def _reduced(row, x: SparseVector) -> tuple:
+    """(R, (S, D)) of the ints V_k = D * D_k * g(x, x_k), D the denominator
+    of x and D_k that of x_k: R_k = V_k / c, c = gcd(D, V_1, ...) and
+    S = D / c, so g(x, x_k) = R_k / (S * D_k)."""
+    c = math.gcd(x._den, *row)
+    return (row if c == 1 else [v // c for v in row]), (x._den // c, x._den)
 
 
 def g_explicit(x: SparseVector, y: SparseVector, p) -> Coeff:

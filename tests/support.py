@@ -22,7 +22,6 @@ explicit sum for cos^2 as a literal multi-index sum."""
 import math
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import prod
 
@@ -53,7 +52,8 @@ from gangle.semi_inner import (
     _ORACLE_K_RANGE,
     _ORACLE_REL_TOL,
     _exponent,
-    _starred_row,
+    _reduced,
+    _row,
     _tau_central,
     g_functional,
 )
@@ -232,19 +232,21 @@ def project_bordered(y: SparseVector, sub: Subspace) -> SparseVector:
 def starred_subspace(basis, space):
     """The subspace of the left g-orthonormal basis of ``basis`` with the
     solver ``left_orthonormalize`` projects onto it with: the rows of
-    ``semi_inner._starred_row`` below the diagonal, ints over their scales in
-    exact mode, solved by forward substitution below a unit diagonal, with
-    single g calls for x_1* and the map of each later starred vector's row."""
+    ``semi_inner._row`` below the diagonal, ints of ``semi_inner._reduced``
+    over their scales in exact mode, solved by forward substitution below a
+    unit diagonal, with single g calls for x_1* and the map of each later
+    starred vector's row."""
     starred = left_orthonormalize(basis, space)
     sub = Subspace(starred, space)
     rows, scales, maps = [], [], []
     for k, x in enumerate(starred):
-        g_x, row, scale = _starred_row(x, starred[:k], space)
-        rows.append(row)
-        maps.append(g_x or (lambda y: g(starred[0], y, space)))
-        if scale:
+        g_x, row = _row(x, starred[:k], space) if k else ((lambda y: g(starred[0], y, space)), [])
+        if x.backend != FLOAT:
+            row, scale = _reduced(row, x)
             scales.append(scale)
-    sub._solver = partial(_forward, rows, scales), maps
+        rows.append(row)
+        maps.append(g_x)
+    sub._solver = lambda y: _forward(rows, scales, [g_x(y) for g_x in maps])
     return sub
 
 

@@ -49,6 +49,7 @@ from support import (
 sv = SparseVector.from_dense
 L1 = LpSpace(1)
 L2_FLOAT = LpSpace(2.0)
+MAX_NORM = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")
 
 
 # -- determinants and solving ----------------------------------------------
@@ -227,7 +228,8 @@ def test_int_forward_substitution_solves_unit_lower_gram_data_like_the_eliminati
 
 
 def test_gram_data_fields_equality_and_repr_ignore_the_factors():
-    """Gram data is a plain record; the subspace keeps the factors and maps."""
+    """Gram data is a plain record; the subspace keeps its solver, the
+    substitution on the factors of its rows of the values of its maps."""
     assert [f.name for f in fields(GramData)] == ["matrix", "det"]
     sub = Subspace([sv([1, 2]), sv([0, 1, 1])], L1)
     data = sub.gram()
@@ -236,8 +238,10 @@ def test_gram_data_fields_equality_and_repr_ignore_the_factors():
     bare = GramData(data.matrix, data.det)
     assert bare == data and hash(bare) == hash(data) and repr(bare) == repr(data)
     assert repr(data) == f"GramData(matrix={data.matrix!r}, det={data.det!r})"
-    solve, maps = sub._solver
-    assert len(maps) == 2 and solve.func is _substitute and solve.args[0].sign == 1
+    _, _, factors = sub._factor()  # the same rows eliminated again; the solver stays
+    assert factors.sign == 1
+    y = sv([1, 0, 3])
+    assert sub._solver(y) == _substitute(factors, [g(x, y, L1) for x in sub.basis])
 
 
 # -- gram -------------------------------------------------------------------
@@ -465,23 +469,42 @@ def test_exact_gram_data_over_denominators_matches_the_reference_paths(case):
     assert projected(lambda y, V: project(y, V).projected) == projected(project_bordered)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(
-    st.dictionaries(st.integers(1, 6), st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30), min_size=1, max_size=6),
-    min_size=1,
-    max_size=5,
-))
-def test_float_gram_entries_at_p_2_are_the_map_values(entries):
-    """At p = 2 the entries below the diagonal are mirrored, with the bits
-    of the map g(x_i, .) applied to x_k all the same."""
-    basis = [SparseVector(e) for e in entries]
+GRAM_VALUES = {
+    "float": st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30),
+    "exact": st.fractions(-9, 9, max_denominator=9).filter(bool),
+    "small": st.integers(-9, 9).filter(bool).map(float),
+}
+
+
+@pytest.mark.parametrize(
+    "values,space",
+    [
+        ("float", LpSpace(1.0)),
+        ("float", LpSpace(1.5)),
+        ("float", L2_FLOAT),
+        ("float", LpSpace(3.0)),
+        ("exact", L1),
+        ("exact", LpSpace(2)),
+        ("small", MAX_NORM),
+    ],
+    ids=["float-p1", "float-p1.5", "float-p2", "float-p3", "exact-p1", "exact-p2", "max-norm"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gram_entries_are_the_map_and_single_g_values(values, space, data):
+    """One routine prepares every first argument: each Gram entry has the
+    bits of the map g(x_i, .) applied to x_k and of the single g(x_i, x_k),
+    at every p, exact or float, and under a norm oracle.  At p = 2 the
+    entries below the diagonal are mirrored, with the same bits."""
+    vectors = st.dictionaries(st.integers(1, 6), GRAM_VALUES[values], min_size=1, max_size=6).map(SparseVector)
+    basis = data.draw(st.lists(vectors, min_size=1, max_size=5), "basis")
     try:
-        matrix = gram(basis, L2_FLOAT).matrix
+        matrix = gram(basis, space).matrix
     except NumericalRangeError:  # the determinant left the float range
         assume(False)
     for xi, row in zip(basis, matrix):
-        g_x = g_functional(xi, L2_FLOAT)
-        assert [repr(v) for v in row] == [repr(g_x(xk)) for xk in basis]
+        g_x = g_functional(xi, space)
+        assert [repr(v) for v in row] == [repr(g_x(xk)) for xk in basis] == [repr(g(xi, xk, space)) for xk in basis]
 
 
 def test_projection_basis_invariance_holds_for_p2():
@@ -811,9 +834,6 @@ def test_orthonormalize_decides_dependence_at_the_scale_of_the_vector(p):
     for route in (left_orthonormalize, left_orthonormalize_by_projection, left_orthonormalize_by_single_g):
         with pytest.raises(DependenceError):
             route(dependent, space)
-
-
-MAX_NORM = OracleSpace(lambda x: max((abs(v) for _, v in x), default=0.0), "max")
 
 
 def test_orthonormalize_under_max_norm_raises_as_projection_per_step():

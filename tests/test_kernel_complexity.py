@@ -323,8 +323,8 @@ def g_calls(monkeypatch):
     ``g`` or through the maps they prepare, and under keys of their own the
     maps prepared and the single values (``g`` calls) of both modules.  The
     angles module prepares a map by ``g_functional``; the gram module by
-    ``semi_inner._starred_row``, whose row of values, ints in exact mode,
-    counts as g-values of the gram module too."""
+    ``semi_inner._row``, whose row of values, ints in exact mode, counts as
+    g-values of the gram module too."""
     calls = {"gram": 0, "angles": 0, "maps": 0, "single": 0}
     gram_module = sys.modules["gangle.gram"]
 
@@ -348,13 +348,13 @@ def g_calls(monkeypatch):
     def counted_functional(x, space, _prepare=angles.g_functional):
         return counting(_prepare(x, space), "angles")
 
-    def counted_row(x, others, space, _prepare=gram_module._starred_row):
-        g_x, row, scales = _prepare(x, others, space)
+    def counted_row(x, others, space, _prepare=gram_module._row):
+        g_x, row = _prepare(x, others, space)
         calls["gram"] += len(row)
-        return g_x and counting(g_x, "gram"), row, scales
+        return counting(g_x, "gram"), row
 
     monkeypatch.setattr(angles, "g_functional", counted_functional)
-    monkeypatch.setattr(gram_module, "_starred_row", counted_row)
+    monkeypatch.setattr(gram_module, "_row", counted_row)
     return calls
 
 
@@ -393,8 +393,7 @@ def _orthonormalize_counts(d):
 def test_the_g_counters_see_both_routes(g_calls):
     gram_module = sys.modules["gangle.gram"]
     x = SparseVector({1: 1, 2: -2})
-    assert gram_module._starred_row(x, [], LpSpace(1))[:2] == (None, [])  # x_1*: no map, no row
-    g_x, row, _ = gram_module._starred_row(x, [x], LpSpace(1))
+    g_x, row = gram_module._row(x, [x], LpSpace(1))
     assert len(row) == 1
     g_x(SparseVector({2: 1}))
     gram_module.g(x, x, LpSpace(1))
@@ -660,11 +659,10 @@ def test_exact_project_onto_a_fresh_subspace_builds_o_of_d_fractions(fractions_b
 
 @pytest.mark.parametrize("d", [4, 8, 16])
 def test_exact_project_builds_no_fraction_for_y_s(fractions_built, d):
-    """Of the Fractions ``project`` builds, those of its right-hand side and
-    its solve are counted on their own; y_S and the residual take none, onto
-    eliminated Gram data as onto the starred basis of a left
-    g-orthonormalization."""
-    gram_module = sys.modules["gangle.gram"]
+    """The Fractions ``project`` builds are those of the subspace's solver:
+    its right-hand side, as many as d maps of ``g_functional`` build, and d
+    coefficients.  y_S and the residual take none, onto eliminated Gram
+    data as onto the starred basis of a left g-orthonormalization."""
     y = _triangular_basis(d + 3, "exact")[0]
 
     def built(compute):
@@ -675,14 +673,14 @@ def test_exact_project_builds_no_fraction_for_y_s(fractions_built, d):
     basis = _triangular_basis(d, "exact")
     for V in (Subspace(basis, LpSpace(1)), starred_subspace(basis, LpSpace(1))):
         V.gram()  # keeps the starred solver that starred_subspace set
-        solve, maps = V._solver
-        rhs, rhs_count = built(lambda: [g_x(y) for g_x in maps])
-        _, solve_count = built(lambda: solve(rhs))
+        maps = [sys.modules["gangle.semi_inner"].g_functional(x, V.space) for x in V.basis]
+        _, rhs_count = built(lambda: [g_x(y) for g_x in maps])
+        _, solver_count = built(lambda: V._solver(y))
         proj, project_count = built(lambda: project(y, V))
         _, residual_count = built(lambda: y.sub(proj.projected))
-        assert solve_count == d
+        assert solver_count == rhs_count + d  # d coefficients from the solve
         assert len(proj.projected.support) > d
-        assert project_count == rhs_count + solve_count
+        assert project_count == solver_count
         assert residual_count == 0
 
 

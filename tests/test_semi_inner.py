@@ -672,8 +672,8 @@ def _magnitudes(backend, wide):
 def test_a_single_g_equals_its_map_across_magnitudes(data):
     """``g`` weighs only the shared support and a map weighs all of x; both
     give the same bits, or raise the same typed error: an exact x at
-    p = 1.5, a y of the other backend, |x|^(2-p) out of the float range
-    (an overflowing or underflowing norm) and an infinite g."""
+    p = 1.5, a y of the other backend, an overflowing norm and an infinite
+    g."""
     backend = data.draw(st.sampled_from(("exact", "float")), "backend")
     p = data.draw(st.sampled_from((1, 2, 1.5) if backend == "exact" else (1.0, 1.5, 2.0, 3.0)), "p")
     other = {"exact": "float", "float": "exact"}[backend]
@@ -698,17 +698,44 @@ def test_a_single_g_equals_its_map_across_magnitudes(data):
         (sv([1, 2]), sv([2, 1]), 1.5, BackendError),  # exact x at p = 1.5
         (sv([1, 2]), sv([2.0, 1.0]), 1, BackendError),
         (sv([1.0, 2.0]), sv([2, 1]), 3.0, BackendError),
-        (SparseVector({1: 1e-300, 2: 1e-300}), sv([1.0]), 3.0, NumericalRangeError),  # |x| underflows
-        (SparseVector({1: 1e-300}), sv([1]), 1.5, NumericalRangeError),  # the factor is checked first
+        (SparseVector({1: 1e-300}), sv([1]), 1.5, BackendError),  # the tiny |x| needs no check of its own
         (SparseVector({1: 1e150}), sv([1.0]), 3.0, NumericalRangeError),  # |x|^3 overflows
+        (SparseVector({1: 0.5}), sv([1.0]), 2000.0, NumericalRangeError),  # |x / 2^e|^(2-p) can overflow
         (SparseVector({1: 1e100, 2: 1.0}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is inf
     ],
-    ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm", "tiny-norm-mixed", "huge-norm", "infinite-g"],
+    ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm-mixed", "huge-norm", "huge-p", "infinite-g"],
 )
 def test_a_single_g_raises_as_its_map(x, y, p, error):
     space = LpSpace(p)
     assert _route_outcome(lambda: g(x, y, space)) is error
     assert _route_outcome(lambda: g_functional(x, space)(y)) is error
+
+
+def _rescaled_g(x, y, p):
+    """g(x, y) as 2^-k * g(2^k * x, y), k bringing |2^k * x| near 1: the
+    scaling by a power of two is exact, and g is homogeneous in x."""
+    k = -math.frexp(max(abs(v) for _, v in x))[1]  # in two halves, as 2^k can exceed the float range
+    return math.ldexp(g(x.scale(math.ldexp(1.0, k // 2)).scale(math.ldexp(1.0, k - k // 2)), y, LpSpace(p)), -k)
+
+
+@pytest.mark.parametrize(
+    "x,y,p",
+    [
+        (SparseVector({1: 1e-300, 2: 1e-300}), sv([1.0]), 3.0),  # |x|^3 and each |x_i|^2 underflow
+        (SparseVector({1: 1e-300}), sv([1.0]), 1.5),  # |x|^1.5 underflows
+        (SparseVector({1: 5e-324, 3: -2e-310}), sv([2.0, 0.0, 1e300]), 3.0),  # subnormal entries
+        (SparseVector({1: 2.0**-22}), sv([1.0]), 48.6),  # |x|^p = 2^-1069.2, |x|^(2-p) overflows
+    ],
+    ids=["tiny-norm", "tiny-norm-p1.5", "subnormal", "large-p"],
+)
+def test_a_tiny_float_x_gives_g_by_scaling(x, y, p):
+    """Where |x|^p underflows, or |x|^(2-p) overflows, g is formed on
+    x / 2^e, 2^(e-1) <= |x| < 2^e, and scaled back: the single g and the
+    map agree bit for bit, and lie within 1e-14 of g taken on x scaled
+    near 1."""
+    single, mapped = g(x, y, LpSpace(p)), g_functional(x, LpSpace(p))(y)
+    assert repr(single) == repr(mapped)
+    assert single == pytest.approx(_rescaled_g(x, y, p), rel=1e-14) and single != 0.0
 
 
 # -- exact kernels on int numerators against the Fraction-object sums --------
@@ -825,12 +852,13 @@ def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
         tau(x, SparseVector({1: 1.0}), LpSpace(3.0))
 
 
-def test_a_float_norm_that_underflows_raises_numerical_range_error():
+def test_g_of_a_float_x_whose_norm_power_underflows_is_taken_rescaled():
     t = SparseVector({1: 1e-300, 2: 1e-300})
     assert lp_norm(t, 3.0) == pytest.approx(2 ** (1 / 3) * 1e-300, rel=1e-15)  # taken rescaled
+    y = SparseVector({1: 1.0, 2: 3.0})
     for p in (3.0, 1.5):  # |t|^p underflows to 0, and at p = 3 each weight |t_i|^2 does
-        with pytest.raises(NumericalRangeError):
-            g_explicit(t, t, p)
+        assert g_explicit(t, y, p) == pytest.approx(_rescaled_g(t, y, p), rel=1e-14)
+        assert g_explicit(t, t, p) == 0.0  # |t|^2 itself underflows
 
 
 def test_a_float_g_that_overflows_raises_numerical_range_error():
