@@ -193,27 +193,26 @@ def _vector_out(vec: SparseVector) -> dict:
     }
 
 
-def _get(mapping, kind, name):
-    if name not in mapping:
+def _get(problem: Problem, positional: str, name: str):
+    kind, table = ("subspace", problem.subspaces) if positional.isupper() else ("vector", problem.vectors)
+    if name not in table:
         raise ProblemFileError(f"unknown {kind} {name!r}")
-    return mapping[name]
+    return table[name]
 
 
 # -- commands ---------------------------------------------------------------
 #
-# Each handler returns (outputs, warnings, exit status); main wraps them in
-# the report.
+# Each handler takes the problem and the objects its positionals name, and
+# returns (outputs, warnings, exit status); main wraps them in the report.
 
 
-def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
+def cmd_g(problem: Problem, x: SparseVector, y: SparseVector) -> tuple:
     """g(x, y), g(y, x) and the one-sided derivatives tau+- of t -> |x + t*y|
     at 0, evaluated once, on x and y (on their float copies where exact
     quotients are unavailable, exact p = 2).  In an lp space the report
     also gives the distance between g(x, y) and the definition
     |x| * (tau+ + tau-) / 2 from that pair: exact against exact on an exact
     l1 file, where it is 0."""
-    x = _get(problem.vectors, "vector", x_name)
-    y = _get(problem.vectors, "vector", y_name)
     space = problem.space
     warnings = []
     gxy = g(x, y, space)
@@ -237,9 +236,7 @@ def cmd_g(problem: Problem, x_name: str, y_name: str) -> tuple:
     return outputs, warnings, EXIT_OK
 
 
-def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
-    U = _get(problem.subspaces, "subspace", u_name)
-    V = _get(problem.subspaces, "subspace", v_name)
+def cmd_angle(problem: Problem, U: Subspace, V: Subspace) -> tuple:
     warnings = []
     outputs = {}
     if U.dim == 1:
@@ -282,9 +279,7 @@ def cmd_angle(problem: Problem, u_name: str, v_name: str) -> tuple:
     return outputs, warnings, EXIT_OK
 
 
-def cmd_project(problem: Problem, y_name: str, s_name: str) -> tuple:
-    y = _get(problem.vectors, "vector", y_name)
-    S = _get(problem.subspaces, "subspace", s_name)
+def cmd_project(problem: Problem, y: SparseVector, S: Subspace) -> tuple:
     pr = project(y, S)
     residual_checks = [_scalar_out(g(xi, pr.residual, problem.space), "residual_orthogonality")
                        for xi in S.basis]
@@ -297,14 +292,12 @@ def cmd_project(problem: Problem, y_name: str, s_name: str) -> tuple:
     return outputs, [], EXIT_OK
 
 
-def cmd_orthonormalize(problem: Problem, s_name: str) -> tuple:
-    S = _get(problem.subspaces, "subspace", s_name)
+def cmd_orthonormalize(problem: Problem, S: Subspace) -> tuple:
     out = left_orthonormalize(S.basis, problem.space)
     return {"vectors": [_vector_out(v) for v in out]}, [], EXIT_OK
 
 
-def cmd_gram(problem: Problem, s_name: str) -> tuple:
-    S = _get(problem.subspaces, "subspace", s_name)
+def cmd_gram(problem: Problem, S: Subspace) -> tuple:
     data = S.gram()
     independent = certifies_independence(data)
     outputs = {
@@ -362,8 +355,8 @@ def _print_report(report: dict) -> None:
 
 
 # Subcommand -> (handler, positional names, help).  Handlers are named, not
-# bound, so that main calls whatever cli.cmd_* is bound to when it runs.
-# Every command but paper-check (positionals None) reads a problem file.
+# bound, so that main calls whatever cli.cmd_* is bound to when it runs.  Only
+# paper-check (positionals None) reads no file; capitals name subspaces.
 _COMMANDS = {
     "g": ("cmd_g", ("x", "y"), "semi-inner product of two named vectors"),
     "angle": ("cmd_angle", ("U", "V"), "g-angle between two named subspaces"),
@@ -401,7 +394,9 @@ def main(argv=None) -> int:
         if positionals is None:
             outputs, warnings, status = handler(strict=args.strict)
         else:
-            outputs, warnings, status = handler(load_problem(args.input), *names)
+            problem = load_problem(args.input)
+            objects = [_get(problem, a, name) for a, name in zip(positionals, names)]
+            outputs, warnings, status = handler(problem, *objects)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)

@@ -66,6 +66,7 @@ from .vectors import (
     lp_norm,
     norm,
     sgn,
+    _ldexp,
     _zero,
 )
 
@@ -374,11 +375,12 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
       factor |x|^(2-p) takes one norm pass.
 
     The finish is ``Fraction`` in exact mode and the float range check
-    :func:`_finite` else.  Where the float |x|^p underflows to 0 or
-    |x|^(2-p) overflows, the factor and the weights are those of x / 2^e,
-    2^(e-1) <= |x| < 2^e, and the finish multiplies by 2^e, as g is
-    homogeneous in x.  Raises BackendError for an exact x and p not in
-    {1, 2}, and NumericalRangeError for such an x at p >= 1026."""
+    :func:`_finite` else.  Where the float |x|^p underflows to 0, or
+    |x|^(2-p) or the bound |x|^(p-1) of the weights overflows, the factor
+    and the weights are those of x / 2^e, 2^(e-1) <= |x| < 2^e, and the
+    finish multiplies by 2^e, as g is homogeneous in x.  Raises
+    BackendError for an exact x and p not in {1, 2}, and
+    NumericalRangeError for such an x at p >= 1026."""
     exact = x.backend == EXACT
     finish = Fraction if exact else _finite
     if p == 2:
@@ -388,14 +390,15 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
         return sum([abs(n) for _, n in x._entries]), {i: 1 if n > 0 else -1 for i, n in entries}, finish
     p = float(p)
-    try:  # where |x|^p underflows to 0, the weights can too, and g would read 0
-        factor = nx ** (2.0 - p) if min(nx := lp_norm(x, p), 1.0) ** p else 0.0
-    except OverflowError:  # a tiny |x| to a power below 0
+    try:  # where |x|^p underflows to 0 the weights can too, and g would read 0;
+        # |x|^(p-1) bounds the weights, and where it overflows they can too
+        factor = nx ** (2.0 - p) if min(nx := lp_norm(x, p), 1.0) ** p and max(nx, 1.0) ** (p - 1.0) else 0.0
+    except OverflowError:  # a tiny |x| to a power below 0, or a huge one to p - 1
         factor = 0.0
     if factor == 0.0 and p < 1026.0:  # g(x, y) = 2^e * g(x / 2^e, y); m^(2-p) <= 2^(p-2) is a float
         m, e = math.frexp(nx)  # |x| / 2^e = m in [1/2, 1)
         entries = [(i, math.ldexp(v, -e)) for i, v in entries]
-        factor, finish = m ** (2.0 - p), lambda value, den: _finite(math.ldexp(value, e))
+        factor, finish = m ** (2.0 - p), lambda value, den: _finite(_ldexp(value, e))
     if factor == 0.0:
         raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
     q = p - 1.0

@@ -346,9 +346,18 @@ def exact_sqrt(value: Fraction):
     return None
 
 
+def _ldexp(value: float, e: int) -> float:
+    """value * 2^e, or inf of value's sign where math.ldexp overflows."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def lp_norm(x: SparseVector, p) -> Coeff:
     """The p-norm of ``x``; a float norm beyond the float range raises
-    :class:`~gangle.errors.NumericalRangeError`."""
+    :class:`~gangle.errors.NumericalRangeError`.  A float sum of |v|^p that
+    overflows, or is subnormal, is taken again on x / 2^e."""
     if x.is_zero:
         return _zero(x.backend)
     if x.backend == EXACT:  # sums of the int numerators over the denominator D
@@ -365,19 +374,17 @@ def lp_norm(x: SparseVector, p) -> Coeff:
             return Fraction(root, x._den)
         raise BackendError(f"exact norms are only available for p in {{1, 2}}, not p={p}; use float mode")
     p = float(p)
-    if p == 2:
-        value = math.sqrt(s := sum([v * v for _, v in x._entries]))
-    else:  # at p = 1 each |v| ** 1.0 and the sum ** 1.0 are exact
-        try:
-            value = (s := sum([abs(v) ** p for _, v in x._entries])) ** (1.0 / p)
-        except OverflowError:  # some |v|^p is beyond the float range
-            value = math.inf
+    try:  # at p = 1 each |v| ** 1.0 and the sum ** 1.0 are exact
+        s = sum([v * v for _, v in x._entries]) if p == 2 else sum([abs(v) ** p for _, v in x._entries])
+    except OverflowError:  # some |v|^p is beyond the float range
+        s = math.inf
+    if s == math.inf or p != 1 and s < sys.float_info.min:  # s is inf, or subnormal and lost digits
+        e = math.frexp(max([abs(v) for _, v in x._entries]))[1]  # max |v| / 2^e in [1/2, 1)
+        value = _ldexp(sum([abs(math.ldexp(v, -e)) ** p for _, v in x._entries]) ** (1.0 / p), e)
+    else:
+        value = math.sqrt(s) if p == 2 else s ** (1.0 / p)
     if value == math.inf:
         raise NumericalRangeError(f"the {p:g}-norm of this vector overflows the float range")
-    if p != 1 and s < sys.float_info.min:  # a subnormal sum has lost digits, or all
-        e = math.frexp(max([abs(v) for _, v in x._entries]))[1]  # max |v| / 2^e in [1/2, 1)
-        s = sum([abs(math.ldexp(v, -e)) ** p for _, v in x._entries])
-        value = math.ldexp(s ** (1.0 / p), e)
     return value
 
 

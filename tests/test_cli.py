@@ -73,7 +73,57 @@ def test_g_nonsymmetry_text_and_json():
 
 def test_g_unknown_vector_is_input_error():
     proc = run_cli("g", "-i", problem("nonsymmetry_l1.json"), "x", "nope", expect=2)
-    assert "unknown vector" in proc.stderr
+    assert proc.stderr == "error: unknown vector 'nope'\n"
+    assert proc.stdout == ""
+
+
+# Each file command with one unknown name in each of its positionals, on
+# line_vs_plane_l1.json (vectors u, e1, e2; subspaces U, V): a capital
+# positional is looked up among the subspaces, any other among the vectors.
+UNKNOWN_NAMES = [
+    ("g", 0, ["q", "e1"], "unknown vector 'q'"),
+    ("g", 1, ["u", "q"], "unknown vector 'q'"),
+    ("g", 1, ["u", "V"], "unknown vector 'V'"),
+    ("angle", 0, ["Q", "V"], "unknown subspace 'Q'"),
+    ("angle", 1, ["U", "Q"], "unknown subspace 'Q'"),
+    ("project", 0, ["q", "V"], "unknown vector 'q'"),
+    ("project", 1, ["u", "Q"], "unknown subspace 'Q'"),
+    ("orthonormalize", 0, ["Q"], "unknown subspace 'Q'"),
+    ("gram", 0, ["Q"], "unknown subspace 'Q'"),
+    ("gram", 0, ["u"], "unknown subspace 'u'"),
+]
+
+
+def test_the_unknown_names_cover_every_positional_of_every_file_command():
+    slots = {(c, i) for c, (_, positionals, _) in cli._COMMANDS.items() for i in range(len(positionals or ()))}
+    assert slots == {(c, i) for c, i, _, _ in UNKNOWN_NAMES}
+
+
+@pytest.mark.parametrize(
+    "command, slot, names, message", UNKNOWN_NAMES, ids=[f"{c}-{' '.join(n)}" for c, _, n, _ in UNKNOWN_NAMES]
+)
+def test_an_unknown_name_in_any_positional_is_input_error(capsys, command, slot, names, message):
+    assert cli.main([command, "-i", problem("line_vs_plane_l1.json"), *names]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [("g", ["u", "e1"]), ("angle", ["U", "V"]), ("project", ["u", "V"]), ("orthonormalize", ["V"]), ("gram", ["V"])],
+)
+def test_a_handler_called_on_loaded_objects_gives_the_report_of_main(capsys, command, names):
+    """A handler takes the problem and the objects its positionals name;
+    called directly, it returns the outputs, warnings and status main
+    reports for the names."""
+    path = problem("line_vs_plane_l1.json")
+    loaded = cli.load_problem(path)
+    objects = [loaded.subspaces[n] if n.isupper() else loaded.vectors[n] for n in names]
+    outputs, warnings, status = getattr(cli, cli._COMMANDS[command][0])(loaded, *objects)
+    assert cli.main([command, "-i", path, *names, "--json"]) == status
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"] == json.loads(json.dumps(outputs))
+    assert (report["warnings"], report["status"]) == (warnings, status)
 
 
 def test_g_missing_file_is_input_error():
@@ -185,11 +235,15 @@ def test_load_problem_returns_a_problem_or_raises_problem_file_error(tmp_path, d
 
 def test_a_float_norm_beyond_the_float_range_is_input_error(tmp_path, capsys):
     # NumericalRangeError has no exit code of its own yet; the GAngleError
-    # fallback maps it to 2
+    # fallback maps it to 2.  |x|_3 = 2^(1/3) * 1.7e308 is beyond the range.
     path = tmp_path / "huge.json"
+    path.write_text('{"p": 3, "mode": "float", "vectors": {"x": [1.7e308, 1.7e308], "y": [1.0]}}')
+    assert cli.main(["g", "-i", str(path), "x", "y"]) == 2
+    assert capsys.readouterr().err == "error: the 3-norm of this vector overflows the float range\n"
+    # |(1e150, 1)|_3 and g are finite, but tau's powers |x_i + t*y_i|^3 are not
     path.write_text('{"p": 3, "mode": "float", "vectors": {"x": [1e150, 1.0], "y": [1.0]}}')
     assert cli.main(["g", "-i", str(path), "x", "y"]) == 2
-    assert "overflows the float range" in capsys.readouterr().err
+    assert "beyond the float range" in capsys.readouterr().err
 
 
 def test_an_exact_coordinate_beyond_the_float_range_is_input_error(tmp_path, capsys):
@@ -251,7 +305,8 @@ def test_g_evaluates_tau_once_and_checks_the_pair_it_prints(monkeypatch, tmp_pat
     monkeypatch.setattr(semi_inner, "g_from_norm", forbidden)
     path = tmp_path / f"{name}.json"
     path.write_text('{%s, "vectors": {"x": [3, -1, "1/2"], "y": [1, 2, -4]}}' % spec)
-    report = cli.cmd_g(cli.load_problem(str(path)), "x", "y")[0]
+    problem = cli.load_problem(str(path))
+    report = cli.cmd_g(problem, problem.vectors["x"], problem.vectors["y"])[0]
     assert seen == calls
     assert not hasattr(cli, "g_from_norm")
     if name == "exact-l1":  # exact against exact

@@ -693,22 +693,31 @@ def test_a_single_g_equals_its_map_across_magnitudes(data):
 
 
 @pytest.mark.parametrize(
-    "x,y,p,error",
+    "x,y,p,outcome",
     [
         (sv([1, 2]), sv([2, 1]), 1.5, BackendError),  # exact x at p = 1.5
         (sv([1, 2]), sv([2.0, 1.0]), 1, BackendError),
         (sv([1.0, 2.0]), sv([2, 1]), 3.0, BackendError),
         (SparseVector({1: 1e-300}), sv([1]), 1.5, BackendError),  # the tiny |x| needs no check of its own
-        (SparseVector({1: 1e150}), sv([1.0]), 3.0, NumericalRangeError),  # |x|^3 overflows
+        (SparseVector({1: 1e150}), sv([1.0]), 3.0, 1e150),  # |x|^3 overflows, |x| and g do not
+        (SparseVector({1: 1e200}), sv([1.0]), 3.0, 1e200),  # and so does the weight |x1|^2
         (SparseVector({1: 0.5}), sv([1.0]), 2000.0, NumericalRangeError),  # |x / 2^e|^(2-p) can overflow
         (SparseVector({1: 1e100, 2: 1.0}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is inf
+        (SparseVector({1: 1e200}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is 2^e * 1e300
     ],
-    ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm-mixed", "huge-norm", "huge-p", "infinite-g"],
+    ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm-mixed", "huge-norm", "huge-weight", "huge-p",
+         "infinite-g", "infinite-rescaled-g"],
 )
-def test_a_single_g_raises_as_its_map(x, y, p, error):
+def test_a_single_g_raises_as_its_map(x, y, p, outcome):
+    """Both routes raise the same typed error or give the same value, by
+    ``repr``: a huge x is taken rescaled by a power of two."""
     space = LpSpace(p)
-    assert _route_outcome(lambda: g(x, y, space)) is error
-    assert _route_outcome(lambda: g_functional(x, space)(y)) is error
+    single = _route_outcome(lambda: g(x, y, space))
+    assert single == _route_outcome(lambda: g_functional(x, space)(y))
+    if isinstance(outcome, float):
+        assert single[0] == pytest.approx(outcome, rel=1e-14)
+    else:
+        assert single is outcome
 
 
 def _rescaled_g(x, y, p):
@@ -837,13 +846,47 @@ def test_gram_under_the_max_norm_is_unchanged():
 
 
 def test_a_float_norm_that_overflows_raises_numerical_range_error():
+    """Only a norm beyond the float range raises; a sum of |x_i|^p beyond it
+    is taken on x / 2^e."""
     x = SparseVector({1: 1e150, 2: 1.0})
-    with pytest.raises(NumericalRangeError):
-        lp_norm(x, 3)  # |x1|^3 overflows
-    with pytest.raises(NumericalRangeError):
-        g_explicit(x, SparseVector({1: 1.0}), 3)
-    with pytest.raises(NumericalRangeError):
-        lp_norm(SparseVector({1: 1e200, 2: 1e200}), 2)  # the sum of squares is inf
+    assert lp_norm(x, 3) == pytest.approx(1e150, rel=1e-15)  # |x1|^3 overflows
+    assert g_explicit(x, SparseVector({1: 1.0}), 3) == pytest.approx(1e150, rel=1e-14)
+    assert lp_norm(SparseVector({1: 1e200, 2: 1e200}), 2) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert lp_norm(SparseVector({1: 1e200, 2: 1e200}), 3) == pytest.approx(2 ** (1 / 3) * 1e200, rel=1e-15)
+    assert lp_norm(SparseVector({1: 1e308, 2: 1e308}), 2) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    beyond = SparseVector({1: 1.7e308, 2: -1.7e308})  # |beyond|_p = 2^(1/p) * 1.7e308
+    for p in (1, 1.5, 2, 3):
+        with pytest.raises(NumericalRangeError):
+            lp_norm(beyond, p)
+        if p != 2:  # g at p = 2 takes no norm, and g(beyond, e1) = 1.7e308
+            with pytest.raises(NumericalRangeError):
+                g_explicit(beyond, SparseVector({1: 1.0}), p)
+
+
+# Nonzero floats of every magnitude up to 1e308, subnormal ones included.
+_ANY_MAGNITUDE = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.builds(lambda m, e: m * 10.0 ** e, st.integers(-99, 99).filter(bool).map(float), st.integers(-320, 306)),
+).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.dictionaries(st.integers(1, 6), _ANY_MAGNITUDE, max_size=6).map(SparseVector),
+    y=st.dictionaries(st.integers(1, 6), _ANY_MAGNITUDE, max_size=6).map(SparseVector),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, 7.5, 60.0)),
+)
+def test_float_norms_and_g_are_finite_or_raise_numerical_range_error(x, y, p):
+    """lp_norm, g, the g_functional map and norm_sq each return a finite
+    float or raise NumericalRangeError, never a bare OverflowError."""
+    space = LpSpace(p)
+    for compute in (lambda: lp_norm(x, p), lambda: g(x, y, space), lambda: g_functional(x, space)(y),
+                    lambda: norm_sq(x, space)):
+        try:
+            value = compute()
+        except NumericalRangeError:
+            continue
+        assert math.isfinite(value)
 
 
 def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
