@@ -7,10 +7,11 @@ Two independent routes are provided:
 * :func:`g_from_norm` -- the definition ``(|x|/2) * (tau+ + tau-)`` built
   from difference quotients of ``t -> |x + t*y|``.
 
-One rule, :func:`_closed_form`, decides x's share of the closed form: the
-factor ``|x|^(2-p)``, one norm pass over x, and the weights
-``|xi|^(p-1) * sgn(xi)``; at p = 2 these are x's entries and no norm is
-taken, and exact p = 1 weighs the int numerators by their signs.  A single
+One rule, :func:`_closed_form`, decides x's share of the closed form,
+written ``|x| * sum(wi * yi)``: the factor ``|x|``, one norm pass over x,
+and the weights ``(|xi|/|x|)^(p-1) * sgn(xi)``, the gradient of the norm
+at x, none above 1; at p = 2 these are x's entries and no norm is taken,
+and exact p = 1 weighs the int numerators by their signs.  A single
 value of :func:`g` (and of :func:`g_explicit`, which calls it) forms the
 weights only on the shared support of x and y, as a sparse dot product runs
 over the common nonzeros.  Every other first argument is prepared by one
@@ -66,7 +67,6 @@ from .vectors import (
     lp_norm,
     norm,
     sgn,
-    _ldexp,
     _zero,
 )
 
@@ -371,16 +371,14 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
     * exact p = 1: the weights are the signs of the int numerators and the
       factor is the int D_x * |x|_1, the sum of their absolute values, so
       that the sum on y's int numerators is D_x * D_y * g(x, y);
-    * float p != 2: w_i = |xi|^(p-1) * sgn(xi), +-1.0 at p = 1, and the
-      factor |x|^(2-p) takes one norm pass.
+    * float p != 2: the factor is |x|, one norm pass, and the weights are
+      the gradient of the norm at x, w_i = (|xi| / |x|)^(p-1) * sgn(xi),
+      +-1.0 at p = 1: |w_i| <= 1 at every magnitude and p, so only g itself
+      can leave the float range.
 
     The finish is ``Fraction`` in exact mode and the float range check
-    :func:`_finite` else.  Where the float |x|^p underflows to 0, or
-    |x|^(2-p) or the bound |x|^(p-1) of the weights overflows, the factor
-    and the weights are those of x / 2^e, 2^(e-1) <= |x| < 2^e, and the
-    finish multiplies by 2^e, as g is homogeneous in x.  Raises
-    BackendError for an exact x and p not in {1, 2}, and
-    NumericalRangeError for such an x at p >= 1026."""
+    :func:`_finite` else.  Raises BackendError for an exact x and p not in
+    {1, 2}."""
     exact = x.backend == EXACT
     finish = Fraction if exact else _finite
     if p == 2:
@@ -389,20 +387,8 @@ def _closed_form(x: SparseVector, p, entries) -> tuple:
         if p != 1:
             raise BackendError(f"exact closed form only for p in {{1, 2}}, not p={p}; use float mode")
         return sum([abs(n) for _, n in x._entries]), {i: 1 if n > 0 else -1 for i, n in entries}, finish
-    p = float(p)
-    try:  # where |x|^p underflows to 0 the weights can too, and g would read 0;
-        # |x|^(p-1) bounds the weights, and where it overflows they can too
-        factor = nx ** (2.0 - p) if min(nx := lp_norm(x, p), 1.0) ** p and max(nx, 1.0) ** (p - 1.0) else 0.0
-    except OverflowError:  # a tiny |x| to a power below 0, or a huge one to p - 1
-        factor = 0.0
-    if factor == 0.0 and p < 1026.0:  # g(x, y) = 2^e * g(x / 2^e, y); m^(2-p) <= 2^(p-2) is a float
-        m, e = math.frexp(nx)  # |x| / 2^e = m in [1/2, 1)
-        entries = [(i, math.ldexp(v, -e)) for i, v in entries]
-        factor, finish = m ** (2.0 - p), lambda value, den: _finite(_ldexp(value, e))
-    if factor == 0.0:
-        raise NumericalRangeError(f"|x|^(2-p) at p={p:g} is beyond the float range")
-    q = p - 1.0
-    return factor, {i: abs(v) ** q * sgn(v) for i, v in entries}, finish
+    nx, q = lp_norm(x, p), float(p) - 1.0
+    return nx, {i: (abs(v) / nx) ** q * sgn(v) for i, v in entries}, finish
 
 
 def g_functional(x: SparseVector, space: Space):

@@ -346,18 +346,11 @@ def exact_sqrt(value: Fraction):
     return None
 
 
-def _ldexp(value: float, e: int) -> float:
-    """value * 2^e, or inf of value's sign where math.ldexp overflows."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        return math.copysign(math.inf, value)
-
-
 def lp_norm(x: SparseVector, p) -> Coeff:
     """The p-norm of ``x``; a float norm beyond the float range raises
     :class:`~gangle.errors.NumericalRangeError`.  A float sum of |v|^p that
-    overflows, or is subnormal, is taken again on x / 2^e."""
+    overflows, or is subnormal, is taken again on x / m, m the largest
+    |entry|: its largest term is 1, so it neither overflows nor underflows."""
     if x.is_zero:
         return _zero(x.backend)
     if x.backend == EXACT:  # sums of the int numerators over the denominator D
@@ -379,8 +372,8 @@ def lp_norm(x: SparseVector, p) -> Coeff:
     except OverflowError:  # some |v|^p is beyond the float range
         s = math.inf
     if s == math.inf or p != 1 and s < sys.float_info.min:  # s is inf, or subnormal and lost digits
-        e = math.frexp(max([abs(v) for _, v in x._entries]))[1]  # max |v| / 2^e in [1/2, 1)
-        value = _ldexp(sum([abs(math.ldexp(v, -e)) ** p for _, v in x._entries]) ** (1.0 / p), e)
+        m = max([abs(v) for _, v in x._entries])  # the largest term (m / m)^p is 1
+        value = m * sum([(abs(v) / m) ** p for _, v in x._entries]) ** (1.0 / p)
     else:
         value = math.sqrt(s) if p == 2 else s ** (1.0 / p)
     if value == math.inf:

@@ -390,8 +390,10 @@ def g_explicit_by_get(x, y, p):
             return lp_norm_by_fractions(x, 1) * sum((sgn(v) * y.get(i) for i, v in x), Fraction(0))
         return sum((v * y.get(i) for i, v in x), Fraction(0))
     p = float(p)
-    s = sum(abs(v) ** (p - 1.0) * sgn(v) * y.get(i) for i, v in x)
-    return lp_norm(x, p) ** (2.0 - p) * s
+    if p == 2:
+        return 1.0 * sum(v * y.get(i) for i, v in x)
+    nx = lp_norm(x, p)
+    return nx * sum((abs(v) / nx) ** (p - 1.0) * sgn(v) * y.get(i) for i, v in x)
 
 
 def tau_float_by_vectors(x, y, p):

@@ -20,7 +20,8 @@ p = 2, and left g-orthonormalization makes d - 2 maps, one per kept
 starred row, which serve the later right-hand sides too, and d - 1 single
 values, the right-hand-side entries of x_1*, which has no row.  So a float
 left g-orthonormalization of d = 16 vectors takes 29 norm passes (2d - 3)
-for the factors |x*|^(2-p), one per map and one per single value.  A single
+for the factors |x*| of the weights (|x*_i| / |x*|)^(p-1), one per map and
+one per single value.  A single
 float g at p != 2 calls ``sgn`` once per shared coordinate.  A Gram
 matrix is eliminated once: ``project`` onto a subspace whose Gram data is
 built takes d g-values from the maps its rows came from, with no new map and

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from gangle import (
     lp_norm,
     norm,
     norm_sq,
+    sgn,
     tau,
 )
 from gangle.semi_inner import _exponent, g_functional
@@ -701,16 +703,16 @@ def test_a_single_g_equals_its_map_across_magnitudes(data):
         (SparseVector({1: 1e-300}), sv([1]), 1.5, BackendError),  # the tiny |x| needs no check of its own
         (SparseVector({1: 1e150}), sv([1.0]), 3.0, 1e150),  # |x|^3 overflows, |x| and g do not
         (SparseVector({1: 1e200}), sv([1.0]), 3.0, 1e200),  # and so does the weight |x1|^2
-        (SparseVector({1: 0.5}), sv([1.0]), 2000.0, NumericalRangeError),  # |x / 2^e|^(2-p) can overflow
+        (SparseVector({1: 0.5}), sv([1.0]), 2000.0, 0.5),  # |x|^(2-p) overflows, the weight (|x1|/|x|)^(p-1) does not
         (SparseVector({1: 1e100, 2: 1.0}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is inf
-        (SparseVector({1: 1e200}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is 2^e * 1e300
+        (SparseVector({1: 1e200}), SparseVector({1: 1e300}), 3.0, NumericalRangeError),  # g is 1e200 * 1e300
     ],
     ids=["exact-p1.5", "exact-float", "float-exact", "tiny-norm-mixed", "huge-norm", "huge-weight", "huge-p",
          "infinite-g", "infinite-rescaled-g"],
 )
 def test_a_single_g_raises_as_its_map(x, y, p, outcome):
     """Both routes raise the same typed error or give the same value, by
-    ``repr``: a huge x is taken rescaled by a power of two."""
+    ``repr``: a huge x or p needs no rescale, as no weight exceeds 1."""
     space = LpSpace(p)
     single = _route_outcome(lambda: g(x, y, space))
     assert single == _route_outcome(lambda: g_functional(x, space)(y))
@@ -738,10 +740,9 @@ def _rescaled_g(x, y, p):
     ids=["tiny-norm", "tiny-norm-p1.5", "subnormal", "large-p"],
 )
 def test_a_tiny_float_x_gives_g_by_scaling(x, y, p):
-    """Where |x|^p underflows, or |x|^(2-p) overflows, g is formed on
-    x / 2^e, 2^(e-1) <= |x| < 2^e, and scaled back: the single g and the
-    map agree bit for bit, and lie within 1e-14 of g taken on x scaled
-    near 1."""
+    """Where |x|^p underflows, or |x|^(2-p) overflows, g is still
+    homogeneous in x: the single g and the map agree bit for bit, and lie
+    within 1e-14 of 2^-k * g(2^k * x, y), 2^k * x scaled near 1."""
     single, mapped = g(x, y, LpSpace(p)), g_functional(x, LpSpace(p))(y)
     assert repr(single) == repr(mapped)
     assert single == pytest.approx(_rescaled_g(x, y, p), rel=1e-14) and single != 0.0
@@ -874,7 +875,7 @@ _ANY_MAGNITUDE = st.one_of(
 @given(
     x=st.dictionaries(st.integers(1, 6), _ANY_MAGNITUDE, max_size=6).map(SparseVector),
     y=st.dictionaries(st.integers(1, 6), _ANY_MAGNITUDE, max_size=6).map(SparseVector),
-    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, 7.5, 60.0)),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, 7.5, 60.0, 1100.0, 2000.0)),
 )
 def test_float_norms_and_g_are_finite_or_raise_numerical_range_error(x, y, p):
     """lp_norm, g, the g_functional map and norm_sq each return a finite
@@ -889,6 +890,52 @@ def test_float_norms_and_g_are_finite_or_raise_numerical_range_error(x, y, p):
         assert math.isfinite(value)
 
 
+def _g_by_decimal(x, y, p):
+    """(g(x, y), |x|_p * |y|_p) for float x, y and p by the paper's closed
+    form |x|^(2-p) * sum(|xi|^(p-1) * sgn(xi) * yi), in 60-digit decimal
+    arithmetic on the exact values of the floats: no float range applies."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        P, ys = Decimal(p), dict(y)
+
+        def lp(v):
+            return sum(abs(Decimal(c)) ** P for _, c in v) ** (1 / P)
+
+        nx = lp(x)
+        s = sum(abs(Decimal(c)) ** (P - 1) * sgn(c) * Decimal(ys.get(i, 0.0)) for i, c in x)
+        return nx ** (2 - P) * s, nx * lp(y)
+
+
+# Nonzero floats from 1e-305 to 1e300, of either sign.
+_SPREAD = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99).flatmap(lambda m: st.sampled_from((m, -m))),
+                    st.integers(-305, 299))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.dictionaries(st.integers(1, 6), _SPREAD, min_size=1, max_size=6).map(SparseVector),
+    y=st.dictionaries(st.integers(1, 6), _SPREAD, max_size=6).map(SparseVector),
+    p=st.sampled_from((1.2, 1.5, 3.0, 7.5, 40.0, 1100.0, 2000.0)),
+)
+def test_float_g_lies_near_its_decimal_value_at_every_magnitude_and_p(x, y, p):
+    """Float g is within 1e-13 * |x| * |y| of its 60-digit decimal value, or
+    raises NumericalRangeError only where |x| * |y| is beyond the float
+    range.  At large p the bound is 4p units of 2^-53 instead: a rounding
+    u of |x|, or of a ratio |xi| / |x|, moves a weight (|xi|/|x|)^(p-1) by
+    (p - 1) * u, and so does any route that rounds |x| to a float before
+    raising it to the power 2 - p.  A value below the normal floats is held
+    to their spacing 2^-1074 as well."""
+    ref, scale = _g_by_decimal(x, y, p)
+    try:
+        value = g(x, y, LpSpace(p))
+    except NumericalRangeError:
+        assert scale > Decimal(sys.float_info.max)
+        return
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert abs(Decimal(value) - ref) <= Decimal(max(1e-13, 4 * p * 2.0 ** -53)) * scale + Decimal(2) ** -1074
+
+
 def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
     x = SparseVector({1: 1e150, 2: 1.0})
     with pytest.raises(NumericalRangeError):
@@ -896,8 +943,10 @@ def test_float_tau_whose_powers_overflow_raises_numerical_range_error():
 
 
 def test_g_of_a_float_x_whose_norm_power_underflows_is_taken_rescaled():
+    """Where |t|^p underflows, the norm and g keep their homogeneity: g(t, y)
+    lies within 1e-14 of 2^-k * g(2^k * t, y), 2^k * t scaled near 1."""
     t = SparseVector({1: 1e-300, 2: 1e-300})
-    assert lp_norm(t, 3.0) == pytest.approx(2 ** (1 / 3) * 1e-300, rel=1e-15)  # taken rescaled
+    assert lp_norm(t, 3.0) == pytest.approx(2 ** (1 / 3) * 1e-300, rel=1e-15)  # the power sum is subnormal
     y = SparseVector({1: 1.0, 2: 3.0})
     for p in (3.0, 1.5):  # |t|^p underflows to 0, and at p = 3 each weight |t_i|^2 does
         assert g_explicit(t, y, p) == pytest.approx(_rescaled_g(t, y, p), rel=1e-14)

@@ -362,6 +362,16 @@ def test_a_float_norm_whose_power_sum_underflows_to_zero_is_that_of_the_vector_s
     assert starred.to_dense() == pytest.approx(starred_up.to_dense(), rel=1e-15)
 
 
+def test_a_float_norm_at_a_huge_p_is_that_of_its_largest_entry():
+    """At p = 1080 and 2000 the power 0.5^p underflows to 0, where x / m, m
+    the largest |entry|, has the power sum 1: the norm is m, and the unit
+    vector (1.0,)."""
+    half = SparseVector({1: 0.5})
+    assert lp_norm(half, 1080) == 0.5
+    assert norm(half, LpSpace(2000)) == 0.5
+    assert left_orthonormalize([half], LpSpace(2000.0)) == [SparseVector({1: 1.0})]
+
+
 def test_a_squared_norm_that_underflows_still_raises_in_an_angle():
     """|x| = 1.4e-200 is a float and |x|^2 is not: ``norm_sq`` rounds it to
     0.0, and the angle that divides by it raises NumericalRangeError."""
