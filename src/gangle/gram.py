@@ -339,12 +339,12 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
     In an lp space the step's subspace gets the rows kept so far and the
     maps kept so far, so the step makes only the k - 1 right-hand-side
     g-values and solves below a unit diagonal by :func:`_forward`, with no
-    Gram data, determinant or elimination.  The row
-    g(x_k*, x_j*), j < k, costs k - 1 more g-values, and the map
-    y -> g(x_k*, y) kept for the right-hand sides of the later steps comes
-    with it (both from ``semi_inner._row``), built only when the row has
-    entries and another vector follows.  x_1* has no row, so its values are
-    single g calls, each weighing the shared support alone: (d - 1)^2
+    Gram data, determinant or elimination.  The row g(x_k*, x_j*), j < k,
+    costs k - 1 more g-values (none in exact l2, where each is 0), and the
+    map y -> g(x_k*, y) kept for the right-hand sides of the later steps
+    comes with it (both from ``semi_inner._row``), built only when the row
+    has entries and another vector follows.  x_1* has no row, so its values
+    are single g calls, each weighing the shared support alone: (d - 1)^2
     g-values, d - 2 maps and d - 1 single g calls for d >= 2 vectors, so
     2d - 3 norm passes over starred vectors.
     Under a black-box norm each step computes its full Gram matrix, as g
@@ -383,9 +383,10 @@ def left_orthonormalize(basis: Sequence[SparseVector], space: Space) -> list:
             raise DependenceError(f"vector {k + 1} lies in the span of its predecessors")
         starred = residual.scale(Fraction(1) / r)
         if triangular and k < len(basis) - 1:
-            g_k, row = _row(starred, out, space) if k else ((lambda y, x=starred: g(x, y, space)), [])
+            zeros = starred.backend == EXACT and space.p == 2  # g(x_k*, x_j*) = g(x_j*, x_k*) = 0
+            g_k, row = _row(starred, () if zeros else out, space) if k else ((lambda y, x=starred: g(x, y, space)), [])
             if starred.backend == EXACT:
-                row, scale = _reduced(row, starred)
+                row, scale = _reduced([0] * k if zeros else row, starred)
                 scales.append(scale)
             rows.append(row)
             maps.append(g_k)

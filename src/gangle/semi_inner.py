@@ -14,14 +14,14 @@ at x, none above 1; at p = 2 these are x's entries and no norm is taken,
 and exact p = 1 weighs the int numerators by their signs.  A single
 value of :func:`g` (and of :func:`g_explicit`, which calls it) forms the
 weights only on the shared support of x and y, as a sparse dot product runs
-over the common nonzeros.  Every other first argument is prepared by one
-routine, :func:`_row`, with the weights over all of x: it returns the map
-``y -> g(x, y)``, with the bits of a single value, and its raw values on
-given vectors.  :func:`g_functional` takes the map, :func:`_gram_rows` the
-rows of each basis vector, and left g-orthonormalization the starred rows,
-exact ones reduced to ints by :func:`_reduced`.  In float mode a norm, a
-value of g or a power or quotient inside float tau beyond the range raises
-:class:`~gangle.errors.NumericalRangeError`.
+over the common nonzeros.  Every other first argument is weighed over all
+of x, in a map ``y -> g(x, y)`` (:func:`_map`) with the bits of a single
+value: :func:`_row` gives it and its raw values on given vectors (exact
+ones ints, by :func:`_reduced`), to :func:`g_functional` and the starred
+rows; :func:`_gram_rows` keeps the maps of a basis and forms its rows, the
+same products in the same order, through a column index.  In float mode a
+norm, a value of g or a power or quotient inside float tau beyond the range
+raises :class:`~gangle.errors.NumericalRangeError`.
 
 For p = 1 the norm is piecewise linear in ``t``, so the quotient is evaluated
 exactly at a step below the first sign flip (no limit needed, both backends).
@@ -352,9 +352,9 @@ def _g_from_pair(pair: TauPair, nx: Coeff) -> Coeff:
 
 def _finite(value: Coeff, den: int = 1) -> Coeff:
     """A value of g, checked: a float one beyond the float range raises
-    NumericalRangeError; an exact numerator is kept (the Gram rows).  ``den``
-    is not read: it gives this the signature of ``Fraction``, the exact
-    finish, as the float finish of the closed form (:func:`_closed_form`)."""
+    NumericalRangeError; an exact numerator is kept (the starred rows).
+    ``den`` is not read: it gives this the signature of ``Fraction``, the
+    exact finish, as the float finish of the closed form."""
     if isinstance(value, float) and not math.isfinite(value):
         raise NumericalRangeError("g(x, y) overflows the float range")
     return value
@@ -436,18 +436,32 @@ def _row(x: SparseVector, others, space) -> tuple:
 
 def _gram_rows(basis, space) -> tuple:
     """(maps, rows, scales) of the Gram matrix [g(x_i, x_k)] of nonzero
-    vectors, each prepared once by :func:`_row`: the maps y -> g(x_i, y) and
-    their values, floats or oracle values with no scales, or exact ints,
-    row i by :func:`_reduced` over scales[i].  At p = 2, where g is
-    symmetric, the entries k < i are mirrored: the same products."""
-    half = isinstance(space, LpSpace) and space.p == 2
-    maps, rows = zip(*[_row(x, basis[i if half else 0 :], space) for i, x in enumerate(basis)])
-    if half:
-        rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)]
-    if basis[0].backend != EXACT or not isinstance(space, LpSpace):  # floats or oracle values
-        return maps, rows, None
-    reduced = [_reduced(row, x) for row, x in zip(rows, basis)]
-    return maps, [row for row, _ in reduced], [scale for _, scale in reduced]
+    vectors: the maps y -> g(x_i, y), and the rows, floats or oracle values
+    (:func:`_row`'s) with no scales, or exact ints, row i by :func:`_reduced`
+    over scales[i].  In an lp space row i is one pass over x_i's weights in
+    index order through a column index of the basis, cols[j] = [(k, x_k(j))],
+    appending w_i(j) * x_k(j) to a list per k: entry k, factor_i * sum(list),
+    has the products, order and bits of the map on x_k (Gustavson).  At p = 2
+    x_i joins cols just before row i, from the last up; k < i is mirrored."""
+    if isinstance(space, OracleSpace):
+        return (*zip(*[_row(x, basis, space) for x in basis]), None)
+    d, half, forms = len(basis), space.p == 2, [_closed_form(x, space.p, x._entries) for x in basis]
+    exact = {join_backends(basis[0].backend, x.backend) for x in basis} == {EXACT}  # a mixed basis raises BackendError
+    cols, rows = {}, [None] * d
+    for i in reversed(range(d)):
+        for k in [i] if half else range(d) if i == d - 1 else ():  # k >= i at p = 2, else all
+            for j, v in basis[k]._entries:
+                cols.setdefault(j, []).append((k, v))
+        (factor, weights, _), products = forms[i], [[] for _ in basis]
+        for j, w in weights.items():
+            for k, v in cols[j]:
+                products[k].append(w * v)
+        rows[i] = row = [factor * sum(s) for s in products[i if half else 0 :]]
+        if not (exact or all(map(math.isfinite, row))):
+            raise NumericalRangeError("g(x, y) overflows the float range")
+    rows = [[rows[k][i - k] for k in range(i)] + row for i, row in enumerate(rows)] if half else rows
+    maps = [_map(x, *form) for x, form in zip(basis, forms)]
+    return (maps, *zip(*[_reduced(row, x) for row, x in zip(rows, basis)])) if exact else (maps, rows, None)
 
 
 def _reduced(row, x: SparseVector) -> tuple:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gangle import (
+    BackendError,
     DegenerateSubspaceError,
     DependenceError,
     GAngleError,
@@ -27,7 +28,7 @@ from gangle import (
     project,
 )
 from gangle.gram import GramData, _eliminate, _forward, _substitute, det
-from gangle.semi_inner import g_functional
+from gangle.semi_inner import _gram_rows, g_functional
 
 from support import (
     classical_projection,
@@ -476,35 +477,78 @@ GRAM_VALUES = {
 }
 
 
+def _gram_basis(data, values, dim):
+    """A drawn basis of 1 to ``dim`` vectors of 1 to 6 entries whose supports
+    overlap at random among 8 coordinates, are disjoint, or are one and the
+    same."""
+    supports = data.draw(st.sampled_from(["overlapping", "disjoint", "identical"]), "supports")
+    d = data.draw(st.integers(1, dim), "d")
+    vector = st.dictionaries(st.integers(1, 8), GRAM_VALUES[values], min_size=1, max_size=6)
+    entries = data.draw(st.lists(vector, min_size=d, max_size=d), "entries")
+    if supports == "disjoint":
+        entries = [{8 * k + i: v for i, v in e.items()} for k, e in enumerate(entries)]
+    elif supports == "identical":
+        n = len(entries[0])
+        drawn = data.draw(st.lists(st.lists(GRAM_VALUES[values], min_size=n, max_size=n), min_size=d, max_size=d))
+        entries = [dict(zip(entries[0], v)) for v in drawn]
+    return [SparseVector(e) for e in entries]
+
+
 @pytest.mark.parametrize(
-    "values,space",
+    "values,space,dim",
     [
-        ("float", LpSpace(1.0)),
-        ("float", LpSpace(1.5)),
-        ("float", L2_FLOAT),
-        ("float", LpSpace(3.0)),
-        ("exact", L1),
-        ("exact", LpSpace(2)),
-        ("small", MAX_NORM),
+        ("float", LpSpace(1.0), 16),
+        ("float", LpSpace(1.5), 16),
+        ("float", L2_FLOAT, 16),
+        ("float", LpSpace(3.0), 16),
+        ("exact", L1, 16),
+        ("exact", LpSpace(2), 16),
+        ("small", MAX_NORM, 5),
     ],
     ids=["float-p1", "float-p1.5", "float-p2", "float-p3", "exact-p1", "exact-p2", "max-norm"],
 )
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_gram_entries_are_the_map_and_single_g_values(values, space, data):
-    """One routine prepares every first argument: each Gram entry has the
-    bits of the map g(x_i, .) applied to x_k and of the single g(x_i, x_k),
-    at every p, exact or float, and under a norm oracle.  At p = 2 the
-    entries below the diagonal are mirrored, with the same bits."""
-    vectors = st.dictionaries(st.integers(1, 6), GRAM_VALUES[values], min_size=1, max_size=6).map(SparseVector)
-    basis = data.draw(st.lists(vectors, min_size=1, max_size=5), "basis")
+def test_gram_entries_are_the_map_and_single_g_values(values, space, dim, data):
+    """Each Gram entry, formed through the column index of the basis in an
+    lp space, has the bits of the kept map g(x_i, .) applied to x_k, of a
+    ``g_functional`` map and of the single g(x_i, x_k), at every p, exact or
+    float, whether the supports overlap, are disjoint or are the same, and
+    under a norm oracle.  At p = 2 the entries below the diagonal are
+    mirrored, with the same bits.  ``gram`` returns these rows."""
+    basis = _gram_basis(data, values, dim)
+    maps, rows, scales = _gram_rows(basis, space)
+    if scales:  # entry k of row i is R_ik / (S_i * D_k)
+        rows = [[Fraction(v, s * d) for v, (_, d) in zip(row, scales)] for (s, _), row in zip(scales, rows)]
+    for xi, g_i, row in zip(basis, maps, rows):
+        g_x = g_functional(xi, space)
+        expected = [repr(g(xi, xk, space)) for xk in basis]
+        assert [repr(v) for v in row] == [repr(g_i(xk)) for xk in basis] == [repr(g_x(xk)) for xk in basis] == expected
     try:
         matrix = gram(basis, space).matrix
     except NumericalRangeError:  # the determinant left the float range
-        assume(False)
-    for xi, row in zip(basis, matrix):
-        g_x = g_functional(xi, space)
-        assert [repr(v) for v in row] == [repr(g_x(xk)) for xk in basis] == [repr(g(xi, xk, space)) for xk in basis]
+        return
+    assert [[repr(v) for v in row] for row in matrix] == [[repr(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_gram_matrix_of_mixed_backends_raises_backend_error(p):
+    exact, other = SparseVector({1: 1, 2: Fraction(1, 2)}), SparseVector({2: 0.5, 3: 1.0})
+    for basis in ([exact, other], [other, exact], [other, other, exact], [exact, exact, other]):
+        with pytest.raises(BackendError):
+            gram(basis, LpSpace(p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_a_float_gram_entry_beyond_the_float_range_raises(p):
+    """g(x, x) = |x|^2 is about 1e400 here, and at p = 2 the products of
+    g(x_1, x_2) sum inf - inf.  The rows raise it where they are formed."""
+    basis = [SparseVector({1: 1e200, 2: -1e200}), SparseVector({1: 1e200, 2: 1e200, 3: 1.0})]
+    for rows in (_gram_rows, gram):
+        with pytest.raises(NumericalRangeError):
+            rows(basis, LpSpace(p))
+    with pytest.raises(NumericalRangeError):
+        project(SparseVector({1: 1.0}), Subspace(basis, LpSpace(p)))
 
 
 def test_projection_basis_invariance_holds_for_p2():
@@ -687,6 +731,22 @@ def _bases(rng, backend, p):
             yield rand_rational_l2_basis(rng, dim)
         else:
             yield rand_subspace(rng, backend, dim, LpSpace(p), max_index=8).basis
+
+
+def test_exact_l2_orthonormalization_with_rational_norms_keeps_its_vectors():
+    """At exact p = 2 the starred rows g(x_k*, x_j*), j < k, are zeros over
+    the scale (1, D_k*) with no dot product: the same rows, so the same
+    vectors.  Each residual is 3 q_k or 5 e_4, a multiple of an orthonormal
+    rational vector, and the starred vectors are those."""
+    basis = [sv([1, 2, 2, 0]), sv([Fraction(3, 2), Fraction(3, 2), 0, 0]), sv([-1, -2, 7, 0]), sv([1, 2, 2, 5])]
+    thirds = [[1, 2, 2, 0], [2, 1, -2, 0], [2, -2, 1, 0]]
+    expected = [sv([Fraction(v, 3) for v in q]) for q in thirds] + [sv([0, 0, 0, 1])]
+    assert left_orthonormalize(basis, LpSpace(2)) == expected
+    assert left_orthonormalize_by_projection(basis, LpSpace(2)) == expected
+    rng = random.Random("rational-l2")
+    for dim in (3, 4, 5, 6):
+        basis = rand_rational_l2_basis(rng, dim, 6)
+        assert left_orthonormalize(basis, LpSpace(2)) == left_orthonormalize_by_projection(basis, LpSpace(2))
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("exact", 2)])

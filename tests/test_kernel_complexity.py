@@ -11,12 +11,14 @@ max norm exactly as many as the quotient-agreement rule alone (its value
 too), and oracle ``g_from_norm`` exactly as many as oracle tau.  The
 explicit cos^2 sum must take one determinant per coordinate, not one per
 multi-index.  Left g-orthonormalization of d vectors must take (d - 1)^2
-g-values, and the explicit sum t(t + 1)/2 more of its own; a g-value counts
-whether it comes from ``g`` or from a map of ``g_functional``.  The maps
+g-values (d(d - 1)/2 in exact l2, whose starred rows are 0 by symmetry),
+and the explicit sum t(t + 1)/2 more of its own; a g-value counts whether
+it comes from ``g`` or from a map of ``g_functional``.  The maps
 (norm and weights over all of x) and the single ``g`` values (weights on
 the shared support only) are counted apart: ``gram`` of d vectors prepares
 each once, in ``semi_inner._gram_rows``, for d^2 g-values, d(d + 1)/2 at
-p = 2, and left g-orthonormalization makes d - 2 maps, one per kept
+p = 2, counted where they are formed (each entry the rows sum, each map
+call), and left g-orthonormalization makes d - 2 maps, one per kept
 starred row, which serve the later right-hand sides too, and d - 1 single
 values, the right-hand-side entries of x_1*, which has no row.  So a float
 left g-orthonormalization of d = 16 vectors takes 29 norm passes (2d - 3)
@@ -77,7 +79,7 @@ from gangle import (
 )
 from gangle import angles, cli
 
-from support import starred_subspace, tau_oracle_by_vectors
+from support import rand_rational_l2_basis, starred_subspace, tau_oracle_by_vectors
 
 NNZ = 4096
 
@@ -437,9 +439,12 @@ def test_a_single_float_g_weighs_only_the_shared_support(sgn_calls, p):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Preparations of a first argument (``semi_inner._closed_form`` calls)
-    and the g-values of the maps ``semi_inner._map`` makes: those of the
-    Gram rows and of the maps a subspace keeps, which the gram module's
-    ``g`` and ``g_functional`` do not see."""
+    and g-values where they are formed: each call of a map that
+    ``semi_inner._map`` makes (the maps a subspace keeps, which the gram
+    module's ``g`` and ``g_functional`` do not see), and each entry that
+    ``semi_inner._gram_rows`` computes, one ``sum`` of its products, read as
+    the ``sum`` calls made from that function's code (a comprehension in it
+    included)."""
     semi_inner = sys.modules["gangle.semi_inner"]
     calls = {"preparations": 0, "values": 0}
 
@@ -456,8 +461,17 @@ def kernel_calls(monkeypatch):
 
         return counted
 
+    def entry_sum(*args, _rows=semi_inner._gram_rows.__code__):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<listcomp>":  # a frame of its own before Python 3.12
+            frame = frame.f_back
+        if frame.f_code is _rows:
+            calls["values"] += 1
+        return sum(*args)
+
     monkeypatch.setattr(semi_inner, "_closed_form", prepare)
     monkeypatch.setattr(semi_inner, "_map", make)
+    monkeypatch.setattr(semi_inner, "sum", entry_sum, raising=False)
     return calls
 
 
@@ -466,6 +480,8 @@ def test_the_kernel_counters_see_calls(kernel_calls):
     sys.modules["gangle.semi_inner"].g_functional(x, LpSpace(1))(x)
     g(x, x, LpSpace(1))
     assert kernel_calls == {"preparations": 2, "values": 1}
+    gram([x, SparseVector({2: 3})], LpSpace(1))
+    assert kernel_calls == {"preparations": 4, "values": 5}  # four entries, no map call
 
 
 @pytest.mark.parametrize("backend,p", [("exact", 1), ("float", 1.5)])
@@ -492,6 +508,15 @@ def test_orthonormalize_takes_d_minus_one_squared_g_calls(g_calls, eliminations,
     assert len(out) == d
     assert g_calls == {"gram": (d - 1) ** 2, "angles": 0, **_orthonormalize_counts(d)}  # 14 maps at d = 16
     assert eliminations[0] == 0  # each step solves by forward substitution
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_exact_l2_orthonormalize_takes_no_starred_row_values(g_calls, d):
+    """In exact l2 each starred row g(x_k*, x_j*), j < k, is 0 by symmetry
+    and takes no g-value: the right-hand sides alone, d(d - 1)/2."""
+    basis = rand_rational_l2_basis(random.Random(d), d, 6)
+    assert len(left_orthonormalize(basis, LpSpace(2))) == d
+    assert g_calls == {"gram": d * (d - 1) // 2, "angles": 0, **_orthonormalize_counts(d)}
 
 
 def test_orthonormalize_takes_one_norm_pass_per_map_and_single_g(monkeypatch):
